@@ -8,6 +8,11 @@
      dune exec bench/main.exe -- table2 --full -- uncapped (can run for hours)
      dune exec bench/main.exe -- micro         -- bechamel micro-benchmarks
 
+   Exit status: 0 when every experiment ran and met its gates; 1 when any
+   raised or failed a gate (the rest still run, and every failure is
+   named at the end); 2 on an unknown experiment name, before anything
+   runs.
+
    Absolute times are not comparable with the paper's (different host,
    language, and a simulated CPU instead of silicon); the *shape* — state
    counts, which policies are learnable/expressible, growth with
@@ -1044,7 +1049,6 @@ let service () =
     (1e6 *. p99);
   (* --- phase 2: concurrent learns, checked against solo runs --- *)
   let policies = [| "LRU"; "FIFO"; "PLRU"; "MRU" |] in
-  let digest m = Digest.to_hex (Digest.string (Marshal.to_string m [])) in
   let learns = Array.make clients ("", "", "", 0, 0.0) in
   let learn_client i =
     let c = Client.connect_unix socket in
@@ -1082,7 +1086,7 @@ let service () =
       let solo =
         let p = Cq_policy.Zoo.make_exn ~name:policy ~assoc:4 in
         let r = Cq_core.Learn.learn_simulated ~identify:false p in
-        digest r.Cq_core.Learn.machine
+        Cq_policy.Policy.machine_digest r.Cq_core.Learn.machine
       in
       let matches = state = "done" && dgst = solo in
       Printf.printf "  %-5s %-6s  %6d queries  %6.2f s  solo-identical: %b\n%!"
@@ -1122,14 +1126,13 @@ let chaos () =
   let policies = [| "LRU"; "FIFO"; "PLRU" |] in
   let assoc = 4 in
   let n_clients = Array.length policies in
-  let digest m = Digest.to_hex (Digest.string (Marshal.to_string m [])) in
   (* The quiet reference: solo daemon-less learns, one per policy. *)
   let solo =
     Array.map
       (fun policy ->
         let p = Cq_policy.Zoo.make_exn ~name:policy ~assoc in
         let r = Cq_core.Learn.learn_simulated ~identify:false p in
-        digest r.Cq_core.Learn.machine)
+        Cq_policy.Policy.machine_digest r.Cq_core.Learn.machine)
       policies
   in
   let scenarios =
@@ -1439,7 +1442,10 @@ let assoc_bench ~full ~smoke () =
      re-processing and conformance replay produce: the same (word,
      outputs) pair is checked against every refined hypothesis.
      Differential micro-bench: same words, same corrupted-trace mix,
-     verdicts must be identical, and the compiled path must clear 5x. *)
+     verdicts must be identical, and the compiled path must clear 5x.
+     Conformance testing itself runs [Mealy.agrees] on list words and
+     expected outputs (no pre-encoding); it is timed on the same words
+     for reference, ungated. *)
   let compiled_eval =
     let m =
       Cq_policy.Policy.to_mealy (Cq_policy.Zoo.make_exn ~name:"PLRU" ~assoc:8)
@@ -1471,7 +1477,10 @@ let assoc_bench ~full ~smoke () =
     let repeats = 50 in
     let run_verdicts = Array.map (fun (w, exp) -> Cq_automata.Mealy.run m w = exp) words in
     let agree_verdicts = Array.map (fun tr -> Cq_automata.Mealy.agrees_trace c tr) traces in
-    let identical = run_verdicts = agree_verdicts in
+    let list_verdicts =
+      Array.map (fun (w, exp) -> Cq_automata.Mealy.agrees c w exp) words
+    in
+    let identical = run_verdicts = agree_verdicts && run_verdicts = list_verdicts in
     let (), run_s =
       Cq_util.Clock.time (fun () ->
           for _ = 1 to repeats do
@@ -1484,12 +1493,22 @@ let assoc_bench ~full ~smoke () =
             Array.iter (fun tr -> ignore (Cq_automata.Mealy.agrees_trace c tr)) traces
           done)
     in
+    let (), list_s =
+      Cq_util.Clock.time (fun () ->
+          for _ = 1 to repeats do
+            Array.iter
+              (fun (w, exp) -> ignore (Cq_automata.Mealy.agrees c w exp))
+              words
+          done)
+    in
     let speedup = run_s /. Float.max 1e-9 agrees_s in
+    let list_speedup = run_s /. Float.max 1e-9 list_s in
     Printf.printf
       "\ncompiled evaluation (PLRU-8 truth, 2000 words x 64 symbols x %d \
        reps):\n  Mealy.run %.4f s, Mealy.agrees_trace %.4f s -> %.1fx, \
-       verdicts identical: %b\n%!"
-      repeats run_s agrees_s speedup identical;
+       verdicts identical: %b\n  Mealy.agrees (conformance path, \
+       ungated) %.4f s -> %.1fx\n%!"
+      repeats run_s agrees_s speedup identical list_s list_speedup;
     if not identical then
       failwith "assoc bench: compiled evaluator verdicts differ from Mealy.run";
     if (not smoke) && speedup < 5.0 then
@@ -1497,17 +1516,20 @@ let assoc_bench ~full ~smoke () =
         (Printf.sprintf
            "assoc bench: compiled evaluator speedup %.1fx below the 5x bar"
            speedup);
-    (run_s, agrees_s, speedup, identical)
+    (run_s, agrees_s, speedup, identical, list_s, list_speedup)
   in
   let buf = Buffer.create 4096 in
   let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   out "{\n  \"mode\": %S,\n"
     (if smoke then "smoke" else if full then "full" else "default");
-  (let run_s, agrees_s, speedup, identical = compiled_eval in
+  (let run_s, agrees_s, speedup, identical, list_s, list_speedup =
+     compiled_eval
+   in
    out
      "  \"compiled_eval\": { \"run_seconds\": %.6f, \"agrees_seconds\": \
-      %.6f, \"speedup\": %.2f, \"identical_verdicts\": %b },\n"
-     run_s agrees_s speedup identical);
+      %.6f, \"speedup\": %.2f, \"identical_verdicts\": %b, \
+      \"agrees_list_seconds\": %.6f, \"agrees_list_speedup\": %.2f },\n"
+     run_s agrees_s speedup identical list_s list_speedup);
   (match budget with
   | Some (q12, q8, within) ->
       out
@@ -1987,56 +2009,53 @@ let () =
   let smoke = List.mem "--smoke" args in
   let cmds = List.filter (fun a -> not (String.length a > 1 && a.[0] = '-')) args in
   let cmds = if cmds = [] then [ "all" ] else cmds in
+  (* In [all] order. *)
+  let experiments =
+    [
+      ("figure1", figure1);
+      ("table3", table3);
+      ("table2", table2 ~full);
+      ("table4", table4 ~full);
+      ("table5", table5 ~full);
+      ("figure5", figure5);
+      ("cost", cost);
+      ("leaders", leaders ~full);
+      ("ablations", ablations);
+      ("engine", engine);
+      ("noise", noise ~full);
+      ("recovery", recovery);
+      ("analysis", analysis);
+      ("assoc", assoc_bench ~full ~smoke);
+      ("service", service);
+      ("chaos", chaos);
+      ("workload", workload);
+      ("attack", fun () -> attack ~smoke ());
+      ("micro", micro);
+    ]
+  in
+  (match
+     List.filter (fun c -> c <> "all" && not (List.mem_assoc c experiments)) cmds
+   with
+  | [] -> ()
+  | unknown ->
+      List.iter (Printf.eprintf "unknown experiment %S\n") unknown;
+      Printf.eprintf "experiments: all %s\n%!"
+        (String.concat " " (List.map fst experiments));
+      exit 2);
+  (* One failing experiment must not take the rest of the run (or its
+     already-written BENCH_*.json files) down with it; every failure is
+     named at the end and turns the exit status to 1. *)
+  let failures = ref [] in
+  let attempt (name, f) =
+    try f ()
+    with exn ->
+      let msg = Printexc.to_string exn in
+      Printf.printf "\n(%s failed: %s -- continuing)\n%!" name msg;
+      failures := (name, msg) :: !failures
+  in
   let run = function
-    | "table2" -> table2 ~full ()
-    | "table3" -> table3 ()
-    | "table4" -> table4 ~full ()
-    | "table5" -> table5 ~full ()
-    | "figure1" -> figure1 ()
-    | "figure5" -> figure5 ()
-    | "cost" -> cost ()
-    | "leaders" -> leaders ~full ()
-    | "ablations" -> ablations ()
-    | "engine" -> engine ()
-    | "noise" -> noise ~full ()
-    | "recovery" -> recovery ()
-    | "analysis" -> analysis ()
-    | "assoc" -> assoc_bench ~full ~smoke ()
-    | "service" -> service ()
-    | "chaos" -> chaos ()
-    | "workload" -> workload ()
-    | "attack" -> attack ~smoke ()
-    | "micro" -> micro ()
     | "all" ->
-        (* One crashing experiment must not take the rest of the run (or
-           its already-written BENCH_*.json files) down with it. *)
-        List.iter
-          (fun (name, f) ->
-            try f ()
-            with exn ->
-              Printf.printf "\n(%s failed: %s -- continuing)\n%!" name
-                (Printexc.to_string exn))
-          [
-            ("figure1", figure1);
-            ("table3", table3);
-            ("table2", table2 ~full);
-            ("table4", table4 ~full);
-            ("table5", table5 ~full);
-            ("figure5", figure5);
-            ("cost", cost);
-            ("leaders", leaders ~full);
-            ("ablations", ablations);
-            ("engine", engine);
-            ("noise", noise ~full);
-            ("recovery", recovery);
-            ("analysis", analysis);
-            ("assoc", assoc_bench ~full ~smoke);
-            ("service", service);
-            ("chaos", chaos);
-            ("workload", workload);
-            ("attack", fun () -> attack ~smoke ());
-            ("micro", micro);
-          ];
+        List.iter attempt experiments;
         (* Every artifact this bench run (or a previous one) left behind:
            the machine-readable counterpart of the tables above. *)
         let artifacts =
@@ -2058,7 +2077,13 @@ let () =
               Printf.printf "  %s (missing -- first run or failed above)\n" f)
           [ "BENCH_attack.json"; "BENCH_workload.json" ];
         Printf.printf "%!"
-    | other -> Printf.printf "unknown experiment %S\n%!" other
+    | name -> attempt (name, List.assoc name experiments)
   in
   List.iter run cmds;
-  Printf.printf "\n(done)\n%!"
+  match List.rev !failures with
+  | [] -> Printf.printf "\n(done)\n%!"
+  | failed ->
+      Printf.printf "\n(%d experiment(s) failed)\n" (List.length failed);
+      List.iter (fun (name, msg) -> Printf.printf "  %s: %s\n" name msg) failed;
+      Printf.printf "%!";
+      exit 1

@@ -41,7 +41,6 @@ let run assoc policies traces learned attr cold top =
         | Error msg -> fail "%s" msg)
       policies
   in
-  let initial = if cold then Some [||] else None in
   let rows =
     if learned then
       (* Learn each policy, then replay the learned machine on the
@@ -53,15 +52,15 @@ let run assoc policies traces learned attr cold top =
           let c = Cq_automata.Mealy.compile report.Cq_core.Learn.machine in
           List.iter
             (fun (tr : W.Trace.t) ->
-              let o_p = W.Replay.policy ?initial p tr.W.Trace.blocks in
-              let o_c = W.Replay.compiled ?initial c tr.W.Trace.blocks in
+              let o_p = W.Replay.policy ~cold p tr.W.Trace.blocks in
+              let o_c = W.Replay.compiled ~cold c tr.W.Trace.blocks in
               if not (Bytes.equal o_p.W.Replay.stream o_c.W.Replay.stream) then
                 fail "learned %s diverges from the policy on %s" name
                   tr.W.Trace.label)
             traces;
-          W.Eval.machines ?initial [ (name ^ "*", c) ] traces)
+          W.Eval.machines ~cold [ (name ^ "*", c) ] traces)
         subjects
-    else W.Eval.policies ?initial subjects traces
+    else W.Eval.policies ~cold subjects traces
   in
   W.Eval.pp_table Format.std_formatter rows;
   if attr then
@@ -71,7 +70,7 @@ let run assoc policies traces learned attr cold top =
         let a = W.Replay.attribution c in
         List.iter
           (fun (tr : W.Trace.t) ->
-            ignore (W.Replay.compiled ?initial ~attr:a c tr.W.Trace.blocks))
+            ignore (W.Replay.compiled ~cold ~attr:a c tr.W.Trace.blocks))
           traces;
         Format.printf "@.miss attribution: %s (%d states, all traces)@." name
           (Cq_automata.Mealy.compiled_n_states c);

@@ -549,12 +549,9 @@ let verify p r =
              outcome.Replay.stream
          in
          [
-           via "Replay.policy"
-             (Replay.policy ~initial:[||] ~fill_touch:true p conc.blocks);
-           via "Replay.machine"
-             (Replay.machine ~initial:[||] ~fill_touch:true m conc.blocks);
-           via "Replay.compiled"
-             (Replay.compiled ~initial:[||] ~fill_touch:true c conc.blocks);
+           via "Replay.policy" (Replay.policy ~cold:true p conc.blocks);
+           via "Replay.machine" (Replay.machine ~cold:true m conc.blocks);
+           via "Replay.compiled" (Replay.compiled ~cold:true c conc.blocks);
          ])
        (report_words r))
 

@@ -142,14 +142,13 @@ let compile t =
 
 let compiled_n_states c = c.c_states
 let compiled_n_inputs c = c.c_k
-let compiled_init c = c.c_init
 
 let bad_input () = invalid_arg "Mealy.compiled: input out of range"
 
 (* cq-lint: hot-loop — the walkers below run once per conformance-suite
    word (millions of calls per learn); per-symbol allocation is a bug. *)
 
-let compiled_state_after_from c s word =
+let compiled_state_after c word =
   let k = c.c_k in
   match c.c_next with
   | Narrow b ->
@@ -159,7 +158,7 @@ let compiled_state_after_from c s word =
             if i < 0 || i >= k then bad_input ();
             go (Char.code (Bytes.unsafe_get b ((s * k) + i))) w
       in
-      go s word
+      go c.c_init word
   | Wide a ->
       let rec go s = function
         | [] -> s
@@ -167,9 +166,7 @@ let compiled_state_after_from c s word =
             if i < 0 || i >= k then bad_input ();
             go (Array.unsafe_get a ((s * k) + i)) w
       in
-      go s word
-
-let compiled_state_after c word = compiled_state_after_from c c.c_init word
+      go c.c_init word
 
 (* [agrees_from c s word expected]: does the machine, started in [s], emit
    exactly [expected] on [word]?  Stops at the first mismatch; allocates
@@ -204,10 +201,14 @@ let agrees_from c s word expected =
 
 let agrees c word expected = agrees_from c c.c_init word expected
 
-(* Pre-encoded comparison: callers that evaluate the same recorded trace
-   many times (Rivest–Schapire's binary search, counterexample
-   re-processing across refinements) encode the expected outputs into
-   dictionary codes once, then every evaluation is an int-only walk. *)
+(* Fully pre-encoded trace: the word is packed into an int array with
+   inputs range-checked once at encode time, and the expected outputs
+   into dictionary codes, so the walk is a pure int-array loop — no list
+   pointer-chasing, no per-symbol bounds test and no polymorphic
+   equality.  Outputs the machine can never emit encode to -1, a code no
+   table entry carries, so the walk rejects them without a special
+   case. *)
+type trace = { t_word : int array; t_codes : int array }
 
 let encode_output c o =
   let d = c.c_dict in
@@ -215,57 +216,15 @@ let encode_output c o =
   let rec find i = if i >= n then -1 else if d.(i) = o then i else find (i + 1) in
   find 0
 
-let encode_outputs c expected =
-  (* Outputs the machine can never emit encode to -1, a code no table
-     entry carries, so [agrees_codes] rejects them without a special
-     case. *)
-  (* cq-lint: allow hot-loop-alloc — encoding runs once per trace, not per evaluation *)
-  Array.of_list (List.map (encode_output c) expected)
-
-let agrees_codes_from c s word codes =
-  let k = c.c_k and code = c.c_code in
-  let m = Array.length codes in
-  match c.c_next with
-  | Narrow b ->
-      let rec go s j = function
-        | [] -> j = m
-        | i :: w ->
-            if i < 0 || i >= k then bad_input ();
-            j < m
-            &&
-            let idx = (s * k) + i in
-            Array.unsafe_get code idx = Array.unsafe_get codes j
-            && go (Char.code (Bytes.unsafe_get b idx)) (j + 1) w
-      in
-      go s 0 word
-  | Wide a ->
-      let rec go s j = function
-        | [] -> j = m
-        | i :: w ->
-            if i < 0 || i >= k then bad_input ();
-            j < m
-            &&
-            let idx = (s * k) + i in
-            Array.unsafe_get code idx = Array.unsafe_get codes j
-            && go (Array.unsafe_get a idx) (j + 1) w
-      in
-      go s 0 word
-
-let agrees_codes c word codes = agrees_codes_from c c.c_init word codes
-
-(* Fully pre-encoded trace: the word is packed into an int array with
-   inputs range-checked once at encode time, so the walk is a pure
-   array loop — no list pointer-chasing and no per-symbol bounds test. *)
-type trace = { t_word : int array; t_codes : int array }
-
 let encode_trace c word expected =
   let k = c.c_k in
   let t_word = Array.of_list word in
   (* cq-lint: allow hot-loop-alloc — encoding runs once per trace, not per evaluation *)
   Array.iter (fun i -> if i < 0 || i >= k then bad_input ()) t_word;
-  { t_word; t_codes = encode_outputs c expected }
+  (* cq-lint: allow hot-loop-alloc — encoding runs once per trace, not per evaluation *)
+  { t_word; t_codes = Array.of_list (List.map (encode_output c) expected) }
 
-let agrees_trace_from c s tr =
+let agrees_trace c tr =
   let k = c.c_k and code = c.c_code in
   let w = tr.t_word and codes = tr.t_codes in
   let n = Array.length w in
@@ -280,7 +239,7 @@ let agrees_trace_from c s tr =
         Array.unsafe_get code idx = Array.unsafe_get codes j
         && go (Char.code (Bytes.unsafe_get b idx)) (j + 1)
       in
-      go s 0
+      go c.c_init 0
   | Wide a ->
       let rec go s j =
         j >= n
@@ -289,9 +248,7 @@ let agrees_trace_from c s tr =
         Array.unsafe_get code idx = Array.unsafe_get codes j
         && go (Array.unsafe_get a idx) (j + 1)
       in
-      go s 0
-
-let agrees_trace c tr = agrees_trace_from c c.c_init tr
+      go c.c_init 0
 
 (* Index of the first position where the machine's output differs from
    [expected] (or where one sequence ends early); [None] when they agree
@@ -317,49 +274,17 @@ let first_disagreement c word expected =
   in
   go 0 c.c_init word expected
 
-let compiled_run_from c s word =
-  let k = c.c_k and out = c.c_out in
-  let next =
-    match c.c_next with
-    (* cq-lint: allow hot-loop-alloc — one closure per call, not per symbol *)
-    | Narrow b -> fun idx -> Char.code (Bytes.unsafe_get b idx)
-    (* cq-lint: allow hot-loop-alloc — one closure per call, not per symbol *)
-    | Wide a -> fun idx -> Array.unsafe_get a idx
-  in
-  let state = ref s in
-  (* cq-lint: allow hot-loop-alloc — the output list is the result *)
-  List.map
-    (* cq-lint: allow hot-loop-alloc — the output list is the result *)
-    (fun i ->
-      if i < 0 || i >= k then bad_input ();
-      let idx = (!state * k) + i in
-      state := next idx;
-      Array.unsafe_get out idx)
-    word
-
-let compiled_run c word = compiled_run_from c c.c_init word
-
 (* Streaming stepper: a compiled machine plus a mutable cursor.  The
    replay engine interleaves its own cache bookkeeping between automaton
    steps, so the whole-trace walkers above don't fit; this exposes the
    same unsafe table walk one input at a time.  Outputs are returned by
-   physical sharing from [c_out]/[c_dict] — nothing allocates per step. *)
+   physical sharing from [c_out] — nothing allocates per step. *)
 
 type 'o stepper = { sc : 'o compiled; mutable s : int }
 
-let stepper ?state c =
-  let s = match state with None -> c.c_init | Some s -> s in
-  if s < 0 || s >= c.c_states then
-    invalid_arg "Mealy.stepper: state out of range";
-  { sc = c; s }
+let stepper c = { sc = c; s = c.c_init }
 
 let stepper_state st = st.s
-
-let stepper_reset ?state st =
-  let s = match state with None -> st.sc.c_init | Some s -> s in
-  if s < 0 || s >= st.sc.c_states then
-    invalid_arg "Mealy.stepper_reset: state out of range";
-  st.s <- s
 
 let stepper_step st i =
   let c = st.sc in
@@ -370,21 +295,6 @@ let stepper_step st i =
   | Narrow b -> st.s <- Char.code (Bytes.unsafe_get b idx)
   | Wide a -> st.s <- Array.unsafe_get a idx);
   Array.unsafe_get c.c_out idx
-
-let stepper_step_code st i =
-  let c = st.sc in
-  let k = c.c_k in
-  if i < 0 || i >= k then bad_input ();
-  let idx = (st.s * k) + i in
-  (match c.c_next with
-  | Narrow b -> st.s <- Char.code (Bytes.unsafe_get b idx)
-  | Wide a -> st.s <- Array.unsafe_get a idx);
-  Array.unsafe_get c.c_code idx
-
-let decode_output c code =
-  if code < 0 || code >= Array.length c.c_dict then
-    invalid_arg "Mealy.decode_output: bad code";
-  c.c_dict.(code)
 
 (* cq-lint: end hot-loop *)
 

@@ -35,8 +35,11 @@ val state_after : 'o t -> int list -> int
     words.  [compile] flattens the transition/output tables into
     preallocated one-dimensional vectors ([Bytes] when every state id fits
     a byte) built once per hypothesis; the walkers below are
-    allocation-free on the agree/reject paths and are the evaluators the
-    equivalence oracles and the learner's counterexample processing use. *)
+    allocation-free on the agree/reject paths.  Conformance testing runs
+    {!agrees}; the learner's counterexample processing runs
+    {!first_disagreement}, {!compiled_state_after} and {!agrees_from}.
+    The pre-encoded {!agrees_trace} is for callers that evaluate one
+    recorded trace many times; today only [bench -- assoc] calls it. *)
 
 type 'o compiled
 
@@ -44,7 +47,6 @@ val compile : 'o t -> 'o compiled
 
 val compiled_n_states : 'o compiled -> int
 val compiled_n_inputs : 'o compiled -> int
-val compiled_init : 'o compiled -> int
 
 val agrees : 'o compiled -> int list -> 'o list -> bool
 (** [agrees c word expected] is [run c word = expected], evaluated without
@@ -53,28 +55,12 @@ val agrees : 'o compiled -> int list -> 'o list -> bool
 val agrees_from : 'o compiled -> int -> int list -> 'o list -> bool
 (** [agrees_from c s word expected] is [agrees] started in state [s]. *)
 
-val encode_outputs : 'o compiled -> 'o list -> int array
-(** Translate an expected-output sequence into [c]'s output-dictionary
-    codes.  Outputs the machine can never emit encode to [-1] and fail
-    every comparison.  Encode once per recorded trace, then evaluate it
-    repeatedly with {!agrees_codes} — the walk compares ints only, never
-    touching the polymorphic structural equality that dominates
-    {!agrees} on short outputs. *)
-
-val agrees_codes : 'o compiled -> int list -> int array -> bool
-(** [agrees_codes c word codes] is [agrees c word expected] where
-    [codes = encode_outputs c expected], evaluated with int comparisons
-    only and no allocation. *)
-
-val agrees_codes_from : 'o compiled -> int -> int list -> int array -> bool
-(** [agrees_codes_from c s word codes] is [agrees_codes] started in
-    state [s]. *)
-
 type trace
 (** A fully pre-encoded (word, expected outputs) pair: the word packed
-    into a range-checked int array, the outputs into dictionary codes.
-    Build once per recorded trace with {!encode_trace}; each
-    {!agrees_trace} evaluation is then a pure int-array walk. *)
+    into a range-checked int array, the outputs into dictionary codes
+    (outputs the machine can never emit fail every comparison).  Build
+    once per recorded trace with {!encode_trace}; each {!agrees_trace}
+    evaluation is then a pure int-array walk with int comparisons only. *)
 
 val encode_trace : 'o compiled -> int list -> 'o list -> trace
 (** [encode_trace c word expected] pre-encodes a trace against [c]'s
@@ -85,17 +71,12 @@ val agrees_trace : 'o compiled -> trace -> bool
 (** [agrees_trace c tr] is [agrees] on the pre-encoded trace, with int
     comparisons only, no allocation, and no per-symbol bounds checks. *)
 
-val agrees_trace_from : 'o compiled -> int -> trace -> bool
-(** [agrees_trace_from c s tr] is {!agrees_trace} started in state [s]. *)
-
 val first_disagreement : 'o compiled -> int list -> 'o list -> int option
 (** Index of the first position where the machine's output differs from
     [expected] (or where one sequence ends early), [None] if none. *)
 
 val compiled_state_after : 'o compiled -> int list -> int
-val compiled_state_after_from : 'o compiled -> int -> int list -> int
-val compiled_run : 'o compiled -> int list -> 'o list
-val compiled_run_from : 'o compiled -> int -> int list -> 'o list
+(** [state_after] on the compiled tables. *)
 
 (** {2 Streaming compiled stepper}
 
@@ -109,29 +90,17 @@ val compiled_run_from : 'o compiled -> int -> int list -> 'o list
 
 type 'o stepper
 
-val stepper : ?state:int -> 'o compiled -> 'o stepper
-(** A fresh stepper positioned at [state] (default the initial state).
-    Raises [Invalid_argument] on an out-of-range state.  Steppers are
-    cheap; the compiled tables are shared, never copied. *)
+val stepper : 'o compiled -> 'o stepper
+(** A fresh stepper in the initial state.  Steppers are cheap; the
+    compiled tables are shared, never copied. *)
 
 val stepper_state : 'o stepper -> int
 (** The current control state. *)
-
-val stepper_reset : ?state:int -> 'o stepper -> unit
-(** Reposition at [state] (default the initial state). *)
 
 val stepper_step : 'o stepper -> int -> 'o
 (** Advance by one input and return the emitted output (shared with the
     compiled table — no allocation).  Raises [Invalid_argument] when the
     input is out of range. *)
-
-val stepper_step_code : 'o stepper -> int -> int
-(** As {!stepper_step} but returns the output's dictionary code (an int
-    comparison key); decode with {!decode_output}. *)
-
-val decode_output : 'o compiled -> int -> 'o
-(** The output behind a dictionary code ({!stepper_step_code},
-    {!encode_outputs}).  Raises [Invalid_argument] on a bad code. *)
 
 val of_fun :
   init:'s -> n_inputs:int -> step:('s -> int -> 's * 'o) -> max_states:int -> 'o t

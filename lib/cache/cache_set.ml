@@ -16,21 +16,16 @@ let result_is_hit = function Hit -> true | Miss -> false
 
 let pp_result ppf r = Fmt.string ppf (match r with Hit -> "Hit" | Miss -> "Miss")
 
-type t =
-  | Set : {
-      assoc : int;
-      initial_content : Block.t array;
-      mutable content : Block.t array;
-      policy_init : 's;
-      mutable policy_state : 's;
-      policy_step : 's -> Cq_policy.Types.input -> 's * Cq_policy.Types.output;
-      mutable accesses : int; (* total block accesses served since creation *)
-    }
-      -> t
+type t = {
+  assoc : int;
+  initial_content : Block.t array;
+  content : Block.t array;
+  policy : Cq_policy.Instance.t;
+  mutable accesses : int; (* total block accesses served since creation *)
+}
 
 let create ?initial_content policy =
-  let (Cq_policy.Policy.Policy p) = policy in
-  let assoc = p.assoc in
+  let assoc = Cq_policy.Policy.assoc policy in
   let initial_content =
     match initial_content with
     | Some blocks ->
@@ -42,45 +37,49 @@ let create ?initial_content policy =
         Array.copy blocks
     | None -> Array.of_list (Block.first assoc)
   in
-  Set
-    {
-      assoc;
-      initial_content;
-      content = Array.copy initial_content;
-      policy_init = p.init;
-      policy_state = p.init;
-      policy_step = p.step;
-      accesses = 0;
-    }
+  {
+    assoc;
+    initial_content;
+    content = Array.copy initial_content;
+    policy = Cq_policy.Instance.create policy;
+    accesses = 0;
+  }
 
-let assoc (Set c) = c.assoc
-let initial_content (Set c) = Array.copy c.initial_content
-let content (Set c) = Array.copy c.content
-let accesses (Set c) = c.accesses
+let assoc c = c.assoc
+let initial_content c = Array.copy c.initial_content
+let content c = Array.copy c.content
+let accesses c = c.accesses
 
-let reset (Set c) =
-  c.content <- Array.copy c.initial_content;
-  c.policy_state <- c.policy_init
+let blit_content c content =
+  Array.blit content 0 c.content 0 (Array.length content)
+
+let reset c =
+  blit_content c c.initial_content;
+  Cq_policy.Instance.reset c.policy
 
 (* Snapshot/restore of the full configuration (content + policy control
    state), the primitive behind the prefix-sharing batch executor: a trie
    of queries is walked DFS, restoring the branch point instead of
-   replaying the shared prefix.  Policy states are immutable values (see
-   cq_policy), so capturing the value is a complete snapshot.  The closure
-   ties the snapshot to its set, which sidesteps the existential policy
-   state type. *)
-type snapshot = unit -> unit
+   replaying the shared prefix.  The policy half is an instance
+   checkpoint. *)
+type snapshot = {
+  set : t;
+  saved : Block.t array;
+  restore_policy : unit -> unit;
+}
 
-let snapshot (Set c) =
-  let content = Array.copy c.content in
-  let policy_state = c.policy_state in
-  fun () ->
-    Array.blit content 0 c.content 0 (Array.length content);
-    c.policy_state <- policy_state
+let snapshot c =
+  {
+    set = c;
+    saved = Array.copy c.content;
+    restore_policy = Cq_policy.Instance.checkpoint c.policy;
+  }
 
-let restore (s : snapshot) = s ()
+let restore s =
+  blit_content s.set s.saved;
+  s.restore_policy ()
 
-let find_line (Set c) block =
+let find_line c block =
   let found = ref None in
   Array.iteri
     (fun i b -> if !found = None && Block.equal b block then found := Some i)
@@ -88,26 +87,19 @@ let find_line (Set c) block =
   !found
 
 (* Figure 2: the Hit and Miss rules. *)
-let access (Set c as t) block =
+let access c block =
   c.accesses <- c.accesses + 1;
-  match find_line t block with
-  | Some i ->
-      let s', out = c.policy_step c.policy_state (Cq_policy.Types.Line i) in
-      (match out with
-      | None -> ()
-      | Some _ -> invalid_arg "Cache_set.access: policy evicted on a hit");
-      c.policy_state <- s';
-      Hit
-  | None ->
-      let s', out = c.policy_step c.policy_state Cq_policy.Types.Evct in
-      let victim =
-        match out with
-        | Some i when i >= 0 && i < c.assoc -> i
-        | _ -> invalid_arg "Cache_set.access: policy returned no victim on a miss"
-      in
-      c.content.(victim) <- block;
-      c.policy_state <- s';
-      Miss
+  match find_line c block with
+  | Some i -> (
+      match Cq_policy.Instance.step c.policy (Cq_policy.Types.Line i) with
+      | None -> Hit
+      | Some _ -> invalid_arg "Cache_set.access: policy evicted on a hit")
+  | None -> (
+      match Cq_policy.Instance.step c.policy Cq_policy.Types.Evct with
+      | Some i when i >= 0 && i < c.assoc ->
+          c.content.(i) <- block;
+          Miss
+      | _ -> invalid_arg "Cache_set.access: policy returned no victim on a miss")
 
 let access_seq t blocks = List.map (access t) blocks
 

@@ -1,5 +1,5 @@
 (* A running instance of a policy: mutable wrapper around the pure Mealy
-   step function, with reset and snapshot/restore.  Cache simulators keep
+   step function, with reset and checkpoints.  Cache simulators keep
    one instance per cache set. *)
 
 type t =
@@ -8,12 +8,11 @@ type t =
       init : 's;
       mutable state : 's;
       step_fn : 's -> Types.input -> 's * Types.output;
-      mutable saved : 's option;
     }
       -> t
 
 let create (Policy.Policy p as policy) =
-  Instance { policy; init = p.init; state = p.init; step_fn = p.step; saved = None }
+  Instance { policy; init = p.init; state = p.init; step_fn = p.step }
 
 let policy (Instance i) = i.policy
 let assoc (Instance i) = Policy.assoc i.policy
@@ -25,16 +24,9 @@ let step (Instance i) input =
 
 let reset (Instance i) = i.state <- i.init
 
-let save (Instance i) = i.saved <- Some i.state
-
-let restore (Instance i) =
-  match i.saved with
-  | None -> invalid_arg "Instance.restore: no saved state"
-  | Some s -> i.state <- s
-
-(* Unlike the single [save]/[restore] slot, checkpoints nest arbitrarily
-   (the batch executor's DFS restores branch points in stack order).
-   Policy states are immutable values, so capturing the value suffices. *)
+(* Checkpoints nest arbitrarily (the batch executor's DFS restores branch
+   points in stack order).  Policy states are immutable values, so
+   capturing the value suffices. *)
 let checkpoint (Instance i) =
   let s = i.state in
   fun () -> i.state <- s
@@ -46,66 +38,3 @@ let evict t =
   match step t Types.Evct with
   | Some victim -> victim
   | None -> invalid_arg "Instance.evict: policy returned ⊥ on Evct"
-
-(* Batch replay: drive a whole block-id trace through one simulated cache
-   set governed by this instance, returning the hit/miss stream (one byte
-   per access, 1 = hit).  Semantics match [Cache_set.access] for a full
-   set and [Cache_level.fill] for cold ways: a miss fills the
-   lowest-index invalid way first (touching the policy only when
-   [fill_touch]), and evicts through the policy only once the set is
-   full.  The default [initial] content is blocks [0 .. assoc-1] in ways
-   [0 .. assoc-1] — exactly [Cache_set.create]. *)
-let replay t ?initial ?(fill_touch = true) blocks =
-  let assoc = assoc t in
-  let tags =
-    match initial with
-    | None -> Array.init assoc (fun w -> w)
-    | Some init ->
-        if Array.length init > assoc then
-          invalid_arg "Instance.replay: initial content larger than assoc";
-        Array.init assoc (fun w ->
-            if w < Array.length init then init.(w) else -1)
-  in
-  (* O(1) membership: way_of.(block) is the resident way or -1. *)
-  let max_tag = Array.fold_left max (-1) tags in
-  let max_blk = Array.fold_left max max_tag blocks in
-  Array.iter
-    (fun b -> if b < 0 then invalid_arg "Instance.replay: negative block id")
-    blocks;
-  let way_of = Array.make (max_blk + 1) (-1) in
-  Array.iteri (fun w tag -> if tag >= 0 then way_of.(tag) <- w) tags;
-  let n = Array.length blocks in
-  let stream = Bytes.make n '\000' in
-  for j = 0 to n - 1 do
-    let b = Array.unsafe_get blocks j in
-    let w = Array.unsafe_get way_of b in
-    if w >= 0 then begin
-      (* Hit: the policy observes the touched line. *)
-      ignore (step t (Types.Line w));
-      Bytes.unsafe_set stream j '\001'
-    end
-    else begin
-      (* Miss: fill an invalid way if one exists, else evict. *)
-      let invalid = ref (-1) in
-      (try
-         for v = 0 to assoc - 1 do
-           if tags.(v) < 0 then begin
-             invalid := v;
-             raise Exit
-           end
-         done
-       with Exit -> ());
-      let victim =
-        if !invalid >= 0 then begin
-          if fill_touch then touch t !invalid;
-          !invalid
-        end
-        else evict t
-      in
-      let old = tags.(victim) in
-      if old >= 0 then way_of.(old) <- -1;
-      tags.(victim) <- b;
-      way_of.(b) <- victim
-    end
-  done;
-  stream

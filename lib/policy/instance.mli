@@ -13,28 +13,12 @@ val step : t -> Types.input -> Types.output
 val reset : t -> unit
 (** Return to the policy's initial control state. *)
 
-val save : t -> unit
-val restore : t -> unit
-(** Snapshot / restore the current control state (single slot). *)
-
 val checkpoint : t -> unit -> unit
 (** Capture the current control state; the returned thunk restores it.
-    Checkpoints nest (unlike the single [save] slot). *)
+    Checkpoints nest. *)
 
 val touch : t -> int -> unit
 (** [step] with [Line i], discarding the (⊥) output. *)
 
 val evict : t -> int
 (** [step] with [Evct], returning the victim line. *)
-
-val replay : t -> ?initial:int array -> ?fill_touch:bool -> int array -> Bytes.t
-(** [replay t blocks] drives a whole block-id trace through one simulated
-    cache set governed by this instance (starting from its current control
-    state), returning the hit/miss stream — one byte per access, [1] on a
-    hit.  A hit touches the policy with [Line w]; a miss fills the
-    lowest-index invalid way first (touching the policy only when
-    [fill_touch], default [true], mirroring hwsim's
-    [fill_touches_policy]) and evicts through the policy only once the
-    set is full.  [initial] places blocks in ways [0 ..] (default blocks
-    [0 .. assoc-1], the [Cache_set.create] content; pass [[||]] for a
-    cold set).  Block ids must be non-negative. *)

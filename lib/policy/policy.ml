@@ -84,3 +84,14 @@ let victim_after (Policy p) inputs =
   match p.step state Types.Evct with
   | _, Some i -> i
   | _, None -> invalid_arg "Policy.victim_after: policy returned ⊥ on Evct"
+
+(* Identity of a learned machine: MD5 of the DOT rendering of its
+   canonical form.  Unlike [Marshal] bytes, this text depends only on
+   the behaviour, not on state numbering, sharing or the compiler. *)
+let machine_digest m =
+  let assoc = Cq_automata.Mealy.n_inputs m - 1 in
+  Digest.to_hex
+    (Digest.string
+       (Cq_automata.Mealy.to_dot ~input_label:(Types.input_label ~assoc)
+          ~output_label:Types.output_label
+          (Cq_automata.Mealy.canonicalize m)))

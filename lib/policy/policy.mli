@@ -54,3 +54,9 @@ val warmed : t -> t
 
 val victim_after : t -> Types.input list -> int
 (** The line an [Evct] would free after the given warm-up word. *)
+
+val machine_digest : Types.output Cq_automata.Mealy.t -> string
+(** Hex MD5 of the machine's canonical form ([Mealy.canonicalize])
+    rendered with [Mealy.to_dot] and the policy input/output labels.
+    Equal for isomorphic machines, whatever their state numbering; the
+    identity the daemon, the bench and the tests compare. *)

@@ -336,8 +336,6 @@ let publish_locked t s ty extra =
 
 (* --- session helpers --- *)
 
-let digest_of_machine m = Digest.to_hex (Digest.string (Marshal.to_string m []))
-
 let failure_kind = function
   | Learn.Transient _ -> "transient"
   | Learn.Diverged _ -> "diverged"
@@ -602,7 +600,7 @@ let run_learn t s =
           (match s.target with
           | Sim { assoc; _ } -> s.learned_assoc <- Some assoc
           | Hw _ -> ());
-          let digest = digest_of_machine report.Learn.machine in
+          let digest = Cq_policy.Policy.machine_digest report.Learn.machine in
           s.state <-
             Done
               {

@@ -15,11 +15,12 @@
    mutex — pool workers trace from their own domains — and span depth is
    tracked per domain (DLS), so nesting is correct under the domain pool.
 
-   Timestamps come from [Unix.gettimeofday] (microseconds): the stdlib
-   exposes no monotonic clock and the util library stays free of
-   third-party dependencies.  Within a trace that clock is monotonic
-   enough for profiling; spans additionally carry their nesting depth, so
-   ordering never depends on timer resolution. *)
+   Timestamps come from [Clock.mono] (CLOCK_MONOTONIC, in microseconds),
+   so a wall-clock step under NTP can neither reorder events nor stretch
+   a span.  The origin is arbitrary (typically boot), which trace viewers
+   do not mind: they lay events out relative to the first one.  Spans
+   additionally carry their nesting depth, so ordering never depends on
+   timer resolution. *)
 
 type kind = Span | Instant | Counter_sample
 
@@ -69,7 +70,7 @@ let disable () =
 
 let enabled () = !enabled_flag
 
-let now_us () = Clock.now () *. 1e6
+let now_us () = Clock.mono () *. 1e6
 
 (* Per-domain span nesting depth.  Only touched when tracing is enabled. *)
 let depth_key = Domain.DLS.new_key (fun () -> ref 0)

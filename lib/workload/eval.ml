@@ -15,8 +15,8 @@ type row = {
   opt_rate : float;
 }
 
-let row_of ~subject ~assoc ?initial (tr : Trace.t) (o : Replay.outcome) =
-  let opt = Opt.replay ~assoc ?initial tr.Trace.blocks in
+let row_of ~subject ~assoc ?cold (tr : Trace.t) (o : Replay.outcome) =
+  let opt = Opt.replay ~assoc ?cold tr.Trace.blocks in
   {
     subject;
     trace = tr.Trace.label;
@@ -27,25 +27,25 @@ let row_of ~subject ~assoc ?initial (tr : Trace.t) (o : Replay.outcome) =
     opt_rate = Replay.hit_rate opt;
   }
 
-let policies ?initial ?fill_touch subjects traces =
+let policies ?cold subjects traces =
   List.concat_map
     (fun (subject, p) ->
       let assoc = Policy.assoc p in
       List.map
         (fun tr ->
-          let o = Replay.policy ?initial ?fill_touch p tr.Trace.blocks in
-          row_of ~subject ~assoc ?initial tr o)
+          let o = Replay.policy ?cold p tr.Trace.blocks in
+          row_of ~subject ~assoc ?cold tr o)
         traces)
     subjects
 
-let machines ?initial ?fill_touch subjects traces =
+let machines ?cold subjects traces =
   List.concat_map
     (fun (subject, c) ->
       let assoc = Mealy.compiled_n_inputs c - 1 in
       List.map
         (fun tr ->
-          let o = Replay.compiled ?initial ?fill_touch c tr.Trace.blocks in
-          row_of ~subject ~assoc ?initial tr o)
+          let o = Replay.compiled ?cold c tr.Trace.blocks in
+          row_of ~subject ~assoc ?cold tr o)
         traces)
     subjects
 

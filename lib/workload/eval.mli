@@ -9,20 +9,18 @@ type row = {
   hits : int;
   rate : float;
   opt_hits : int;
-  opt_rate : float;  (** Belady-OPT on the same trace and initial content *)
+  opt_rate : float;  (** Belady-OPT on the same trace and start (warm or cold) *)
 }
 
 val policies :
-  ?initial:int array ->
-  ?fill_touch:bool ->
+  ?cold:bool ->
   (string * Cq_policy.Policy.t) list ->
   Trace.t list ->
   row list
 (** Replay every policy over every trace (policy-instance path). *)
 
 val machines :
-  ?initial:int array ->
-  ?fill_touch:bool ->
+  ?cold:bool ->
   (string * Cq_policy.Types.output Cq_automata.Mealy.compiled) list ->
   Trace.t list ->
   row list

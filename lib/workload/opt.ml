@@ -2,85 +2,37 @@
 
    Classic two-pass formulation: a backward scan precomputes, for every
    access position, the index of the block's next use (len = never); the
-   forward simulation then keeps each resident way's next-use index and
-   evicts the way whose value is largest, lowest way on ties.  Blocks
-   resident initially but never accessed carry next-use = never and are
-   evicted first — exactly what clairvoyance dictates. *)
+   shared replay loop then runs a chooser that keeps each resident way's
+   next-use index and evicts the way whose value is largest, lowest way on
+   ties.  Blocks resident initially but never accessed carry next-use =
+   never and are evicted first — exactly what clairvoyance dictates. *)
 
 let never = max_int
 
-let replay ~assoc ?initial blocks =
-  if assoc < 1 then invalid_arg "Opt.replay: assoc must be positive";
+let replay ~assoc ?(cold = false) blocks =
   let len = Array.length blocks in
-  let tags =
-    match initial with
-    | None -> Array.init assoc (fun w -> w)
-    | Some init ->
-        if Array.length init > assoc then
-          invalid_arg "Opt.replay: initial content larger than assoc";
-        Array.init assoc (fun w ->
-            if w < Array.length init then init.(w) else -1)
-  in
-  let max_tag = Array.fold_left max (-1) tags in
-  let max_blk = Array.fold_left max max_tag blocks in
-  Array.iter
-    (fun b -> if b < 0 then invalid_arg "Opt.replay: negative block id")
-    blocks;
   (* next_use.(j): index of the next access to blocks.(j) after j. *)
   let next_use = Array.make (max len 1) never in
-  let last_seen = Array.make (max_blk + 1) never in
+  let last_seen = Array.make (Replay.universe ~assoc ~cold blocks) never in
   for j = len - 1 downto 0 do
     let b = blocks.(j) in
     next_use.(j) <- last_seen.(b);
     last_seen.(b) <- j
   done;
   (* After the backward pass, last_seen.(b) is b's first occurrence — the
-     next-use of an initially-resident block. *)
-  let way_of = Array.make (max_blk + 1) (-1) in
-  let way_next = Array.make assoc never in
-  Array.iteri
-    (fun w tag ->
-      if tag >= 0 then begin
-        way_of.(tag) <- w;
-        way_next.(w) <- last_seen.(tag)
-      end)
-    tags;
-  let stream = Bytes.make len '\000' in
-  for j = 0 to len - 1 do
-    let b = blocks.(j) in
-    let w = way_of.(b) in
-    if w >= 0 then begin
-      way_next.(w) <- next_use.(j);
-      Bytes.unsafe_set stream j '\001'
-    end
-    else begin
-      (* Miss: lowest invalid way first, else the way with the farthest
-         next use (lowest index on ties — deterministic). *)
-      let victim = ref (-1) in
-      (try
-         for v = 0 to assoc - 1 do
-           if tags.(v) < 0 then begin
-             victim := v;
-             raise Exit
-           end
-         done
-       with Exit -> ());
-      if !victim < 0 then begin
-        let best = ref 0 in
-        for v = 1 to assoc - 1 do
-          if way_next.(v) > way_next.(!best) then best := v
-        done;
-        victim := !best
-      end;
-      let v = !victim in
-      let old = tags.(v) in
-      if old >= 0 then way_of.(old) <- -1;
-      tags.(v) <- b;
-      way_of.(b) <- v;
-      way_next.(v) <- next_use.(j)
-    end
-  done;
-  Replay.outcome_of_stream stream
+     next use of an initially-resident block. *)
+  let way_next =
+    Array.init assoc (fun w -> if cold then never else last_seen.(w))
+  in
+  let touch j w = way_next.(w) <- next_use.(j) in
+  let evict j =
+    let best = ref 0 in
+    for v = 1 to assoc - 1 do
+      if way_next.(v) > way_next.(!best) then best := v
+    done;
+    way_next.(!best) <- next_use.(j);
+    !best
+  in
+  Replay.run ~assoc ~cold { Replay.touch; fill = touch; evict } blocks
 
-let hit_rate ~assoc ?initial blocks =
-  Replay.hit_rate (replay ~assoc ?initial blocks)
+let hit_rate ~assoc ?cold blocks = Replay.hit_rate (replay ~assoc ?cold blocks)

@@ -7,10 +7,12 @@
     implementation is deterministic: ties break toward the lowest way,
     so the same trace always yields the same stream. *)
 
-val replay : assoc:int -> ?initial:int array -> int array -> Replay.outcome
-(** [replay ~assoc blocks] simulates OPT on one set.  [initial] follows
-    {!Replay}: default blocks [0 .. assoc-1] in ways [0 .. assoc-1],
-    [[||]] for a cold set (cold misses fill the lowest invalid way, as
-    everywhere else).  O(len × assoc) time, O(len + universe) space. *)
+val replay : assoc:int -> ?cold:bool -> int array -> Replay.outcome
+(** [replay ~assoc blocks] simulates OPT on one set through
+    {!Replay.run}: a backward next-use pass, then a farthest-next-use
+    chooser as the stepper.  [cold] follows {!Replay}: by default blocks
+    [0 .. assoc-1] start in ways [0 .. assoc-1]; [~cold:true] starts
+    empty (cold misses fill the lowest invalid way, as everywhere
+    else).  O(len × assoc) time, O(len + universe) space. *)
 
-val hit_rate : assoc:int -> ?initial:int array -> int array -> float
+val hit_rate : assoc:int -> ?cold:bool -> int array -> float

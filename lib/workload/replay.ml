@@ -1,109 +1,97 @@
 (* Trace replay through policies and learned automata.
 
-   One cache set, [Cache_set.access] / [Cache_level.fill] semantics.  The
-   three paths (concrete policy, explicit Mealy machine, compiled
-   machine) share the set-bookkeeping shape so their hit/miss streams are
-   byte-identical by construction; the differential tests in
-   test_workload keep them that way. *)
+   One cache set, [Cache_set.access] / [Cache_level.fill] semantics, in one
+   loop ([run]) that owns the set bookkeeping: the policy instance, the
+   compiled machine and OPT's chooser plug into it as steppers.
+   [machine] keeps its own naive loop as the independent reference the
+   differential tests in test_workload compare the shared loop against. *)
 
 module Mealy = Cq_automata.Mealy
-module Types = Cq_policy.Types
 module Policy = Cq_policy.Policy
 module Instance = Cq_policy.Instance
 
 type outcome = { hits : int; misses : int; stream : Bytes.t }
 
-let outcome_of_stream stream =
-  let hits = ref 0 in
-  Bytes.iter (fun c -> if c = '\001' then incr hits) stream;
-  { hits = !hits; misses = Bytes.length stream - !hits; stream }
-
 let hit_rate o =
   let n = o.hits + o.misses in
   if n = 0 then 0.0 else float_of_int o.hits /. float_of_int n
 
-(* Shared set bookkeeping: resident tags per way plus an O(1) reverse map
-   block -> way (-1 when absent). *)
-let init_set ~assoc ~initial blocks =
-  let tags =
-    match initial with
-    | None -> Array.init assoc (fun w -> w)
-    | Some init ->
-        if Array.length init > assoc then
-          invalid_arg "Replay: initial content larger than assoc";
-        Array.init assoc (fun w ->
-            if w < Array.length init then init.(w) else -1)
-  in
-  let max_tag = Array.fold_left max (-1) tags in
-  let max_blk = Array.fold_left max max_tag blocks in
+let universe ~assoc ~cold blocks =
+  if assoc < 1 then invalid_arg "Replay: associativity must be positive";
+  let top = ref (if cold then -1 else assoc - 1) in
   Array.iter
-    (fun b -> if b < 0 then invalid_arg "Replay: negative block id")
+    (fun b ->
+      if b < 0 then invalid_arg "Replay: negative block id";
+      if b > !top then top := b)
     blocks;
-  let way_of = Array.make (max_blk + 1) (-1) in
-  Array.iteri (fun w tag -> if tag >= 0 then way_of.(tag) <- w) tags;
+  !top + 1
+
+(* Resident tag per way (-1 = invalid) and the O(1) reverse map
+   block -> way (-1 when absent).  A warm set holds blocks 0 .. assoc-1
+   in ways 0 .. assoc-1, exactly [Cache_set.create]. *)
+let init_set ~assoc ~cold blocks =
+  let way_of = Array.make (universe ~assoc ~cold blocks) (-1) in
+  let tags = Array.make assoc (-1) in
+  if not cold then
+    for w = 0 to assoc - 1 do
+      tags.(w) <- w;
+      way_of.(w) <- w
+    done;
   (tags, way_of)
 
-let lowest_invalid tags assoc =
-  let invalid = ref (-1) in
-  (try
-     for v = 0 to assoc - 1 do
-       if tags.(v) < 0 then begin
-         invalid := v;
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  !invalid
+type stepper = {
+  touch : int -> int -> unit;
+  fill : int -> int -> unit;
+  evict : int -> int;
+}
 
-let policy ?initial ?fill_touch p blocks =
-  let inst = Instance.create p in
-  outcome_of_stream (Instance.replay inst ?initial ?fill_touch blocks)
+(* cq-lint: hot-loop — one iteration per trace access; the throughput
+   gate in bench -- workload holds the compiled stepper on this loop to
+   >= 1M accesses/sec, so per-access allocation is a bug. *)
 
-(* Explicit-machine replay via Mealy.step: the slow reference path the
-   compiled replayer is diffed against. *)
-let machine ?initial ?(fill_touch = true) m blocks =
-  let assoc = Mealy.n_inputs m - 1 in
-  if assoc < 1 then invalid_arg "Replay.machine: machine has no Evct input";
-  let tags, way_of = init_set ~assoc ~initial blocks in
-  let evct = assoc in
-  let state = ref (Mealy.init m) in
+(* Ways are never invalidated, so the invalid ways of a cold set are
+   always the suffix [filled .. assoc-1]: the lowest one is [filled]. *)
+let run ~assoc ~cold st blocks =
+  let tags, way_of = init_set ~assoc ~cold blocks in
+  let filled = ref (if cold then 0 else assoc) in
+  let hits = ref 0 in
   let n = Array.length blocks in
   let stream = Bytes.make n '\000' in
   for j = 0 to n - 1 do
-    let b = blocks.(j) in
-    let w = way_of.(b) in
+    let b = Array.unsafe_get blocks j in
+    let w = Array.unsafe_get way_of b in
     if w >= 0 then begin
-      let s', _ = Mealy.step m !state w in
-      state := s';
+      st.touch j w;
+      incr hits;
       Bytes.unsafe_set stream j '\001'
     end
     else begin
-      let inv = lowest_invalid tags assoc in
-      let victim =
-        if inv >= 0 then begin
-          if fill_touch then begin
-            let s', _ = Mealy.step m !state inv in
-            state := s'
-          end;
-          inv
+      let v =
+        if !filled < assoc then begin
+          let v = !filled in
+          filled := v + 1;
+          st.fill j v;
+          v
         end
-        else
-          let s', out = Mealy.step m !state evct in
-          state := s';
-          match out with
-          | Some v ->
-              if v < 0 || v >= assoc then
-                invalid_arg "Replay.machine: victim out of range";
-              v
-          | None -> invalid_arg "Replay.machine: machine emitted ⊥ on Evct"
+        else begin
+          let v = st.evict j in
+          way_of.(tags.(v)) <- -1;
+          v
+        end
       in
-      let old = tags.(victim) in
-      if old >= 0 then way_of.(old) <- -1;
-      tags.(victim) <- b;
-      way_of.(b) <- victim
+      Array.unsafe_set tags v b;
+      Array.unsafe_set way_of b v
     end
   done;
-  outcome_of_stream stream
+  { hits = !hits; misses = n - !hits; stream }
+
+let policy ?(cold = false) p blocks =
+  let inst = Instance.create p in
+  (* cq-lint: allow hot-loop-alloc — one closure per replay, not per access *)
+  let touch _ w = Instance.touch inst w in
+  (* cq-lint: allow hot-loop-alloc — one closure per replay, not per access *)
+  let evict _ = Instance.evict inst in
+  run ~assoc:(Policy.assoc p) ~cold { touch; fill = touch; evict } blocks
 
 (* --- compiled replay and miss attribution ----------------------------- *)
 
@@ -124,60 +112,98 @@ let attribution c =
     victims = Array.make (max assoc 1) 0;
   }
 
-(* cq-lint: hot-loop — one iteration per trace access; the throughput
-   gate in bench -- workload holds this walk to >= 1M accesses/sec, so
-   per-access allocation is a bug. *)
-let compiled ?initial ?(fill_touch = true) ?attr c blocks =
+let bump a i = Array.unsafe_set a i (Array.unsafe_get a i + 1)
+
+let compiled ?(cold = false) ?attr c blocks =
   let assoc = Mealy.compiled_n_inputs c - 1 in
   if assoc < 1 then invalid_arg "Replay.compiled: machine has no Evct input";
-  (match attr with
-  | Some a when a.attr_states <> Mealy.compiled_n_states c ->
-      invalid_arg "Replay.compiled: attribution sized for another machine"
-  | _ -> ());
-  let tags, way_of = init_set ~assoc ~initial blocks in
-  let evct = assoc in
   let st = Mealy.stepper c in
+  let step w = ignore (Mealy.stepper_step st w) in
+  let victim () =
+    match Mealy.stepper_step st assoc with
+    | Some v when v >= 0 && v < assoc -> v
+    | Some _ -> invalid_arg "Replay.compiled: victim out of range"
+    | None -> invalid_arg "Replay.compiled: machine emitted ⊥ on Evct"
+  in
+  (* Attribution charges the state the set was in before the access. *)
+  let stepper =
+    match attr with
+    | None ->
+        (* cq-lint: allow hot-loop-alloc — one closure per replay, not per access *)
+        let touch _ w = step w in
+        (* cq-lint: allow hot-loop-alloc — one closure per replay, not per access *)
+        { touch; fill = touch; evict = (fun _ -> victim ()) }
+    | Some a ->
+        if a.attr_states <> Mealy.compiled_n_states c then
+          invalid_arg "Replay.compiled: attribution sized for another machine";
+        {
+          (* cq-lint: allow hot-loop-alloc — one closure per replay, not per access *)
+          touch = (fun _ w -> bump a.state_hits (Mealy.stepper_state st); step w);
+          fill =
+            (* cq-lint: allow hot-loop-alloc — one closure per replay, not per access *)
+            (fun _ w ->
+              bump a.state_misses (Mealy.stepper_state st);
+              bump a.victims w;
+              step w);
+          evict =
+            (* cq-lint: allow hot-loop-alloc — one closure per replay, not per access *)
+            (fun _ ->
+              bump a.state_misses (Mealy.stepper_state st);
+              let v = victim () in
+              bump a.victims v;
+              v);
+        }
+  in
+  run ~assoc ~cold stepper blocks
+(* cq-lint: end hot-loop *)
+
+(* Explicit-machine replay via Mealy.step with its own naive loop and a
+   linear lowest-invalid-way scan: the independent reference the shared
+   loop above is diffed against. *)
+let machine ?(cold = false) m blocks =
+  let assoc = Mealy.n_inputs m - 1 in
+  if assoc < 1 then invalid_arg "Replay.machine: machine has no Evct input";
+  let tags, way_of = init_set ~assoc ~cold blocks in
+  let state = ref (Mealy.init m) in
+  let step i =
+    let s', out = Mealy.step m !state i in
+    state := s';
+    out
+  in
   let n = Array.length blocks in
   let stream = Bytes.make n '\000' in
-  for j = 0 to n - 1 do
-    let b = Array.unsafe_get blocks j in
-    let w = Array.unsafe_get way_of b in
-    let s = Mealy.stepper_state st in
-    if w >= 0 then begin
-      ignore (Mealy.stepper_step st w);
-      Bytes.unsafe_set stream j '\001';
-      match attr with
-      | Some a -> Array.unsafe_set a.state_hits s (Array.unsafe_get a.state_hits s + 1)
-      | None -> ()
-    end
-    else begin
-      let inv = lowest_invalid tags assoc in
-      let victim =
-        if inv >= 0 then begin
-          if fill_touch then ignore (Mealy.stepper_step st inv);
-          inv
-        end
-        else
-          match Mealy.stepper_step st evct with
-          | Some v ->
-              if v < 0 || v >= assoc then
-                invalid_arg "Replay.compiled: victim out of range";
-              v
-          | None -> invalid_arg "Replay.compiled: machine emitted ⊥ on Evct"
-      in
-      (match attr with
-      | Some a ->
-          Array.unsafe_set a.state_misses s (Array.unsafe_get a.state_misses s + 1);
-          Array.unsafe_set a.victims victim (Array.unsafe_get a.victims victim + 1)
-      | None -> ());
-      let old = tags.(victim) in
-      if old >= 0 then way_of.(old) <- -1;
-      tags.(victim) <- b;
-      way_of.(b) <- victim
-    end
-  done;
-  outcome_of_stream stream
-(* cq-lint: end hot-loop *)
+  let hits = ref 0 in
+  Array.iteri
+    (fun j b ->
+      let w = way_of.(b) in
+      if w >= 0 then begin
+        ignore (step w);
+        incr hits;
+        Bytes.set stream j '\001'
+      end
+      else begin
+        let invalid = ref (-1) in
+        for v = assoc - 1 downto 0 do
+          if tags.(v) < 0 then invalid := v
+        done;
+        let victim =
+          if !invalid >= 0 then begin
+            ignore (step !invalid);
+            !invalid
+          end
+          else
+            match step assoc with
+            | Some v when v >= 0 && v < assoc ->
+                way_of.(tags.(v)) <- -1;
+                v
+            | Some _ -> invalid_arg "Replay.machine: victim out of range"
+            | None -> invalid_arg "Replay.machine: machine emitted ⊥ on Evct"
+        in
+        tags.(victim) <- b;
+        way_of.(b) <- victim
+      end)
+    blocks;
+  { hits = !hits; misses = n - !hits; stream }
 
 let top_miss_states a n =
   let rows = ref [] in

@@ -1,16 +1,17 @@
 (** Trace replay through policies and learned automata.
 
     All replayers simulate one cache set with the semantics of
-    [Cache_set.access] / [Cache_level.fill]: a hit touches the governing
-    automaton with [Line w]; a miss fills the lowest-index invalid way
-    first (touching the automaton only under [fill_touch], hwsim's
-    [fill_touches_policy]) and evicts through the automaton only once the
-    set is full.  Default initial content is blocks [0 .. assoc-1] in
-    ways [0 .. assoc-1] ([Cache_set.create]); pass [~initial:[||]] for a
-    cold set.  The three paths — concrete policy, explicit Mealy machine
-    ([Mealy.step]), compiled machine ({!Cq_automata.Mealy.stepper}) —
-    must produce byte-identical hit/miss streams; the differential tests
-    hold them to that. *)
+    [Cache_set.access] / [Cache_level.fill] with [fill_touches_policy]: a
+    hit touches the governing automaton with [Line w]; a miss fills the
+    lowest-index invalid way first, touching the automaton with
+    [Line w] too, and evicts through the automaton ([Evct]) only once the
+    set is full.  A warm set (the default) starts with blocks
+    [0 .. assoc-1] in ways [0 .. assoc-1] ([Cache_set.create]); pass
+    [~cold:true] for an empty set.  Block ids must be non-negative.  The
+    three paths — concrete policy, explicit Mealy machine ([Mealy.step]),
+    compiled machine ({!Cq_automata.Mealy.stepper}) — must produce
+    byte-identical hit/miss streams; the differential tests hold them to
+    that. *)
 
 type outcome = {
   hits : int;
@@ -18,26 +19,42 @@ type outcome = {
   stream : Bytes.t;  (** one byte per access; [1] = hit *)
 }
 
-val outcome_of_stream : Bytes.t -> outcome
 val hit_rate : outcome -> float
 (** [hits / accesses]; [0.] for an empty trace. *)
 
-val policy :
-  ?initial:int array ->
-  ?fill_touch:bool ->
-  Cq_policy.Policy.t ->
-  int array ->
-  outcome
+(** {2 The shared set loop} *)
+
+type stepper = {
+  touch : int -> int -> unit;
+      (** [touch j w]: access [j] hits the block resident in way [w]. *)
+  fill : int -> int -> unit;
+      (** [fill j w]: access [j] misses and its block fills the invalid
+          way [w] (cold sets only). *)
+  evict : int -> int;
+      (** [evict j]: access [j] misses in a full set; return the victim
+          way, which the missing block replaces. *)
+}
+(** What governs the set: told about every touch, asked for every
+    victim.  The loop owns the tags, the block-to-way map and the
+    stream; the stepper owns the replacement state. *)
+
+val run : assoc:int -> cold:bool -> stepper -> int array -> outcome
+(** [run ~assoc ~cold st blocks] replays [blocks] through one set of
+    [assoc] ways governed by [st].  Raises [Invalid_argument] on a
+    non-positive [assoc] or a negative block id. *)
+
+val universe : assoc:int -> cold:bool -> int array -> int
+(** One more than the largest block id resident initially or accessed:
+    the size of a table indexed by block.  Validates like {!run}. *)
+
+val policy : ?cold:bool -> Cq_policy.Policy.t -> int array -> outcome
 (** Replay through a fresh {!Cq_policy.Instance} of the policy. *)
 
 val machine :
-  ?initial:int array ->
-  ?fill_touch:bool ->
-  Cq_policy.Types.output Cq_automata.Mealy.t ->
-  int array ->
-  outcome
-(** Replay through an explicit machine via [Mealy.step] — the slow
-    reference the compiled path is diffed against. *)
+  ?cold:bool -> Cq_policy.Types.output Cq_automata.Mealy.t -> int array -> outcome
+(** Replay through an explicit machine via [Mealy.step], on its own naive
+    loop rather than {!run} — the slow, independent reference the other
+    paths are diffed against. *)
 
 (** {2 Compiled replay and miss attribution} *)
 
@@ -55,14 +72,13 @@ val attribution : Cq_policy.Types.output Cq_automata.Mealy.compiled -> attributi
     several {!compiled} calls to aggregate across traces. *)
 
 val compiled :
-  ?initial:int array ->
-  ?fill_touch:bool ->
+  ?cold:bool ->
   ?attr:attribution ->
   Cq_policy.Types.output Cq_automata.Mealy.compiled ->
   int array ->
   outcome
-(** The fast path: allocation-free per access (streaming stepper over the
-    compiled tables, int tags, no boxing).  When [attr] is given, each
+(** The fast path: {!run} with the streaming compiled stepper,
+    allocation-free per access.  When [attr] is given, each
     access also charges the current automaton state's hit/miss counter
     and the victim way's eviction counter. *)
 

@@ -181,9 +181,7 @@ let prop_eviction_evicts =
             Attack.concretize ~probe:(`Evicted target) m
               ev.Attack.strategy.Attack.word
           in
-          let o =
-            Replay.machine ~initial:[||] ~fill_touch:true m conc.Attack.blocks
-          in
+          let o = Replay.machine ~cold:true m conc.Attack.blocks in
           if not (Bytes.equal o.Replay.stream conc.Attack.predicted) then
             QCheck.Test.fail_reportf "%s-%d target %d: predicted %S, got %S"
               e.Zoo.name assoc target

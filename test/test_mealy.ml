@@ -188,11 +188,14 @@ let gen_mealy_and_word =
 
 let arb_mealy_and_word = QCheck.make gen_mealy_and_word
 
-let prop_compiled_run_agrees =
-  QCheck.Test.make ~name:"compiled_run matches Mealy.run" ~count:500
-    arb_mealy_and_word (fun (m, w) ->
+let prop_compiled_stepper_agrees =
+  QCheck.Test.make ~name:"compiled stepper and state_after match Mealy.run"
+    ~count:500 arb_mealy_and_word (fun (m, w) ->
       let c = Mealy.compile m in
-      Mealy.compiled_run c w = Mealy.run m w
+      let st = Mealy.stepper c in
+      let outs = List.map (Mealy.stepper_step st) w in
+      outs = Mealy.run m w
+      && Mealy.stepper_state st = Mealy.state_after m w
       && Mealy.compiled_state_after c w = Mealy.state_after m w)
 
 let prop_compiled_agrees_verdict =
@@ -234,6 +237,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_cex_is_real;
       QCheck_alcotest.to_alcotest prop_run_length;
       QCheck_alcotest.to_alcotest prop_access_sequences_reach;
-      QCheck_alcotest.to_alcotest prop_compiled_run_agrees;
+      QCheck_alcotest.to_alcotest prop_compiled_stepper_agrees;
       QCheck_alcotest.to_alcotest prop_compiled_agrees_verdict;
     ] )

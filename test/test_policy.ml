@@ -255,6 +255,40 @@ let prop_mru_covers_within_2n =
       let vs = victims p (List.init 8 (fun _ -> evct)) in
       List.length (List.sort_uniq compare vs) = 4)
 
+(* --- canonical machine digest ------------------------------------------ *)
+
+let test_machine_digest () =
+  let module M = Cq_automata.Mealy in
+  let m = P.to_mealy (Cq_policy.Zoo.make_exn ~name:"PLRU" ~assoc:4) in
+  let n = M.n_states m and k = M.n_inputs m in
+  (* State s of [m] becomes state n-1-s of the copy. *)
+  let rename s = n - 1 - s in
+  let table f =
+    Array.init n (fun s' -> Array.init k (fun i -> f (rename s') i))
+  in
+  let renumbered out =
+    M.make ~init:(rename (M.init m)) ~n_inputs:k
+      ~next:(table (fun s i -> rename (M.next_state m s i)))
+      ~out
+  in
+  let copy = renumbered (table (M.output m)) in
+  Alcotest.(check bool) "renumbered copy is a different table" false
+    (M.to_dot ~input_label:string_of_int ~output_label:T.output_label m
+    = M.to_dot ~input_label:string_of_int ~output_label:T.output_label copy);
+  Alcotest.(check string) "isomorphic copies share a digest"
+    (P.machine_digest m) (P.machine_digest copy);
+  (* Redirect the initial state's eviction to another victim. *)
+  let evct = k - 1 in
+  let changed =
+    renumbered
+      (table (fun s i ->
+           match M.output m s i with
+           | Some v when s = M.init m && i = evct -> Some ((v + 1) mod evct)
+           | o -> o))
+  in
+  Alcotest.(check bool) "one changed output changes the digest" false
+    (P.machine_digest m = P.machine_digest changed)
+
 let suite =
   ( "policy",
     [
@@ -279,6 +313,8 @@ let suite =
       Alcotest.test_case "zoo identify (direct)" `Quick test_zoo_identify_direct;
       Alcotest.test_case "zoo identify (permuted)" `Quick test_zoo_identify_permuted;
       Alcotest.test_case "zoo identify (unknown)" `Quick test_zoo_identify_unknown;
+      Alcotest.test_case "machine digest is canonical" `Quick
+        test_machine_digest;
       QCheck_alcotest.to_alcotest prop_outputs_well_formed;
       QCheck_alcotest.to_alcotest prop_plru_covers_all_ways;
       QCheck_alcotest.to_alcotest prop_new1_always_has_age3;

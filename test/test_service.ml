@@ -55,10 +55,7 @@ let solo_digest =
     | None ->
         let p = Cq_policy.Zoo.make_exn ~name:policy ~assoc in
         let report = Learn.learn_simulated ~identify:false p in
-        let d =
-          Digest.to_hex
-            (Digest.string (Marshal.to_string report.Learn.machine []))
-        in
+        let d = Cq_policy.Policy.machine_digest report.Learn.machine in
         Hashtbl.replace memo key d;
         d
 

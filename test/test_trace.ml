@@ -225,6 +225,25 @@ let test_span_nesting () =
                <= outer.Trace.ts_us +. outer.Trace.dur_us +. 1.0)
       | evs -> Alcotest.fail (Printf.sprintf "expected 3 events, got %d" (List.length evs)))
 
+(* A wall-clock step (mocked NTP) between two events must neither
+   reorder them nor stretch a span across it. *)
+let test_timestamps_ignore_wall_steps () =
+  let skew = Cq_util.Clock.set_wall_skew_for_tests in
+  Fun.protect ~finally:(fun () -> skew 0.0) @@ fun () ->
+  with_tracing (fun () ->
+      Trace.instant "before";
+      skew (-3600.0);
+      Trace.with_span "across" (fun () -> skew 3600.0);
+      match Trace.events () with
+      | [ before; across ] ->
+          Alcotest.(check bool) "order survives a backward step" true
+            (across.Trace.ts_us >= before.Trace.ts_us);
+          Alcotest.(check bool) "span not stretched by a forward step" true
+            (across.Trace.dur_us < 1e6)
+      | evs ->
+          Alcotest.fail
+            (Printf.sprintf "expected 2 events, got %d" (List.length evs)))
+
 let test_span_records_on_raise () =
   with_tracing (fun () ->
       (try Trace.with_span "doomed" (fun () -> failwith "boom")
@@ -491,6 +510,8 @@ let suite =
     [
       Alcotest.test_case "span nesting and ordering" `Quick test_span_nesting;
       Alcotest.test_case "span records on raise" `Quick test_span_records_on_raise;
+      Alcotest.test_case "timestamps ignore wall-clock steps" `Quick
+        test_timestamps_ignore_wall_steps;
       Alcotest.test_case "ring-buffer overflow" `Quick test_ring_overflow;
       Alcotest.test_case "chrome exporter well-formed" `Quick
         test_chrome_export_wellformed;

@@ -13,7 +13,6 @@ module Replay = Cq_workload.Replay
 module Opt = Cq_workload.Opt
 module P = Cq_policy.Policy
 module Zoo = Cq_policy.Zoo
-module Instance = Cq_policy.Instance
 module Mealy = Cq_automata.Mealy
 module Learn = Cq_core.Learn
 
@@ -70,37 +69,26 @@ let test_differential_truth_machines () =
         (zoo_at assoc))
     [ 4; 8 ]
 
-(* Cold-start replay (initial [||]) exercises the fill path under both
-   fill_touch regimes. *)
+(* Cold-start replay exercises the fill path. *)
 let test_differential_cold_start () =
   List.iter
-    (fun fill_touch ->
+    (fun (name, p) ->
+      let m = P.to_mealy p in
+      let c = Mealy.compile m in
       List.iter
-        (fun (name, p) ->
-          let m = P.to_mealy p in
-          let c = Mealy.compile m in
-          List.iter
-            (fun (tr : Trace.t) ->
-              let o_policy =
-                Replay.policy ~initial:[||] ~fill_touch p tr.Trace.blocks
-              in
-              let o_machine =
-                Replay.machine ~initial:[||] ~fill_touch m tr.Trace.blocks
-              in
-              let o_compiled =
-                Replay.compiled ~initial:[||] ~fill_touch c tr.Trace.blocks
-              in
-              let tag path =
-                Printf.sprintf "%s cold ft=%b %s: %s" name fill_touch
-                  tr.Trace.label path
-              in
-              check_stream (tag "policy=machine") o_policy.Replay.stream
-                o_machine.Replay.stream;
-              check_stream (tag "machine=compiled") o_machine.Replay.stream
-                o_compiled.Replay.stream)
-            (traces_for 4))
-        (zoo_at 4))
-    [ true; false ]
+        (fun (tr : Trace.t) ->
+          let o_policy = Replay.policy ~cold:true p tr.Trace.blocks in
+          let o_machine = Replay.machine ~cold:true m tr.Trace.blocks in
+          let o_compiled = Replay.compiled ~cold:true c tr.Trace.blocks in
+          let tag path =
+            Printf.sprintf "%s cold %s: %s" name tr.Trace.label path
+          in
+          check_stream (tag "policy=machine") o_policy.Replay.stream
+            o_machine.Replay.stream;
+          check_stream (tag "machine=compiled") o_machine.Replay.stream
+            o_compiled.Replay.stream)
+        (traces_for 4))
+    (zoo_at 4)
 
 (* Replay through machines actually produced by the learner, not just
    Policy.to_mealy ground truth. *)
@@ -138,14 +126,9 @@ let test_differential_hwsim () =
       let hw_stream =
         HM.replay_set ~universe:4 hw Cpu.L1 ~slice:0 ~set:0 tr.Trace.blocks
       in
-      let o_inst =
-        Instance.replay (Instance.create p) ~initial:[||] ~fill_touch:true
-          tr.Trace.blocks
-      in
-      let o_compiled =
-        Replay.compiled ~initial:[||] ~fill_touch:true c tr.Trace.blocks
-      in
-      check_stream ("hwsim=instance " ^ spec) hw_stream o_inst;
+      let o_policy = Replay.policy ~cold:true p tr.Trace.blocks in
+      let o_compiled = Replay.compiled ~cold:true c tr.Trace.blocks in
+      check_stream ("hwsim=policy " ^ spec) hw_stream o_policy.Replay.stream;
       check_stream ("hwsim=compiled " ^ spec) hw_stream
         o_compiled.Replay.stream)
     [
@@ -178,6 +161,52 @@ let prop_opt_dominates =
             QCheck.Test.fail_reportf "%s beats OPT: %d > %d hits" name
               o.Replay.hits opt.Replay.hits)
         (zoo_at assoc))
+
+(* Exhaustive oracle: the fewest misses any demand-fill replacement
+   (invalid ways filled first, one eviction per full-set miss) can
+   achieve, by trying every victim at every full-set miss.  Way
+   positions do not affect misses, so a set is its sorted contents. *)
+let min_misses ~assoc ~cold blocks =
+  let n = Array.length blocks in
+  let memo = Hashtbl.create 64 in
+  let rec go j content =
+    if j = n then 0
+    else
+      match Hashtbl.find_opt memo (j, content) with
+      | Some m -> m
+      | None ->
+          let b = blocks.(j) in
+          let m =
+            if List.mem b content then go (j + 1) content
+            else if List.length content < assoc then
+              1 + go (j + 1) (List.sort compare (b :: content))
+            else
+              1
+              + List.fold_left
+                  (fun best v ->
+                    let rest = List.filter (( <> ) v) content in
+                    min best (go (j + 1) (List.sort compare (b :: rest))))
+                  max_int content
+          in
+          Hashtbl.replace memo (j, content) m;
+          m
+  in
+  go 0 (if cold then [] else List.init assoc Fun.id)
+
+let prop_opt_exact =
+  let gen =
+    QCheck.Gen.(
+      triple (2 -- 3) bool (list_size (0 -- 12) (0 -- 4)))
+  in
+  let print (assoc, cold, l) =
+    Printf.sprintf "assoc=%d cold=%b [%s]" assoc cold
+      (String.concat "," (List.map string_of_int l))
+  in
+  QCheck.Test.make ~name:"Belady-OPT misses equal the exhaustive minimum"
+    ~count:300 (QCheck.make ~print gen) (fun (assoc, cold, l) ->
+      let blocks = Array.of_list l in
+      let opt = Opt.replay ~assoc ~cold blocks in
+      opt.Replay.misses = min_misses ~assoc ~cold blocks)
 
 let test_opt_deterministic () =
   let spec = "zipf:n=32,len=4000,seed=77" in
@@ -343,13 +372,15 @@ let suite =
     [
       Alcotest.test_case "differential: truth machines (assoc 4, 8)" `Quick
         test_differential_truth_machines;
-      Alcotest.test_case "differential: cold start, both fill regimes" `Quick
+      Alcotest.test_case "differential: cold start (policy, machine, compiled)"
+        `Quick
         test_differential_cold_start;
       Alcotest.test_case "differential: learned machines" `Slow
         test_differential_learned_machines;
       Alcotest.test_case "differential: hwsim toy L1" `Quick
         test_differential_hwsim;
       QCheck_alcotest.to_alcotest prop_opt_dominates;
+      QCheck_alcotest.to_alcotest prop_opt_exact;
       Alcotest.test_case "OPT deterministic from spec" `Quick
         test_opt_deterministic;
       Alcotest.test_case "OPT beats LRU on anti-LRU loop" `Quick
