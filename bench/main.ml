@@ -778,21 +778,24 @@ let json_int_field json field =
 
 (* Durability must be near-free and resuming must beat starting over.
    Learn Haswell L1 (quiet) three ways — plain, with snapshotting enabled,
-   and killed mid-run by a query budget then resumed from the snapshot —
-   and compare timed loads.  The resumed automaton must be identical to the
+   and killed mid-run by a query budget then resumed from the snapshot.
+   The gate is time: the session layer (every snapshot write plus the
+   trie exports behind its bases) must take at most 5% of the
+   snapshotting run's wall time.  Both automata must be identical to the
    baseline's.  Results land in BENCH_recovery.json (atomically); a prior
-   file is read tolerantly for a trend line. *)
+   file is read tolerantly for a trend line.  Fails (exit 1) when over
+   budget or on a mismatch. *)
 let recovery () =
   header
     "Recovery: snapshot overhead and crash/resume cost (durable sessions)";
   let model = Cq_hwsim.Cpu_model.haswell in
-  let learn ?snapshot ?resume ?query_budget () =
+  let learn ?metrics ?snapshot ?resume ?query_budget () =
     let machine =
       Cq_hwsim.Machine.create ~noise:Cq_hwsim.Machine.quiet_noise model
     in
     let t0 = Cq_util.Clock.mono () in
     let run =
-      Cq_core.Hardware.learn_set ~check_hits:false ?snapshot ?resume
+      Cq_core.Hardware.learn_set ~check_hits:false ?metrics ?snapshot ?resume
         ?query_budget machine Cq_hwsim.Cpu_model.L1
     in
     (run, Cq_util.Clock.mono () -. t0)
@@ -813,29 +816,38 @@ let recovery () =
   let base_loads = base_run.Cq_core.Hardware.timed_loads in
   Printf.printf "baseline:     %4d states, %8d timed loads, %5.1fs\n%!"
     base.Cq_core.Learn.states base_loads base_dt;
-  (* 2. Snapshots on: written between queries, off the hardware path, so
-     the timed-load overhead must stay within 5% (it should be 0). *)
+  (* 2. Snapshots on: written between queries, off the hardware path; the
+     session layer's share of the wall time must stay within 5%. *)
   let snap_path = Filename.temp_file "cq_bench_snap" ".snap" in
+  let metrics = Cq_util.Metrics.create () in
   let snap_run, snap_dt =
     (* Default cadence (500 queries / 30 s) — what a real campaign runs. *)
-    learn ~snapshot:(Cq_core.Learn.snapshot_policy snap_path) ()
+    learn ~metrics ~snapshot:(Cq_core.Learn.snapshot_policy snap_path) ()
   in
   let snap = report_of "snapshotted" snap_run in
   let snap_loads = snap_run.Cq_core.Hardware.timed_loads in
-  let overhead_pct =
-    100.0
-    *. float_of_int (snap_loads - base_loads)
-    /. float_of_int (max 1 base_loads)
+  let hist_sum name =
+    match List.assoc_opt name (Cq_util.Metrics.snapshot metrics) with
+    | Some (Cq_util.Metrics.Histogram_value h) -> h.Cq_util.Metrics.hs_sum
+    | _ -> 0.
   in
+  let session_s =
+    hist_sum "learn.snapshot_write_seconds"
+    +. hist_sum "learn.snapshot_export_seconds"
+  in
+  let session_pct = 100.0 *. session_s /. snap_dt in
+  let within_budget = session_pct <= 5.0 in
+  let wall_ratio = snap_dt /. base_dt in
   let snap_identical =
     Cq_automata.Mealy.equivalent base.Cq_core.Learn.machine
       snap.Cq_core.Learn.machine
   in
   Printf.printf
-    "snapshotting: %4d states, %8d timed loads, %5.1fs  (overhead %+.2f%%%s, \
-     automaton %s)\n%!"
-    snap.Cq_core.Learn.states snap_loads snap_dt overhead_pct
-    (if Float.abs overhead_pct <= 5.0 then "" else "  <-- OVER 5% BUDGET")
+    "snapshotting: %4d states, %8d timed loads, %5.1fs  (%.2fx baseline; \
+     session layer %.2fs = %.2f%% of wall%s, automaton %s)\n%!"
+    snap.Cq_core.Learn.states snap_loads snap_dt wall_ratio session_s
+    session_pct
+    (if within_budget then "" else "  <-- OVER 5% BUDGET")
     (if snap_identical then "identical" else "DIFFERS <-- MISMATCH");
   (* 3. Crash mid-run: a query budget at half the baseline's hardware
      queries stops the run as Partial Budget_exhausted with a final
@@ -900,10 +912,11 @@ let recovery () =
   out
     "  \"snapshotting\": { \"states\": %d, \"timed_loads\": %d, \"seconds\": \
      %.3f,\n\
-    \    \"overhead_pct\": %.3f, \"within_budget\": %b, \"identical\": %b },\n"
-    snap.Cq_core.Learn.states snap_loads snap_dt overhead_pct
-    (Float.abs overhead_pct <= 5.0)
-    snap_identical;
+    \    \"wall_ratio\": %.3f, \"session_seconds\": %.3f, \"session_pct\": \
+     %.3f,\n\
+    \    \"within_budget\": %b, \"identical\": %b },\n"
+    snap.Cq_core.Learn.states snap_loads snap_dt wall_ratio session_s
+    session_pct within_budget snap_identical;
   out "  \"crash\": { \"query_budget\": %d, \"timed_loads\": %d },\n" budget
     crash_loads;
   out
@@ -918,7 +931,13 @@ let recovery () =
     [ snap_path; crash_path ];
   Printf.printf "\n(wrote BENCH_recovery.json)\n%!";
   if not (snap_identical && resume_identical) then
-    failwith "recovery bench: learned automata diverged from the baseline"
+    failwith "recovery bench: learned automata diverged from the baseline";
+  if not within_budget then
+    failwith
+      (Printf.sprintf
+         "recovery bench: session layer took %.2f%% of the snapshotting \
+          run's wall time (budget 5%%)"
+         session_pct)
 
 (* ----------------------------------------------------------------------- *)
 (* Static analysis: what rejecting before expansion saves                    *)
@@ -1135,24 +1154,29 @@ let chaos () =
         Cq_policy.Policy.machine_digest r.Cq_core.Learn.machine)
       policies
   in
+  (* (name, fault spec, whether the spec faults snapshot writes — those
+     rows must see the daemon degrade a session at least once).  Most
+     snapshot writes are log appends, so the snapshot faults target the
+     append path; [snapshot-enospc] also faults one base rewrite. *)
   let scenarios =
     [
-      ("quiet", "");
-      ("worker-kill", "service.worker.kill:reach=60");
-      ("torn-frames", "frame.write.torn:every=9,limit=3");
-      ("read-stall", "frame.read.stall:every=10,limit=6");
+      ("quiet", "", false);
+      ("worker-kill", "service.worker.kill:reach=60", false);
+      ("torn-frames", "frame.write.torn:every=9,limit=3", false);
+      ("read-stall", "frame.read.stall:every=10,limit=6", false);
       ( "snapshot-enospc",
-        "atomic_file.write:nth=2,limit=1;atomic_file.fsync:nth=5,limit=1" );
+        "atomic_file.append:nth=2,limit=1;atomic_file.append_fsync:nth=5,limit=1;atomic_file.write:nth=2,limit=1",
+        true );
       ( "mixed",
-        "service.worker.kill:reach=80;frame.write.torn:every=13,limit=2;atomic_file.write:nth=3,limit=1"
-      );
+        "service.worker.kill:reach=80;frame.write.torn:every=13,limit=2;atomic_file.append:nth=3,limit=1",
+        true );
     ]
   in
   let max_restarts = 5 in
   let retry_bound = 50 in
   let rows =
     List.map
-      (fun (scenario, spec) ->
+      (fun (scenario, spec, snapshot_faults) ->
         Printf.printf "\nscenario %-16s %s\n%!" scenario
           (if spec = "" then "(no faults)" else spec);
         let reg =
@@ -1231,6 +1255,11 @@ let chaos () =
                   | h -> Json.mem_str "status" h <> None
                   | exception _ -> false)
         in
+        let degraded =
+          Cq_util.Metrics.value
+            (Cq_util.Metrics.counter (Server.metrics server)
+               "service.snapshot_degraded")
+        in
         Server.stop server;
         Array.iteri
           (fun i err ->
@@ -1265,11 +1294,18 @@ let chaos () =
                     retries > %d)"
                    scenario policy reconnects retries retry_bound))
           results;
-        Printf.printf "  (daemon alive, %d fault firings)\n%!" fault_fires;
+        Printf.printf
+          "  (daemon alive, %d fault firings, %d degraded snapshot writes)\n%!"
+          fault_fires degraded;
+        if snapshot_faults && degraded = 0 then
+          failwith
+            (Printf.sprintf
+               "chaos %s: snapshot faults armed but no snapshot write degraded"
+               scenario);
         (* Only a passing scenario cleans up: a failed one leaves its
            state dir behind for the post-mortem. *)
         rm_scratch_dir state_dir;
-        (scenario, spec, fault_fires, Array.to_list results))
+        (scenario, spec, fault_fires, degraded, Array.to_list results))
       scenarios
   in
   Faults.set_ambient None;
@@ -1277,12 +1313,12 @@ let chaos () =
   let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   out "{\n  \"clients\": %d,\n  \"scenarios\": [\n" n_clients;
   List.iteri
-    (fun si (scenario, spec, fault_fires, results) ->
+    (fun si (scenario, spec, fault_fires, degraded, results) ->
       out
         "    { \"name\": %S, \"spec\": %S, \"fault_fires\": %d, \
-         \"daemon_crashes\": 0,\n\
+         \"snapshot_degraded\": %d, \"daemon_crashes\": 0,\n\
         \      \"learns\": [\n"
-        scenario spec fault_fires;
+        scenario spec fault_fires degraded;
       List.iteri
         (fun i (policy, dgst, restarts, reconnects, retries) ->
           out

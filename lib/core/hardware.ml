@@ -84,19 +84,13 @@ let learn_set ?(seed = 42) ?cat_ways ?(slice = 0) ?(set = 0) ?(repetitions = 1)
   (match cat_ways with
   | Some ways -> Cq_hwsim.Machine.set_cat_ways machine ways
   | None -> ());
-  (* Resuming?  Load the snapshot's metadata up front: the crashed run's
-     PRNG seed must drive reset discovery again (same candidate order,
-     same validation traces → same reset sequence) and its calibration
-     state replaces a fresh measurement (same latency classification). *)
-  let resumed_meta =
-    match resume with
-    | None -> None
-    | Some path ->
-        let snap : Cq_policy.Types.output Session.snapshot =
-          Session.load ~path
-        in
-        Some snap.Session.meta
-  in
+  (* Resuming?  Load the snapshot up front, once: the crashed run's PRNG
+     seed must drive reset discovery again (same candidate order, same
+     validation traces → same reset sequence), its calibration state
+     replaces a fresh measurement (same latency classification), and the
+     learner preloads its trie from the same loaded value. *)
+  let resumed = Option.map (Learn.load_resume ~metrics) resume in
+  let resumed_meta = Option.map (fun snap -> snap.Session.meta) resumed in
   let seed =
     match resumed_meta with
     | Some { Session.seed = Some s; _ } -> s
@@ -192,19 +186,21 @@ let learn_set ?(seed = 42) ?cat_ways ?(slice = 0) ?(set = 0) ?(repetitions = 1)
         in
         (* The retry state threads the resume snapshot forward: each
            attempt restarts from the latest snapshot so already-paid
-           hardware queries are not re-measured.  [Backoff.immediate]
-           keeps the loop structure without sleeping — the backend is
-           local, waiting buys nothing. *)
+           hardware queries are not re-measured — the first from the one
+           loaded above, a retry from the path its failed attempt wrote.
+           [Backoff.immediate] keeps the loop structure without sleeping
+           — the backend is local, waiting buys nothing. *)
         let supervised =
           Cq_util.Backoff.retry ~policy:Cq_util.Backoff.immediate
-            ~attempts:(supervise_retries + 1) ~init:(resume, None)
+            ~attempts:(supervise_retries + 1) ~init:(None, None)
             (fun ~attempt:_ (resume, _) ->
+              let resumed = if resume = None then resumed else None in
               match
                 Learn.run ?equivalence ?check_hits ~memoize:false ~max_states
                   ?validate ?quotient ~retries ~on_retry
                   ~device_stats:(Cq_cachequery.Frontend.stats frontend)
-                  ~metrics ?snapshot ?resume ~snapshot_meta ~deadline:dl
-                  ?query_budget ?probe oracle
+                  ~metrics ?snapshot ?resume ?resumed ~snapshot_meta
+                  ~deadline:dl ?query_budget ?probe oracle
               with
               | Learn.Complete report ->
                   `Done (Learned { report; reset; threshold })

@@ -40,7 +40,7 @@ let engine_to_string = function
    hardware queries because the *backup* could not be written inverts its
    purpose.  [on_degraded] observes the failure; [spill] names a fallback
    path (ideally another filesystem) tried before giving up on this
-   cadence tick. *)
+   cadence tick (always with a full base). *)
 type snapshot_policy = {
   path : string;
   every_queries : int;
@@ -164,6 +164,16 @@ type outcome = Complete of report | Partial of partial
 
 let default_meta () = Session.make_meta ~queries:0 ()
 
+let snapshot_replay_histogram registry =
+  Cq_util.Metrics.histogram ~buckets:32 ~start:1e-6 registry
+    "learn.snapshot_replay_seconds"
+
+let load_resume ~metrics path =
+  Cq_util.Trace.with_span ~cat:"learn" "learn.resume.load" @@ fun () ->
+  let snap, seconds = Cq_util.Clock.time (fun () -> Session.load ~path) in
+  Cq_util.Metrics.observe (snapshot_replay_histogram metrics) seconds;
+  snap
+
 (* Learn the replacement policy behind a cache oracle.  [learn_core] is
    the one implementation; [learn_from_cache] re-raises the original
    exception on failure (the historical API), [run] classifies it into
@@ -174,8 +184,8 @@ let learn_core ?(equivalence = default_equivalence)
     ?(max_states = 1_000_000) ?(identify = true) ?(validate = false)
     ?(quotient = false)
     ?(retries = 0) ?on_retry ?device_stats ?metrics ?snapshot ?resume
-    ?snapshot_meta ?(deadline = Cq_util.Clock.no_deadline) ?query_budget
-    ?probe cache =
+    ?resumed ?snapshot_meta ?(deadline = Cq_util.Clock.no_deadline)
+    ?query_budget ?probe cache =
   (* One registry for the whole run: the learn-level oracle wrappers
      ("oracle.", "member.", "pool.", "learn." prefixes) all register here.
      Callers pass the same registry to Backend/Frontend.create so the
@@ -186,10 +196,10 @@ let learn_core ?(equivalence = default_equivalence)
   let snapshot_write_h =
     Cq_util.Metrics.histogram ~buckets:32 ~start:1e-6 registry
       "learn.snapshot_write_seconds"
-  and snapshot_replay_h =
+  and snapshot_export_h =
     Cq_util.Metrics.histogram ~buckets:32 ~start:1e-6 registry
-      "learn.snapshot_replay_seconds"
-  in
+      "learn.snapshot_export_seconds"
+  and snapshot_replay_h = snapshot_replay_histogram registry in
   (* [device_stats]: the device layer's own stats record (the CacheQuery
      frontend's), whose voting/timed-load counters are invisible to the
      wrappers below; its deltas over the learning run are folded into the
@@ -204,17 +214,11 @@ let learn_core ?(equivalence = default_equivalence)
   let dev_loads0, dev_votes0 = dev_snapshot () in
   let t0 = Cq_util.Clock.mono () in
   (* Resume: load the snapshot up front so a damaged file fails fast,
-     before any hardware traffic. *)
+     before any hardware traffic — unless the caller already loaded it. *)
   let resumed : Cq_policy.Types.output Session.snapshot option =
-    Option.map
-      (fun path ->
-        Cq_util.Trace.with_span ~cat:"learn" "learn.resume.load" @@ fun () ->
-        let snap, seconds =
-          Cq_util.Clock.time (fun () -> Session.load ~path)
-        in
-        Cq_util.Metrics.observe snapshot_replay_h seconds;
-        snap)
-      resume
+    match resumed with
+    | Some _ -> resumed
+    | None -> Option.map (load_resume ~metrics:registry) resume
   in
   let pool_stats = Cq_util.Pool.fresh_stats ~registry () in
   let batch_probes = match engine with Sequential -> false | _ -> true in
@@ -240,6 +244,7 @@ let learn_core ?(equivalence = default_equivalence)
     Polca.moracle polca
     |> Cq_learner.Moracle.counting mstats
     |> Cq_learner.Moracle.cached_session ~stats:mstats ~conflict_retries:retries
+         ~journal:(Option.is_some snapshot)
   in
   (* Preload the prefix trie from the snapshot: every query the crashed
      run ever answered is now served locally, so the deterministic learner
@@ -270,58 +275,93 @@ let learn_core ?(equivalence = default_equivalence)
   let last_snap_queries = ref 0 in
   let last_snap_time = ref t0 in
   let hw_queries () = Cq_util.Metrics.value mstats.Cq_learner.Moracle.queries in
+  (* The snapshot file is a base plus an append-only log.  A run's first
+     write, any write after a failed one, and a compaction (once the log
+     outgrows its base) rewrite the base atomically; every other cadence
+     tick appends the journal drained since the previous write.  The base
+     at least doubles between compactions, so the bytes written stay
+     linear in the run.  Only bases carry the L* table: its rows are a
+     pure function of the oracle. *)
+  let base_bytes = ref 0 and log_bytes = ref 0 and need_base = ref true in
+  let bases = Cq_util.Metrics.counter registry "learn.snapshot_bases"
+  and appends = Cq_util.Metrics.counter registry "learn.snapshot_appends" in
   let write_snapshot () =
     match snapshot with
     | None -> ()
     | Some p ->
         Cq_util.Trace.with_span ~cat:"learn" "learn.snapshot.write"
         @@ fun () ->
-        let meta =
-          let m =
-            match snapshot_meta with
-            | Some f -> f ()
-            | None -> default_meta ()
-          in
-          { m with Session.queries = hw_queries () }
+        let queries = hw_queries () in
+        let entries = handle.Cq_learner.Moracle.drain () in
+        let base =
+          lazy
+            (let m =
+               match snapshot_meta with
+               | Some f -> f ()
+               | None -> default_meta ()
+             in
+             let snap, seconds =
+               Cq_util.Clock.time (fun () ->
+                   {
+                     Session.meta = { m with Session.queries };
+                     knowledge = handle.Cq_learner.Moracle.export ();
+                     table = Option.map (fun g -> g ()) !table_getter;
+                   })
+             in
+             Cq_util.Metrics.observe snapshot_export_h seconds;
+             snap)
         in
-        let snap =
-          {
-            Session.meta;
-            knowledge = handle.Cq_learner.Moracle.export ();
-            table = Option.map (fun g -> g ()) !table_getter;
-          }
-        in
-        let save path =
-          let (), seconds =
-            Cq_util.Clock.time (fun () -> Session.save ~path snap)
-          in
+        let timed write =
+          let bytes, seconds = Cq_util.Clock.time write in
           Cq_util.Metrics.observe snapshot_write_h seconds;
-          snapshot_path_written := Some path
+          bytes
+        in
+        let write_base path =
+          let snap = Lazy.force base in
+          let bytes = timed (fun () -> Session.write_base ~path snap) in
+          Cq_util.Metrics.incr bases;
+          snapshot_path_written := Some path;
+          bytes
         in
         (* Bump the cadence trackers before attempting the write: a dead
            disk must not turn every subsequent query into a write
            attempt. *)
-        last_snap_queries := hw_queries ();
+        last_snap_queries := queries;
         last_snap_time := Cq_util.Clock.mono ();
         (* A snapshot failure degrades the session, it never kills the
-           learn: notify the observer, reroute to the spill path, carry
-           on.  Only the typed shapes are absorbed — anything else is a
-           programming error and propagates. *)
-        (try save p.path
-         with
+           learn: notify the observer, reroute a full base to the spill
+           path, carry on, and rewrite the base on the next tick (the
+           drained answers are in no record).  Only the typed shapes are
+           absorbed — anything else is a programming error and
+           propagates. *)
+        try
+          if !need_base || !log_bytes > !base_bytes then begin
+            base_bytes := write_base p.path;
+            log_bytes := 0
+          end
+          else begin
+            log_bytes :=
+              !log_bytes
+              + timed (fun () -> Session.append ~path:p.path ~queries entries);
+            Cq_util.Metrics.incr appends;
+            snapshot_path_written := Some p.path
+          end;
+          need_base := false
+        with
         | ( Cq_util.Atomic_file.Write_error _ | Cq_util.Faults.Injected _ ) as e
         ->
+          need_base := true;
           (match p.on_degraded with
           | Some f -> ( try f (Printexc.to_string e) with _ -> ())
           | None -> ());
           (match p.spill with
           | None -> ()
           | Some sp -> (
-              try save sp
+              try ignore (write_base sp : int)
               with
               | Cq_util.Atomic_file.Write_error _ | Cq_util.Faults.Injected _
               ->
-                ())))
+                ()))
   in
   let guard () =
     (match probe with
@@ -612,14 +652,14 @@ let learn_from_cache ?equivalence ?engine ?cache_factory ?check_hits ?memoize
 
 let run ?equivalence ?engine ?cache_factory ?check_hits ?memoize
     ?max_memo_entries ?max_row_cache ?max_states ?identify ?validate ?quotient ?retries ?on_retry ?device_stats
-    ?metrics ?snapshot ?resume ?snapshot_meta ?deadline ?query_budget ?probe
-    cache =
+    ?metrics ?snapshot ?resume ?resumed ?snapshot_meta ?deadline ?query_budget
+    ?probe cache =
   match
     learn_core ?equivalence ?engine ?cache_factory ?check_hits ?memoize
       ?max_memo_entries ?max_row_cache ?max_states ?identify ?validate
       ?quotient ?retries ?on_retry
-      ?device_stats ?metrics ?snapshot ?resume ?snapshot_meta ?deadline
-      ?query_budget ?probe cache
+      ?device_stats ?metrics ?snapshot ?resume ?resumed ?snapshot_meta
+      ?deadline ?query_budget ?probe cache
   with
   | Ok report -> Complete report
   | Error (_, partial) -> Partial partial

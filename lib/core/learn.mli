@@ -30,13 +30,15 @@ val default_engine : engine
 val engine_to_string : engine -> string
 
 type snapshot_policy = {
-  path : string;  (** snapshot file, written atomically *)
+  path : string;
+      (** snapshot file: a base written atomically, then appended log
+          records (see {!Session}) *)
   every_queries : int;  (** write after this many new hardware queries *)
   every_seconds : float;  (** ... or after this much wall clock *)
   spill : string option;
       (** fallback path tried when writing [path] fails typed — a
           different filesystem keeps snapshots flowing through a
-          full/failing state dir *)
+          full/failing state dir; it always receives a full base *)
   on_degraded : (string -> unit) option;
       (** observer called with a diagnostic whenever a snapshot write
           fails typed (before the spill is tried): a snapshot failure
@@ -149,6 +151,12 @@ type partial = {
 
 type outcome = Complete of report | Partial of partial
 
+val load_resume :
+  metrics:Cq_util.Metrics.t -> string -> Cq_policy.Types.output Session.snapshot
+(** {!Session.load} under the ["learn.resume.load"] span, its time
+    observed in [metrics]' ["learn.snapshot_replay_seconds"] — how a
+    learn reads its [resume] snapshot.  @raise Session.Corrupt *)
+
 val learn_from_cache :
   ?equivalence:equivalence ->
   ?engine:engine ->
@@ -208,7 +216,15 @@ val learn_from_cache :
     deltas over the run are folded into the report.
 
     Durability: [snapshot] writes the session state ({!Session.snapshot})
-    to disk on the given cadence, and once more on any failure; [resume]
+    to disk on the given cadence, and once more on any failure.  A run's
+    first write is a full base ({!Session.save}); later ticks append the
+    answers learned since ({!Session.append}), and the base is rewritten
+    whenever the log has outgrown it or a write failed.  The
+    ["learn.snapshot_bases"] / ["learn.snapshot_appends"] counters of the
+    registry count the two kinds of successful write;
+    ["learn.snapshot_write_seconds"] times every write and
+    ["learn.snapshot_export_seconds"] every trie export behind a base.
+    [resume]
     preloads the prefix trie and observation table from a snapshot, after
     which the learner replays deterministically — previously answered
     queries cost nothing and the final automaton is identical to a
@@ -242,6 +258,7 @@ val run :
   ?metrics:Cq_util.Metrics.t ->
   ?snapshot:snapshot_policy ->
   ?resume:string ->
+  ?resumed:Cq_policy.Types.output Session.snapshot ->
   ?snapshot_meta:(unit -> Session.meta) ->
   ?deadline:Cq_util.Clock.deadline ->
   ?query_budget:int ->
@@ -251,7 +268,9 @@ val run :
 (** As {!learn_from_cache}, but failures in the taxonomy come back as
     [Partial] (with the last hypothesis and the failure-time snapshot)
     instead of exceptions.  Exceptions outside the taxonomy — programming
-    errors, a corrupt [resume] file — still raise. *)
+    errors, a corrupt [resume] file — still raise.  [resumed] is a
+    snapshot the caller already loaded (e.g. to read its metadata); it
+    takes the place of reading [resume] again. *)
 
 val learn_simulated :
   ?equivalence:equivalence ->

@@ -15,21 +15,37 @@
      reset sequence) and the backend's calibration state (a resumed run
      must classify latencies exactly like the crashed one).
 
-   File format: a fixed header — magic, one version byte, the MD5 digest
-   of the payload — followed by a [Marshal]ed {!snapshot}.  The digest
-   catches truncation and bit rot before [Marshal.from_string] can
-   misbehave on them; the version byte rejects snapshots from
-   incompatible builds.  Writes go through {!Cq_util.Atomic_file}
-   (tmp + fsync + rename), so a crash mid-write leaves the previous
-   snapshot intact — readers never observe a torn file. *)
+   File format: a base snapshot followed by appended log records.
+
+   - The base is a fixed header — magic, one version byte, the MD5 digest
+     of the payload, the payload's length (8 bytes, little-endian) —
+     followed by a [Marshal]ed {!snapshot}.  The digest catches
+     truncation and bit rot before [Marshal.from_string] can misbehave on
+     them; the version byte rejects snapshots from incompatible builds.
+     The base is written through {!Cq_util.Atomic_file.write} (tmp +
+     fsync + rename), which also drops any log the file carried.
+   - Each record is the payload length (4 bytes) and its bitwise
+     complement (4 bytes), the payload's MD5, and a [Marshal]ed
+     {!record}: the trie mutations since the previous write, in order,
+     and the hardware query count at its write.  Records are appended
+     with {!Cq_util.Atomic_file.append} and applied on load, in order,
+     with [insert_force] semantics.
+
+   A crash mid-append leaves a torn tail: a damaged last record, which
+   [load] drops (its answers are re-queried on resume).  A damaged record
+   with more bytes behind it is not something a crash produces, and
+   raises [Corrupt].  Readers never observe a torn record. *)
 
 exception Corrupt of string
 
 let magic = "CQSNAP"
-let version = 1
+let version = 2
 
-(* magic + version byte + 16-byte MD5 digest *)
-let header_len = String.length magic + 1 + 16
+(* magic + version byte + 16-byte MD5 digest + 8-byte payload length *)
+let header_len = String.length magic + 1 + 16 + 8
+
+(* payload length + its complement (4 bytes each) + 16-byte MD5 digest *)
+let record_header_len = 4 + 4 + 16
 
 type meta = {
   version : int;  (* mirrors the header byte, for programmatic checks *)
@@ -46,8 +62,23 @@ type 'o snapshot = {
   table : 'o Cq_learner.Lstar.table_state option;
 }
 
+type 'o record = {
+  r_queries : int;
+  r_created : float;
+  r_entries : 'o Cq_learner.Moracle.knowledge;
+}
+
 let make_meta ?(label = "") ?seed ?calibration ~queries () =
   { version; label; created = Cq_util.Clock.now (); queries; seed; calibration }
+
+(* Every durable write, base or record, is one "session.save" span
+   carrying its byte count. *)
+let traced_write ~bytes write =
+  if Cq_util.Trace.enabled () then
+    Cq_util.Trace.with_span ~cat:"session"
+      ~args:[ ("bytes", string_of_int bytes) ]
+      "session.save" write
+  else write ()
 
 let encode snap =
   let payload = Marshal.to_string snap [] in
@@ -55,20 +86,65 @@ let encode snap =
   Buffer.add_string buf magic;
   Buffer.add_char buf (Char.chr version);
   Buffer.add_string buf (Digest.string payload);
+  Buffer.add_int64_le buf (Int64.of_int (String.length payload));
   Buffer.add_string buf payload;
   Buffer.contents buf
 
-let save ~path snap =
+let write_base ~path snap =
   let encoded = encode snap in
-  (fun run ->
-    if Cq_util.Trace.enabled () then
-      Cq_util.Trace.with_span ~cat:"session"
-        ~args:[ ("bytes", string_of_int (String.length encoded)) ]
-        "session.save" run
-    else run ())
-  @@ fun () -> Cq_util.Atomic_file.write ~path encoded
+  let bytes = String.length encoded in
+  traced_write ~bytes (fun () -> Cq_util.Atomic_file.write ~path encoded);
+  bytes
+
+let save ~path snap = ignore (write_base ~path snap : int)
+
+let encode_record r =
+  let payload = Marshal.to_string r [] in
+  let len = String.length payload in
+  let buf = Buffer.create (record_header_len + len) in
+  Buffer.add_int32_le buf (Int32.of_int len);
+  Buffer.add_int32_le buf (Int32.of_int (len lxor 0xFFFF_FFFF));
+  Buffer.add_string buf (Digest.string payload);
+  Buffer.add_string buf payload;
+  Buffer.contents buf
+
+let append ~path ~queries entries =
+  let encoded =
+    encode_record
+      { r_queries = queries; r_created = Cq_util.Clock.now (); r_entries = entries }
+  in
+  let bytes = String.length encoded in
+  traced_write ~bytes (fun () -> Cq_util.Atomic_file.append ~path encoded);
+  bytes
 
 let corrupt fmt = Printf.ksprintf (fun m -> raise (Corrupt m)) fmt
+
+let unmarshal ~path what s pos =
+  match Marshal.from_string s pos with
+  | v -> v
+  | exception (Failure _ | Invalid_argument _) ->
+      corrupt "%s: %s does not unmarshal" path what
+
+(* The records after the base, newest first, up to a torn tail. *)
+let decode_records ~path s pos =
+  let len = String.length s in
+  let u32 at = Int32.to_int (String.get_int32_le s at) land 0xFFFF_FFFF in
+  let rec go pos acc =
+    let rest = len - pos in
+    if rest < record_header_len then acc (* end of file, or a torn header *)
+    else
+      let plen = u32 pos in
+      if u32 (pos + 4) <> plen lxor 0xFFFF_FFFF then
+        corrupt "%s: damaged log record header at byte %d" path pos;
+      let start = pos + record_header_len in
+      let next = start + plen in
+      if next > len then acc (* torn payload *)
+      else if Digest.substring s start plen <> String.sub s (pos + 8) 16 then
+        if next = len then acc (* damaged last record: torn tail *)
+        else corrupt "%s: log record digest mismatch at byte %d" path pos
+      else go next (unmarshal ~path "log record" s start :: acc)
+  in
+  go pos []
 
 let decode ~path s =
   let mlen = String.length magic in
@@ -82,14 +158,30 @@ let decode ~path s =
     corrupt "%s: snapshot format version %d, this build reads version %d" path
       v version;
   let digest = String.sub s (mlen + 1) 16 in
-  let payload = String.sub s header_len (String.length s - header_len) in
-  if Digest.string payload <> digest then
+  let base_len = String.get_int64_le s (mlen + 17) in
+  if
+    Int64.compare base_len 0L < 0
+    || Int64.compare base_len (Int64.of_int (String.length s - header_len)) > 0
+  then
+    corrupt "%s: truncated snapshot payload (%Ld bytes declared, %d present)"
+      path base_len
+      (String.length s - header_len);
+  let base_len = Int64.to_int base_len in
+  if Digest.substring s header_len base_len <> digest then
     corrupt "%s: snapshot digest mismatch (truncated or corrupted payload)"
       path;
-  match (Marshal.from_string payload 0 : _ snapshot) with
-  | snap -> snap
-  | exception (Failure _ | Invalid_argument _) ->
-      corrupt "%s: snapshot payload does not unmarshal" path
+  let base : _ snapshot = unmarshal ~path "snapshot payload" s header_len in
+  match decode_records ~path s (header_len + base_len) with
+  | [] -> base
+  | last :: _ as newest_first ->
+      {
+        base with
+        meta =
+          { base.meta with queries = last.r_queries; created = last.r_created };
+        knowledge =
+          Cq_learner.Moracle.knowledge_concat
+            (base.knowledge :: List.rev_map (fun r -> r.r_entries) newest_first);
+      }
 
 let load ~path =
   match Cq_util.Atomic_file.read_opt ~path with

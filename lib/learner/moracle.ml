@@ -174,23 +174,45 @@ module Trie = struct
     !acc
 end
 
-(* The portable form of a prefix-trie's contents: maximal (word, outputs)
-   paths.  Abstract in the interface; sessions Marshal it into snapshots
-   and feed it back through [preload] on resume. *)
+(* The portable form of a prefix-trie's contents: (word, outputs) paths
+   applied in order with [insert_force] semantics — the maximal paths of
+   an export, or the mutations drained from a journal.  Abstract in the
+   interface; sessions Marshal it into snapshots and log records and feed
+   it back through [preload] on resume. *)
 type 'o knowledge = (int list * 'o list) list
 
 let knowledge_size k = List.length k
+let knowledge_concat = List.concat
 
 type 'o handle = {
   refresh : int list -> 'o list;
   export : unit -> 'o knowledge;
   preload : 'o knowledge -> unit;
+  drain : unit -> 'o knowledge;
 }
 
-let cached_session ?stats ?(conflict_retries = 0) t =
+let cached_session ?stats ?(conflict_retries = 0) ?(journal = false) t =
   if conflict_retries < 0 then
     invalid_arg "Moracle.cached: conflict_retries must be >= 0";
   let root = Trie.create () in
+  (* The journal: every trie mutation since the last [drain], newest
+     first.  A failed [Trie.insert] mutates nothing (a conflict is found
+     on the already-known part of the path, before any node is added), so
+     only successful inserts are recorded. *)
+  let log = ref [] in
+  let insert w outputs =
+    Trie.insert root w outputs;
+    if journal then log := (w, outputs) :: !log
+  in
+  let insert_force w outputs =
+    Trie.insert_force root w outputs;
+    if journal then log := (w, outputs) :: !log
+  in
+  let drain () =
+    let entries = List.rev !log in
+    log := [];
+    entries
+  in
   let note_hit () =
     match stats with Some s -> Cq_util.Metrics.incr s.cache_hits | None -> ()
   in
@@ -219,11 +241,11 @@ let cached_session ?stats ?(conflict_retries = 0) t =
       else begin
         let outputs = t.query w in
         check_length w outputs;
-        match Trie.insert root w outputs with
+        match insert w outputs with
         | () -> outputs
         | exception Inconsistent _ ->
             if prev = outputs then begin
-              Trie.insert_force root w outputs;
+              insert_force w outputs;
               outputs
             end
             else go (k + 1) outputs
@@ -247,14 +269,14 @@ let cached_session ?stats ?(conflict_retries = 0) t =
     (match Trie.lookup root w with
     | Some old when old <> outputs -> note_conflict ()
     | _ -> ());
-    Trie.insert_force root w outputs;
+    insert_force w outputs;
     outputs
   in
   (* [preload]: trust the snapshot unconditionally — it was digested at
      write time, and on resume the trie is empty anyway.  [insert_force]
      keeps a later entry authoritative if paths overlap. *)
   let preload knowledge =
-    List.iter (fun (w, outputs) -> Trie.insert_force root w outputs) knowledge
+    List.iter (fun (w, outputs) -> insert_force w outputs) knowledge
   in
   let export () = Trie.export root in
   ( {
@@ -268,7 +290,7 @@ let cached_session ?stats ?(conflict_retries = 0) t =
         | None -> (
             let outputs = t.query w in
             check_length w outputs;
-            match Trie.insert root w outputs with
+            match insert w outputs with
             | () -> outputs
             | exception Inconsistent msg -> arbitrate w outputs msg));
     query_batch =
@@ -295,7 +317,7 @@ let cached_session ?stats ?(conflict_retries = 0) t =
            List.iter2
              (fun w outputs ->
                check_length w outputs;
-               match Trie.insert root w outputs with
+               match insert w outputs with
                | () -> ()
                | exception Inconsistent msg -> ignore (arbitrate w outputs msg))
              todo answers);
@@ -309,7 +331,7 @@ let cached_session ?stats ?(conflict_retries = 0) t =
             | None -> assert false (* just inserted *))
           ws);
     },
-    { refresh; export; preload } )
+    { refresh; export; preload; drain } )
 
 let cached_refresh ?stats ?conflict_retries t =
   let oracle, handle = cached_session ?stats ?conflict_retries t in

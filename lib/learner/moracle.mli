@@ -70,26 +70,41 @@ val cached_refresh :
     e.g. before trusting a counterexample from conformance testing. *)
 
 type 'o knowledge
-(** A portable dump of a prefix-trie cache's contents (the maximal known
-    (word, outputs) paths).  Marshal-safe: sessions persist it in
-    snapshots and feed it back through [preload] on resume, after which
+(** A portable, ordered list of (word, outputs) paths that rebuilds
+    prefix-trie contents when applied in order, each path overwriting what
+    it overlaps: an export's maximal known paths, or a journal's
+    mutations.  Marshal-safe: sessions persist it in snapshots and log
+    records and feed it back through [preload] on resume, after which
     every previously answered query is served locally — the foundation of
     crash-resumable learning. *)
 
 val knowledge_size : 'o knowledge -> int
-(** Number of maximal paths in the dump. *)
+(** Number of paths in the dump. *)
+
+val knowledge_concat : 'o knowledge list -> 'o knowledge
+(** The dumps applied one after the other (a base, then log records). *)
 
 type 'o handle = {
   refresh : int list -> 'o list;  (** as returned by {!cached_refresh} *)
   export : unit -> 'o knowledge;  (** dump the trie's current contents *)
   preload : 'o knowledge -> unit;
       (** seed the trie from a dump (overwrites overlapping paths) *)
+  drain : unit -> 'o knowledge;
+      (** the trie mutations since the previous [drain], in order — every
+          successful insert and every overwrite (arbitration, [refresh],
+          [preload]); always empty without [~journal:true] *)
 }
 
 val cached_session :
-  ?stats:stats -> ?conflict_retries:int -> 'o t -> 'o t * 'o handle
+  ?stats:stats ->
+  ?conflict_retries:int ->
+  ?journal:bool ->
+  'o t ->
+  'o t * 'o handle
 (** As {!cached_refresh}, but the handle also exposes the trie for
-    session snapshot / resume. *)
+    session snapshot / resume.  [journal] (default false) records every
+    trie mutation for [drain], so a session can append the answers it
+    learned since its last write instead of re-exporting the trie. *)
 
 val of_mealy : 'o Cq_automata.Mealy.t -> 'o t
 (** Oracle backed by an explicit machine (ground truth in tests). *)

@@ -14,6 +14,8 @@
     - ["atomic_file.fsync"] — [EIO] at fsync
     - ["atomic_file.rename"] — simulated crash between temp write and
       rename (the temp file is left behind, as a real crash would)
+    - ["atomic_file.append"] — [ENOSPC] half-way through a durable append
+    - ["atomic_file.append_fsync"] — [EIO] at the append's fsync
     - ["frame.write.torn"] — a frame write emits a prefix then fails
     - ["frame.read.stall"] — a bounded stall before reading a payload
     - ["pool.task"] — a pool worker's task raises mid-run

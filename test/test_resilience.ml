@@ -310,6 +310,39 @@ let test_atomic_file_crash_before_rename () =
   Alcotest.(check bool) "tmp gone after recovery" false
     (Sys.file_exists (path ^ ".tmp"))
 
+let test_atomic_file_append () =
+  let dir = scratch () in
+  let path = Filename.concat dir "log" in
+  (* Never creates: a log without its base is not a file to start. *)
+  (match Atomic_file.append ~path "orphan" with
+  | () -> Alcotest.fail "append to a missing file must raise"
+  | exception Atomic_file.Write_error { stage = Atomic_file.Create; _ } -> ());
+  Alcotest.(check bool) "missing file not created" false (Sys.file_exists path);
+  Atomic_file.write ~path "base|";
+  Atomic_file.append ~path "r1|";
+  Atomic_file.append ~path "r2|";
+  Alcotest.(check (option string)) "appends land in order"
+    (Some "base|r1|r2|") (Atomic_file.read_opt ~path);
+  (* A failed append is truncated back off: the half record written
+     before ENOSPC, or the whole record whose fsync failed. *)
+  List.iter
+    (fun (site, stage) ->
+      let t = Faults.create () in
+      Faults.arm t ~site (Faults.Nth 1);
+      Faults.with_ambient t (fun () ->
+          match Atomic_file.append ~path "doomed-record|" with
+          | () -> Alcotest.fail (site ^ ": injected failure must raise")
+          | exception Atomic_file.Write_error { stage = s; _ } ->
+              Alcotest.(check string) (site ^ ": stage")
+                (Atomic_file.stage_to_string stage)
+                (Atomic_file.stage_to_string s));
+      Alcotest.(check (option string)) (site ^ ": file rolled back")
+        (Some "base|r1|r2|") (Atomic_file.read_opt ~path))
+    [
+      ("atomic_file.append", Atomic_file.Write);
+      ("atomic_file.append_fsync", Atomic_file.Fsync);
+    ]
+
 (* --- Disk --- *)
 
 let test_disk_free_bytes () =
@@ -345,5 +378,6 @@ let suite =
         test_atomic_file_typed_failures;
       Alcotest.test_case "atomic file crash before rename" `Quick
         test_atomic_file_crash_before_rename;
+      Alcotest.test_case "atomic file append" `Quick test_atomic_file_append;
       Alcotest.test_case "disk free bytes" `Quick test_disk_free_bytes;
     ] )

@@ -248,6 +248,269 @@ let test_kill_resume_hardware () =
                 (Printf.sprintf "trial %d: resume failed: %s" trial reason)))
     [ 1; 2 ]
 
+(* --- Append-only log --------------------------------------------------------- *)
+
+let file_size path = (Unix.stat path).Unix.st_size
+
+(* Outputs of a word under a fresh trie preloaded from [snap]; [None] when
+   the snapshot does not know the word (the backing oracle refuses). *)
+let known (snap : int Session.snapshot) word =
+  let refuse = Moracle.make ~n_inputs:4 (fun _ -> raise Not_found) in
+  let cached, handle = Moracle.cached_session refuse in
+  handle.Moracle.preload snap.Session.knowledge;
+  try Some (cached.Moracle.query word) with Not_found -> None
+
+(* A journaled session over a prefix-closed oracle whose answers shift
+   with [offset] (a changed answer stands in for a measurement repaired
+   by [refresh]). *)
+let journaled offset =
+  Moracle.cached_session ~journal:true
+    (Moracle.make ~n_inputs:4 (fun w -> List.map (fun i -> (10 * i) + !offset) w))
+
+let base_of handle ~queries =
+  {
+    Session.meta = Session.make_meta ~label:"log" ~seed:7 ~queries ();
+    knowledge = handle.Moracle.export ();
+    table = None;
+  }
+
+let w1 = [ 0; 1; 2 ] and w2 = [ 3; 0; 1; 0 ] and w3 = [ 1; 1; 2; 3; 0 ]
+
+(* base (w1) | record 1: w2, 20 queries | record 2: w3, 30 queries *)
+let write_three_part path =
+  let cached, handle = journaled (ref 0) in
+  ignore (cached.Moracle.query w1);
+  ignore (handle.Moracle.drain ());
+  let base_bytes = Session.write_base ~path (base_of handle ~queries:10) in
+  Alcotest.(check int) "base bytes" base_bytes (file_size path);
+  ignore (cached.Moracle.query w2);
+  let r1 = Session.append ~path ~queries:20 (handle.Moracle.drain ()) in
+  Alcotest.(check int) "record bytes" (base_bytes + r1) (file_size path);
+  ignore (cached.Moracle.query w3);
+  ignore (Session.append ~path ~queries:30 (handle.Moracle.drain ()));
+  (base_bytes, base_bytes + r1, file_size path)
+
+let test_log_meta_from_last_record () =
+  with_temp (fun path ->
+      ignore (write_three_part path);
+      let snap : int Session.snapshot = Session.load ~path in
+      Alcotest.(check int) "queries of the last record" 30
+        snap.Session.meta.Session.queries;
+      Alcotest.(check string) "label of the base" "log"
+        snap.Session.meta.Session.label;
+      Alcotest.(check (option int)) "seed of the base" (Some 7)
+        snap.Session.meta.Session.seed;
+      List.iter
+        (fun w ->
+          Alcotest.(check (option (list int)))
+            "every logged answer is known"
+            (Some (List.map (fun i -> 10 * i) w))
+            (known snap w))
+        [ w1; w2; w3 ])
+
+let test_log_torn_tail () =
+  with_temp (fun path ->
+      let _, end1, end2 = write_three_part path in
+      let good = read_file path in
+      (* A crash mid-append leaves any prefix of the last record: each
+         loads to the state at the previous record. *)
+      List.iter
+        (fun cut ->
+          write_file path (String.sub good 0 cut);
+          let snap : int Session.snapshot = Session.load ~path in
+          let label = Printf.sprintf "cut at %d" cut in
+          Alcotest.(check int) (label ^ ": queries") 20
+            snap.Session.meta.Session.queries;
+          Alcotest.(check bool) (label ^ ": record 1 kept") true
+            (known snap w2 <> None);
+          Alcotest.(check bool) (label ^ ": record 2 dropped") true
+            (known snap w3 = None))
+        [ end1 + 1; end1 + 8; end1 + 24; end1 + 30; end2 - 1 ];
+      (* A damaged last record of full length is a torn tail too. *)
+      let last = Bytes.of_string good in
+      Bytes.set last (end2 - 2) (Char.chr (Char.code good.[end2 - 2] lxor 0x10));
+      write_file path (Bytes.to_string last);
+      let snap : int Session.snapshot = Session.load ~path in
+      Alcotest.(check int) "damaged last record dropped" 20
+        snap.Session.meta.Session.queries)
+
+let test_log_middle_damage () =
+  with_temp (fun path ->
+      let end0, end1, _ = write_three_part path in
+      let good = read_file path in
+      let flip i =
+        let b = Bytes.of_string good in
+        Bytes.set b i (Char.chr (Char.code good.[i] lxor 0x40));
+        write_file path (Bytes.to_string b)
+      in
+      (* payload, digest and length of record 1, with record 2 behind it *)
+      flip (end1 - 3);
+      expect_corrupt "record payload bit-flip" path;
+      flip (end0 + 10);
+      expect_corrupt "record digest bit-flip" path;
+      flip (end0 + 1);
+      expect_corrupt "record length bit-flip" path;
+      (* A base truncated mid-payload stays Corrupt with records behind. *)
+      write_file path (String.sub good 0 (end0 - 5));
+      expect_corrupt "base truncated mid-payload" path)
+
+let test_log_replays_overwrites () =
+  with_temp (fun path ->
+      let offset = ref 0 in
+      let cached, handle = journaled offset in
+      ignore (cached.Moracle.query w2);
+      ignore (handle.Moracle.drain ());
+      Session.save ~path (base_of handle ~queries:1);
+      (* The measurement of w2 is repaired after the base: [refresh]
+         overwrites the trie path, and the record must carry the overwrite
+         so that replaying it in order beats the base's stale answer. *)
+      offset := 1;
+      let fresh = handle.Moracle.refresh w2 in
+      Alcotest.(check (list int)) "refresh answers anew" [ 31; 1; 11; 1 ] fresh;
+      ignore (cached.Moracle.query w1);
+      let entries = handle.Moracle.drain () in
+      Alcotest.(check int) "journal: overwrite then insert" 2
+        (Moracle.knowledge_size entries);
+      ignore (Session.append ~path ~queries:3 entries);
+      let snap : int Session.snapshot = Session.load ~path in
+      Alcotest.(check (option (list int))) "overwrite replayed" (Some fresh)
+        (known snap w2);
+      Alcotest.(check (option (list int)))
+        "later insert replayed" (Some [ 1; 11; 21 ]) (known snap w1);
+      Alcotest.(check int) "nothing left to drain" 0
+        (Moracle.knowledge_size (handle.Moracle.drain ())))
+
+let test_journal_off_by_default () =
+  let cached, handle =
+    Moracle.cached_session (Moracle.make ~n_inputs:4 (List.map Fun.id))
+  in
+  ignore (cached.Moracle.query w3);
+  ignore (handle.Moracle.refresh w1);
+  Alcotest.(check int) "no journal without ~journal:true" 0
+    (Moracle.knowledge_size (handle.Moracle.drain ()))
+
+(* A killed PLRU-4 learn snapshotting every 25 queries, with its write
+   counters: (bases, appends). *)
+let plru4 () = Cq_policy.Zoo.make_exn ~name:"PLRU" ~assoc:4
+
+let crash_plru4 ?resume ~kill_at path =
+  let metrics = Cq_util.Metrics.create () in
+  (match
+     Learn.learn_simulated ~identify:false ~metrics ?resume
+       ~snapshot:(Learn.snapshot_policy ~every_queries:25 path)
+       ~probe:(fun q -> if q >= kill_at then raise Exit)
+       (plru4 ())
+   with
+  | _ -> Alcotest.fail (Printf.sprintf "kill at %d did not stop the run" kill_at)
+  | exception Exit -> ());
+  let c name = Cq_util.Metrics.value (Cq_util.Metrics.counter metrics name) in
+  (c "learn.snapshot_bases", c "learn.snapshot_appends")
+
+let check_resumes_identical label baseline path =
+  let resumed = Learn.learn_simulated ~identify:false ~resume:path (plru4 ()) in
+  Alcotest.(check bool) (label ^ ": identical automaton") true
+    (same_machine baseline.Learn.machine resumed.Learn.machine);
+  resumed
+
+(* Kill points inside the log: after at least one append (no compaction
+   yet) and after at least one compaction; each resumes to the identical
+   automaton. *)
+let test_kill_in_log_resume () =
+  let baseline = Learn.learn_simulated ~identify:false (plru4 ()) in
+  let total = baseline.Learn.member_queries in
+  let after_append = ref false and after_compaction = ref false in
+  List.iter
+    (fun kill_at ->
+      with_temp (fun path ->
+          let bases, appends = crash_plru4 ~kill_at path in
+          if appends >= 1 && bases = 1 then after_append := true;
+          if bases >= 2 then after_compaction := true;
+          ignore
+            (check_resumes_identical
+               (Printf.sprintf "kill at %d/%d (%d bases, %d appends)" kill_at
+                  total bases appends)
+               baseline path)))
+    [ 30; 60; total / 2; total - 5 ];
+  Alcotest.(check bool) "a kill landed after an append" true !after_append;
+  Alcotest.(check bool) "a kill landed after a compaction" true
+    !after_compaction
+
+(* A torn final record resumes to the identical automaton, and so does a
+   run that re-resumes after its resumed run was killed too. *)
+let test_torn_tail_resume () =
+  let baseline = Learn.learn_simulated ~identify:false (plru4 ()) in
+  let total = baseline.Learn.member_queries in
+  with_temp (fun path ->
+      let _, appends = crash_plru4 ~kill_at:(total * 2 / 3) path in
+      Alcotest.(check bool) "the crashed run appended" true (appends >= 1);
+      let good = read_file path in
+      let full : Cq_policy.Types.output Session.snapshot = Session.load ~path in
+      write_file path (String.sub good 0 (String.length good - 1));
+      let torn : Cq_policy.Types.output Session.snapshot = Session.load ~path in
+      Alcotest.(check bool) "torn tail loads to the previous record" true
+        (torn.Session.meta.Session.queries < full.Session.meta.Session.queries);
+      let torn_bytes = read_file path in
+      let resumed = check_resumes_identical "torn tail" baseline path in
+      (* Re-resume: a resumed run killed half-way writes a fresh base over
+         the torn file, then appends; the next resume still matches. *)
+      write_file path torn_bytes;
+      let kill_at = max 1 (resumed.Learn.member_queries / 2) in
+      ignore (crash_plru4 ~resume:path ~kill_at path);
+      ignore (check_resumes_identical "re-resumed" baseline path))
+
+(* A failed append (ENOSPC half-way, or EIO at fsync) degrades the
+   session, and the answers it carried are in no record: the next write
+   must be a full base.  A run killed soon after a failed append must
+   leave a file holding the same answers as a fault-free run killed at
+   the same query count. *)
+let test_failed_append_rewrites_base () =
+  let killed ?faults ~kill_at path =
+    let degraded = ref None and stopped = ref 0 in
+    let snapshot =
+      Learn.snapshot_policy ~every_queries:25
+        ~on_degraded:(fun _ ->
+          if !degraded = None then degraded := Some !stopped)
+        path
+    in
+    let probe q =
+      stopped := q;
+      match (kill_at, !degraded) with
+      | Some k, _ when q >= k -> raise Exit
+      | None, Some d when q >= d + 10 -> raise Exit
+      | _ -> ()
+    in
+    let run () =
+      match Learn.learn_simulated ~identify:false ~snapshot ~probe (plru4 ()) with
+      | _ -> Alcotest.fail "the probe did not stop the run"
+      | exception Exit -> ()
+    in
+    (match faults with
+    | None -> run ()
+    | Some spec -> (
+        match Cq_util.Faults.of_spec ~seed:1 spec with
+        | Ok t -> Cq_util.Faults.with_ambient t run
+        | Error msg -> Alcotest.fail msg));
+    (!degraded, !stopped)
+  in
+  let resume path =
+    Learn.learn_simulated ~identify:false ~resume:path (plru4 ())
+  in
+  List.iter
+    (fun spec ->
+      with_temp (fun faulty ->
+          with_temp (fun clean ->
+              let degraded, kill_at = killed ~faults:spec ~kill_at:None faulty in
+              Alcotest.(check bool) (spec ^ ": the failed append degraded")
+                true (degraded <> None);
+              ignore (killed ~kill_at:(Some kill_at) clean);
+              let ra = resume clean and rb = resume faulty in
+              Alcotest.(check int)
+                (spec ^ ": same fresh queries after resume")
+                ra.Learn.member_queries rb.Learn.member_queries;
+              Alcotest.(check bool) (spec ^ ": identical automaton") true
+                (same_machine ra.Learn.machine rb.Learn.machine))))
+    [ "atomic_file.append:nth=1,limit=1"; "atomic_file.append_fsync:nth=2,limit=1" ]
+
 (* --- Failure taxonomy ------------------------------------------------------ *)
 
 let test_exit_codes () =
@@ -300,6 +563,22 @@ let suite =
         test_probe_crash_resume_simulated;
       Alcotest.test_case "kill + resume (Haswell L1)" `Quick
         test_kill_resume_hardware;
+      Alcotest.test_case "log: meta.queries from the last record" `Quick
+        test_log_meta_from_last_record;
+      Alcotest.test_case "log: torn final record is dropped" `Quick
+        test_log_torn_tail;
+      Alcotest.test_case "log: damaged middle record is Corrupt" `Quick
+        test_log_middle_damage;
+      Alcotest.test_case "log: refresh overwrite replayed in order" `Quick
+        test_log_replays_overwrites;
+      Alcotest.test_case "log: no journal without a snapshot policy" `Quick
+        test_journal_off_by_default;
+      Alcotest.test_case "kill inside the log + resume (simulated)" `Quick
+        test_kill_in_log_resume;
+      Alcotest.test_case "torn tail + resume + re-resume (simulated)" `Quick
+        test_torn_tail_resume;
+      Alcotest.test_case "failed append degrades, next write is a base"
+        `Quick test_failed_append_rewrites_base;
       Alcotest.test_case "failure exit codes" `Quick test_exit_codes;
       Alcotest.test_case "deadline trips to Partial" `Quick test_deadline_trips;
     ] )
