@@ -23,6 +23,49 @@ let line = String.make 78 '-'
 let header title =
   Printf.printf "\n%s\n%s\n%s\n%!" line title line
 
+(* --- artifacts ----------------------------------------------------------- *)
+
+module Json = Cq_util.Json
+
+(* A float rounded to [digits] decimals, so the artifact prints it as
+   written rather than with every binary digit. *)
+let num digits x =
+  let scale = 10.0 ** float_of_int digits in
+  Json.Float (Float.round (x *. scale) /. scale)
+
+(* Where experiment artifact [name] lives: the repository root, except
+   that a [--smoke] run writes under _build/bench-smoke/ and so never
+   overwrites the tracked full-run file. *)
+let artifact_path ~smoke name =
+  if smoke then Filename.concat (Filename.concat "_build" "bench-smoke") name
+  else name
+
+(* Every BENCH_*.json goes through here: pretty JSON, written atomically
+   so a crash mid-bench never leaves a truncated file behind. *)
+let write_artifact ?(smoke = false) name json =
+  let path = artifact_path ~smoke name in
+  if smoke then
+    List.iter
+      (fun dir -> try Unix.mkdir dir 0o755 with Unix.Unix_error _ -> ())
+      [ "_build"; Filename.dirname path ];
+  Cq_util.Atomic_file.write ~path (Json.to_string_pretty json ^ "\n");
+  Printf.printf "\n(wrote %s)\n%!" path
+
+(* The integer at [keys] in the previous run's artifact, for a trend
+   line.  The file may be missing, truncated by a crashed bench, or from
+   an older schema: those read as [`Missing] or [`Unreadable], never
+   abort the run. *)
+let prior_int ?(smoke = false) name keys =
+  match Cq_util.Atomic_file.read_opt ~path:(artifact_path ~smoke name) with
+  | None -> `Missing
+  | Some text -> (
+      let step j key = Option.bind j (Json.member key) in
+      match
+        Option.bind (List.fold_left step (Json.parse_opt text) keys) Json.to_int
+      with
+      | Some n -> `Prior n
+      | None -> `Unreadable)
+
 (* ----------------------------------------------------------------------- *)
 (* Table 2: learning from software-simulated caches                         *)
 (* ----------------------------------------------------------------------- *)
@@ -539,52 +582,52 @@ let engine () =
         (name, assoc, seq, bat, par, agree))
       configs
   in
-  (* Machine-readable output (no JSON library in the toolchain: the format
-     is simple enough to emit by hand).  Rendered into a buffer and written
-     atomically, so a crash mid-bench never leaves a truncated file behind
-     for the next run to choke on. *)
-  let buf = Buffer.create 4096 in
-  let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  out
-    "{\n  \"domains\": %d,\n  \"tracing_overhead_identical\": %b,\n\
-    \  \"tracing_probe_events\": %d,\n"
-    domains overhead_identical trace_events;
-  (* The batched run's full metrics registry — histograms included — so
-     the bench JSON carries the same observability block the learning
-     reports do. *)
-  (match rows with
-  | (_, _, _, bat, _, _) :: _ ->
-      out "  \"metrics\": %s,\n"
-        (String.trim (Cq_util.Metrics.to_json bat.Cq_core.Learn.metrics))
-  | [] -> ());
-  out "  \"results\": [\n";
-  List.iteri
-    (fun i (name, assoc, seq, bat, par, agree) ->
-      let seconds (r : Cq_core.Learn.report) = r.Cq_core.Learn.seconds in
-      let engine_obj (r : Cq_core.Learn.report) =
-        Printf.sprintf
-          "{ \"seconds\": %.6f, \"speedup\": %.3f, \"cache_queries\": %d, \
-           \"cache_accesses\": %d, \"cache_batches\": %d, \
-           \"accesses_saved\": %d }"
-          (seconds r)
-          (seconds seq /. Float.max 1e-9 (seconds r))
-          r.Cq_core.Learn.cache_queries r.Cq_core.Learn.cache_accesses
-          r.Cq_core.Learn.cache_batches r.Cq_core.Learn.accesses_saved
-      in
-      out
-        "    { \"policy\": %S, \"assoc\": %d, \"states\": %d, \
-         \"automata_identical\": %b,\n\
-        \      \"sequential\": %s,\n\
-        \      \"batched\": %s,\n\
-        \      \"parallel\": %s }%s\n"
-        name assoc seq.Cq_core.Learn.states agree (engine_obj seq)
-        (engine_obj bat) (engine_obj par)
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  out "  ]\n}\n";
-  Cq_util.Atomic_file.write ~path:"BENCH_engine.json" (Buffer.contents buf);
-  Printf.printf "\n(wrote BENCH_engine.json; %d worker domains for parallel)\n%!"
-    domains;
+  let engine_json (seq : Cq_core.Learn.report) (r : Cq_core.Learn.report) =
+    Json.Obj
+      [
+        ("seconds", num 6 r.Cq_core.Learn.seconds);
+        ( "speedup",
+          num 3
+            (seq.Cq_core.Learn.seconds
+            /. Float.max 1e-9 r.Cq_core.Learn.seconds) );
+        ("cache_queries", Json.Int r.Cq_core.Learn.cache_queries);
+        ("cache_accesses", Json.Int r.Cq_core.Learn.cache_accesses);
+        ("cache_batches", Json.Int r.Cq_core.Learn.cache_batches);
+        ("accesses_saved", Json.Int r.Cq_core.Learn.accesses_saved);
+      ]
+  in
+  write_artifact "BENCH_engine.json"
+    (Json.Obj
+       ([
+          ("domains", Json.Int domains);
+          ("tracing_overhead_identical", Json.Bool overhead_identical);
+          ("tracing_probe_events", Json.Int trace_events);
+        ]
+       (* The batched run's full metrics registry — histograms included —
+          so the bench JSON carries the same observability block the
+          learning reports do. *)
+       @ (match rows with
+         | (_, _, _, bat, _, _) :: _ ->
+             [ ("metrics", Cq_util.Metrics.json bat.Cq_core.Learn.metrics) ]
+         | [] -> [])
+       @ [
+           ( "results",
+             Json.List
+               (List.map
+                  (fun (name, assoc, seq, bat, par, agree) ->
+                    Json.Obj
+                      [
+                        ("policy", Json.String name);
+                        ("assoc", Json.Int assoc);
+                        ("states", Json.Int seq.Cq_core.Learn.states);
+                        ("automata_identical", Json.Bool agree);
+                        ("sequential", engine_json seq seq);
+                        ("batched", engine_json seq bat);
+                        ("parallel", engine_json seq par);
+                      ])
+                  rows) );
+         ]));
+  Printf.printf "(%d worker domains for parallel)\n%!" domains;
   if not overhead_identical then
     failwith "engine bench: tracing changed the pipeline's query counts"
 
@@ -698,83 +741,60 @@ let noise ~full () =
         (cpu, level_name, quiet, quiet_report, quiet_dt, rows))
       targets
   in
-  let buf = Buffer.create 4096 in
-  let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  out "{\n  \"targets\": [\n";
-  List.iteri
-    (fun ti (cpu, level_name, quiet, quiet_report, quiet_dt, rows) ->
-      out
-        "    { \"cpu\": %S, \"level\": %S,\n\
-        \      \"quiet\": { \"states\": %d, \"timed_loads\": %d, \
-         \"seconds\": %.3f },\n\
-        \      \"runs\": [\n"
-        cpu level_name quiet_report.Cq_core.Learn.states
-        quiet.Cq_core.Hardware.timed_loads quiet_dt;
-      List.iteri
-        (fun i (vlabel, nlabel, _voting, retries, run, dt, row) ->
-          let common =
-            Printf.sprintf
-              "\"voting\": %S, \"noise\": %S, \"retries\": %d, \
-               \"timed_loads\": %d, \"recalibrations\": %d, \"seconds\": %.3f"
-              vlabel nlabel retries run.Cq_core.Hardware.timed_loads
-              run.Cq_core.Hardware.recalibrations dt
-          in
-          (match row with
-          | `Learned ((report : Cq_core.Learn.report), identical) ->
-              out
-                "        { %s, \"learned\": true, \"states\": %d, \
-                 \"identical_to_quiet\": %b, \"vote_runs\": %d, \
-                 \"transient_flips\": %d, \"retry_attempts\": %d }"
-                common report.Cq_core.Learn.states identical
-                report.Cq_core.Learn.vote_runs
-                report.Cq_core.Learn.transient_flips
-                report.Cq_core.Learn.retry_attempts
-          | `Failed reason ->
-              out
-                "        { %s, \"learned\": false, \"reason\": %S }" common
-                reason);
-          out "%s\n" (if i = List.length rows - 1 then "" else ","))
-        rows;
-      out "      ] }%s\n"
-        (if ti = List.length all_rows - 1 then "" else ","))
-    all_rows;
-  out "  ]\n}\n";
-  Cq_util.Atomic_file.write ~path:"BENCH_noise.json" (Buffer.contents buf);
-  Printf.printf
-    "\n(wrote BENCH_noise.json; Skylake L2 %s)\n%!"
+  let run_json (vlabel, nlabel, _voting, retries, run, dt, row) =
+    Json.Obj
+      ([
+         ("voting", Json.String vlabel);
+         ("noise", Json.String nlabel);
+         ("retries", Json.Int retries);
+         ("timed_loads", Json.Int run.Cq_core.Hardware.timed_loads);
+         ("recalibrations", Json.Int run.Cq_core.Hardware.recalibrations);
+         ("seconds", num 3 dt);
+       ]
+      @
+      match row with
+      | `Learned ((report : Cq_core.Learn.report), identical) ->
+          [
+            ("learned", Json.Bool true);
+            ("states", Json.Int report.Cq_core.Learn.states);
+            ("identical_to_quiet", Json.Bool identical);
+            ("vote_runs", Json.Int report.Cq_core.Learn.vote_runs);
+            ("transient_flips", Json.Int report.Cq_core.Learn.transient_flips);
+            ("retry_attempts", Json.Int report.Cq_core.Learn.retry_attempts);
+          ]
+      | `Failed reason ->
+          [ ("learned", Json.Bool false); ("reason", Json.String reason) ])
+  in
+  write_artifact "BENCH_noise.json"
+    (Json.Obj
+       [
+         ( "targets",
+           Json.List
+             (List.map
+                (fun (cpu, level_name, quiet, quiet_report, quiet_dt, rows) ->
+                  Json.Obj
+                    [
+                      ("cpu", Json.String cpu);
+                      ("level", Json.String level_name);
+                      ( "quiet",
+                        Json.Obj
+                          [
+                            ( "states",
+                              Json.Int quiet_report.Cq_core.Learn.states );
+                            ( "timed_loads",
+                              Json.Int quiet.Cq_core.Hardware.timed_loads );
+                            ("seconds", num 3 quiet_dt);
+                          ] );
+                      ("runs", Json.List (List.map run_json rows));
+                    ])
+                all_rows) );
+       ]);
+  Printf.printf "(Skylake L2 %s)\n%!"
     (if full then "included" else "skipped, use --full")
 
 (* ----------------------------------------------------------------------- *)
 (* Recovery: durable sessions — snapshot overhead and crash/resume cost     *)
 (* ----------------------------------------------------------------------- *)
-
-(* Minimal tolerant scan for ["field": <int>] in a hand-emitted JSON file.
-   Prior BENCH_*.json may be missing, truncated by a crashed bench, or from
-   an older schema; any of those must read as [None], never abort the run. *)
-let json_int_field json field =
-  try
-    let needle = Printf.sprintf "\"%s\":" field in
-    let nlen = String.length needle in
-    let len = String.length json in
-    let rec find i =
-      if i + nlen > len then None
-      else if String.sub json i nlen = needle then begin
-        let j = ref (i + nlen) in
-        while !j < len && json.[!j] = ' ' do incr j done;
-        let k = ref !j in
-        while
-          !k < len
-          && (match json.[!k] with '0' .. '9' | '-' -> true | _ -> false)
-        do
-          incr k
-        done;
-        if !k > !j then int_of_string_opt (String.sub json !j (!k - !j))
-        else None
-      end
-      else find (i + 1)
-    in
-    find 0
-  with _ -> None
 
 (* Durability must be near-free and resuming must beat starting over.
    Learn Haswell L1 (quiet) three ways — plain, with snapshotting enabled,
@@ -891,45 +911,61 @@ let recovery () =
     resumed.Cq_core.Learn.states resume_loads resume_dt saved_pct
     (if resume_identical then "identical" else "DIFFERS <-- MISMATCH");
   (* Trend line against the previous bench run, if one left a readable file. *)
-  (match Cq_util.Atomic_file.read_opt ~path:"BENCH_recovery.json" with
-  | None -> ()
-  | Some prior -> (
-      match json_int_field prior "resume_timed_loads" with
-      | Some prev ->
-          Printf.printf "previous resume cost: %d timed loads (now %d)\n%!"
-            prev resume_loads
-      | None ->
-          Printf.printf
-            "(prior BENCH_recovery.json unreadable or partial -- ignored)\n%!"));
-  let buf = Buffer.create 1024 in
-  let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  out "{\n  \"target\": { \"cpu\": %S, \"level\": \"L1\" },\n"
-    model.Cq_hwsim.Cpu_model.name;
-  out
-    "  \"baseline\": { \"states\": %d, \"timed_loads\": %d, \"seconds\": %.3f \
-     },\n"
-    base.Cq_core.Learn.states base_loads base_dt;
-  out
-    "  \"snapshotting\": { \"states\": %d, \"timed_loads\": %d, \"seconds\": \
-     %.3f,\n\
-    \    \"wall_ratio\": %.3f, \"session_seconds\": %.3f, \"session_pct\": \
-     %.3f,\n\
-    \    \"within_budget\": %b, \"identical\": %b },\n"
-    snap.Cq_core.Learn.states snap_loads snap_dt wall_ratio session_s
-    session_pct within_budget snap_identical;
-  out "  \"crash\": { \"query_budget\": %d, \"timed_loads\": %d },\n" budget
-    crash_loads;
-  out
-    "  \"resume\": { \"states\": %d, \"resume_timed_loads\": %d, \"seconds\": \
-     %.3f,\n\
-    \    \"loads_saved_pct\": %.3f, \"identical\": %b }\n}\n"
-    resumed.Cq_core.Learn.states resume_loads resume_dt saved_pct
-    resume_identical;
-  Cq_util.Atomic_file.write ~path:"BENCH_recovery.json" (Buffer.contents buf);
+  (match prior_int "BENCH_recovery.json" [ "resume"; "resume_timed_loads" ] with
+  | `Missing -> ()
+  | `Prior prev ->
+      Printf.printf "previous resume cost: %d timed loads (now %d)\n%!" prev
+        resume_loads
+  | `Unreadable ->
+      Printf.printf
+        "(prior BENCH_recovery.json unreadable or partial -- ignored)\n%!");
+  let run_json states loads dt =
+    [
+      ("states", Json.Int states);
+      ("timed_loads", Json.Int loads);
+      ("seconds", num 3 dt);
+    ]
+  in
+  write_artifact "BENCH_recovery.json"
+    (Json.Obj
+       [
+         ( "target",
+           Json.Obj
+             [
+               ("cpu", Json.String model.Cq_hwsim.Cpu_model.name);
+               ("level", Json.String "L1");
+             ] );
+         ( "baseline",
+           Json.Obj (run_json base.Cq_core.Learn.states base_loads base_dt) );
+         ( "snapshotting",
+           Json.Obj
+             (run_json snap.Cq_core.Learn.states snap_loads snap_dt
+             @ [
+                 ("wall_ratio", num 3 wall_ratio);
+                 ("session_seconds", num 3 session_s);
+                 ("session_pct", num 3 session_pct);
+                 ("within_budget", Json.Bool within_budget);
+                 ("identical", Json.Bool snap_identical);
+               ]) );
+         ( "crash",
+           Json.Obj
+             [
+               ("query_budget", Json.Int budget);
+               ("timed_loads", Json.Int crash_loads);
+             ] );
+         ( "resume",
+           Json.Obj
+             [
+               ("states", Json.Int resumed.Cq_core.Learn.states);
+               ("resume_timed_loads", Json.Int resume_loads);
+               ("seconds", num 3 resume_dt);
+               ("loads_saved_pct", num 3 saved_pct);
+               ("identical", Json.Bool resume_identical);
+             ] );
+       ]);
   List.iter
     (fun p -> try Sys.remove p with Sys_error _ -> ())
     [ snap_path; crash_path ];
-  Printf.printf "\n(wrote BENCH_recovery.json)\n%!";
   if not (snap_identical && resume_identical) then
     failwith "recovery bench: learned automata diverged from the baseline";
   if not within_budget then
@@ -962,40 +998,40 @@ let analysis () =
   in
   Printf.printf "%-14s %9s | %12s | %12s | %s\n%!" "program" "queries"
     "check" "expand" "speedup";
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\n  \"programs\": [\n";
-  List.iteri
-    (fun i (input, assoc, max_queries) ->
-      let verdict, check_dt =
-        Cq_util.Clock.time (fun () ->
-            Cq_analysis.Mbl_check.check_string ~max_queries ~assoc input)
-      in
-      let expand_dt =
-        match
+  let rows =
+    List.map
+      (fun (input, assoc, max_queries) ->
+        let verdict, check_dt =
           Cq_util.Clock.time (fun () ->
-              match Cq_mbl.Expand.expand_string ~max_queries ~assoc input with
-              | _ -> ()
-              | exception Cq_mbl.Expand.Expansion_error _ -> ())
-        with
-        | (), dt -> dt
-      in
-      let cardinality =
-        match verdict with
-        | Ok s -> string_of_int s.Cq_analysis.Mbl_check.cardinality
-        | Error _ -> "rejected"
-      in
-      Printf.printf "%-14s %9s | %9.1f us | %9.1f us | %6.0fx\n%!" input
-        cardinality (1e6 *. check_dt) (1e6 *. expand_dt)
-        (expand_dt /. Float.max check_dt 1e-9);
-      Printf.ksprintf (Buffer.add_string buf)
-        "    { \"program\": %S, \"queries\": %S, \"check_seconds\": %.9f, \
-         \"expand_seconds\": %.9f }%s\n"
-        input cardinality check_dt expand_dt
-        (if i = List.length programs - 1 then "" else ","))
-    programs;
-  Buffer.add_string buf "  ]\n}\n";
-  Cq_util.Atomic_file.write ~path:"BENCH_analysis.json" (Buffer.contents buf);
-  Printf.printf "\n(wrote BENCH_analysis.json)\n%!"
+              Cq_analysis.Mbl_check.check_string ~max_queries ~assoc input)
+        in
+        let expand_dt =
+          match
+            Cq_util.Clock.time (fun () ->
+                match Cq_mbl.Expand.expand_string ~max_queries ~assoc input with
+                | _ -> ()
+                | exception Cq_mbl.Expand.Expansion_error _ -> ())
+          with
+          | (), dt -> dt
+        in
+        let cardinality =
+          match verdict with
+          | Ok s -> string_of_int s.Cq_analysis.Mbl_check.cardinality
+          | Error _ -> "rejected"
+        in
+        Printf.printf "%-14s %9s | %9.1f us | %9.1f us | %6.0fx\n%!" input
+          cardinality (1e6 *. check_dt) (1e6 *. expand_dt)
+          (expand_dt /. Float.max check_dt 1e-9);
+        Json.Obj
+          [
+            ("program", Json.String input);
+            ("queries", Json.String cardinality);
+            ("check_seconds", num 9 check_dt);
+            ("expand_seconds", num 9 expand_dt);
+          ])
+    programs
+  in
+  write_artifact "BENCH_analysis.json" (Json.Obj [ ("programs", Json.List rows) ])
 
 (* ----------------------------------------------------------------------- *)
 (* Service layer: cachequeryd under concurrent clients                       *)
@@ -1020,7 +1056,6 @@ let service () =
   header "Service layer: cachequeryd under concurrent clients";
   let module Server = Cq_service.Server in
   let module Client = Cq_service.Client in
-  let module Json = Cq_service.Json in
   let clients = 4 in
   let queries_per_client = 250 in
   let state_dir = "bench-service-state" in
@@ -1093,37 +1128,48 @@ let service () =
   let threads = List.init clients (fun i -> Thread.create learn_client i) in
   List.iter Thread.join threads;
   let learn_wall = Cq_util.Clock.mono () -. t1 in
-  let buf = Buffer.create 512 in
-  Printf.ksprintf (Buffer.add_string buf)
-    "{\n  \"clients\": %d,\n  \"requests\": %d,\n  \"wall_seconds\": %.6f,\n\
-    \  \"throughput_rps\": %.1f,\n\
-    \  \"latency_seconds\": { \"p50\": %.9f, \"p95\": %.9f, \"p99\": %.9f },\n\
-    \  \"learn_wall_seconds\": %.3f,\n  \"learns\": [\n"
-    clients total wall throughput p50 p95 p99 learn_wall;
-  Array.iteri
-    (fun i (policy, state, dgst, queries, seconds) ->
-      let solo =
-        let p = Cq_policy.Zoo.make_exn ~name:policy ~assoc:4 in
-        let r = Cq_core.Learn.learn_simulated ~identify:false p in
-        Cq_policy.Policy.machine_digest r.Cq_core.Learn.machine
-      in
-      let matches = state = "done" && dgst = solo in
-      Printf.printf "  %-5s %-6s  %6d queries  %6.2f s  solo-identical: %b\n%!"
-        policy state queries seconds matches;
-      Printf.ksprintf (Buffer.add_string buf)
-        "    { \"policy\": %S, \"state\": %S, \"digest\": %S, \"queries\": \
-         %d, \"seconds\": %.3f, \"matches_solo\": %b }%s\n"
-        policy state dgst queries seconds matches
-        (if i = clients - 1 then "" else ",");
-      if not matches then
-        failwith
-          (Printf.sprintf
-             "service bench: %s learned under concurrency diverged from solo"
-             policy))
-    learns;
-  Buffer.add_string buf "  ]\n}\n";
-  Cq_util.Atomic_file.write ~path:"BENCH_service.json" (Buffer.contents buf);
-  Printf.printf "\n(wrote BENCH_service.json)\n%!"
+  let learns =
+    Array.map
+      (fun (policy, state, dgst, queries, seconds) ->
+        let solo =
+          let p = Cq_policy.Zoo.make_exn ~name:policy ~assoc:4 in
+          let r = Cq_core.Learn.learn_simulated ~identify:false p in
+          Cq_policy.Policy.machine_digest r.Cq_core.Learn.machine
+        in
+        let matches = state = "done" && dgst = solo in
+        Printf.printf
+          "  %-5s %-6s  %6d queries  %6.2f s  solo-identical: %b\n%!" policy
+          state queries seconds matches;
+        if not matches then
+          failwith
+            (Printf.sprintf
+               "service bench: %s learned under concurrency diverged from \
+                solo"
+               policy);
+        Json.Obj
+          [
+            ("policy", Json.String policy);
+            ("state", Json.String state);
+            ("digest", Json.String dgst);
+            ("queries", Json.Int queries);
+            ("seconds", num 3 seconds);
+            ("matches_solo", Json.Bool matches);
+          ])
+      learns
+  in
+  write_artifact "BENCH_service.json"
+    (Json.Obj
+       [
+         ("clients", Json.Int clients);
+         ("requests", Json.Int total);
+         ("wall_seconds", num 6 wall);
+         ("throughput_rps", num 1 throughput);
+         ( "latency_seconds",
+           Json.Obj [ ("p50", num 9 p50); ("p95", num 9 p95); ("p99", num 9 p99) ]
+         );
+         ("learn_wall_seconds", num 3 learn_wall);
+         ("learns", Json.List (Array.to_list learns));
+       ])
 
 (* ----------------------------------------------------------------------- *)
 (* Chaos: seeded fault schedules x concurrent resilient clients             *)
@@ -1140,7 +1186,6 @@ let chaos () =
   header "Chaos: seeded fault schedules x concurrent resilient clients";
   let module Server = Cq_service.Server in
   let module Client = Cq_service.Client in
-  let module Json = Cq_service.Json in
   let module Faults = Cq_util.Faults in
   let policies = [| "LRU"; "FIFO"; "PLRU" |] in
   let assoc = 4 in
@@ -1309,30 +1354,38 @@ let chaos () =
       scenarios
   in
   Faults.set_ambient None;
-  let buf = Buffer.create 2048 in
-  let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  out "{\n  \"clients\": %d,\n  \"scenarios\": [\n" n_clients;
-  List.iteri
-    (fun si (scenario, spec, fault_fires, degraded, results) ->
-      out
-        "    { \"name\": %S, \"spec\": %S, \"fault_fires\": %d, \
-         \"snapshot_degraded\": %d, \"daemon_crashes\": 0,\n\
-        \      \"learns\": [\n"
-        scenario spec fault_fires degraded;
-      List.iteri
-        (fun i (policy, dgst, restarts, reconnects, retries) ->
-          out
-            "        { \"policy\": %S, \"digest\": %S, \"restarts\": %d, \
-             \"reconnects\": %d, \"request_retries\": %d, \
-             \"identical_to_quiet\": true }%s\n"
-            policy dgst restarts reconnects retries
-            (if i = List.length results - 1 then "" else ","))
-        results;
-      out "      ] }%s\n" (if si = List.length rows - 1 then "" else ","))
-    rows;
-  out "  ]\n}\n";
-  Cq_util.Atomic_file.write ~path:"BENCH_chaos.json" (Buffer.contents buf);
-  Printf.printf "\n(wrote BENCH_chaos.json)\n%!"
+  write_artifact "BENCH_chaos.json"
+    (Json.Obj
+       [
+         ("clients", Json.Int n_clients);
+         ( "scenarios",
+           Json.List
+             (List.map
+                (fun (scenario, spec, fault_fires, degraded, results) ->
+                  Json.Obj
+                    [
+                      ("name", Json.String scenario);
+                      ("spec", Json.String spec);
+                      ("fault_fires", Json.Int fault_fires);
+                      ("snapshot_degraded", Json.Int degraded);
+                      ("daemon_crashes", Json.Int 0);
+                      ( "learns",
+                        Json.List
+                          (List.map
+                             (fun (policy, dgst, restarts, reconnects, retries) ->
+                               Json.Obj
+                                 [
+                                   ("policy", Json.String policy);
+                                   ("digest", Json.String dgst);
+                                   ("restarts", Json.Int restarts);
+                                   ("reconnects", Json.Int reconnects);
+                                   ("request_retries", Json.Int retries);
+                                   ("identical_to_quiet", Json.Bool true);
+                                 ])
+                             results) );
+                    ])
+                rows) );
+       ])
 
 (* ----------------------------------------------------------------------- *)
 (* Assoc scaling: symmetry-quotient learning vs direct                       *)
@@ -1554,67 +1607,92 @@ let assoc_bench ~full ~smoke () =
            speedup);
     (run_s, agrees_s, speedup, identical, list_s, list_speedup)
   in
-  let buf = Buffer.create 4096 in
-  let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  out "{\n  \"mode\": %S,\n"
-    (if smoke then "smoke" else if full then "full" else "default");
-  (let run_s, agrees_s, speedup, identical, list_s, list_speedup =
-     compiled_eval
-   in
-   out
-     "  \"compiled_eval\": { \"run_seconds\": %.6f, \"agrees_seconds\": \
-      %.6f, \"speedup\": %.2f, \"identical_verdicts\": %b, \
-      \"agrees_list_seconds\": %.6f, \"agrees_list_speedup\": %.2f },\n"
-     run_s agrees_s speedup identical list_s list_speedup);
-  (match budget with
-  | Some (q12, q8, within) ->
-      out
-        "  \"plru12_quotient_vs_plru8_direct\": { \"plru12_queries\": %d, \
-         \"plru8_queries\": %d, \"within_budget\": %b },\n"
-        q12 q8 within
-  | None -> ());
-  out "  \"results\": [\n";
   let run_json = function
     | Cq_core.Learn.Complete (r : Cq_core.Learn.report) ->
-        let quot =
+        let quotient =
           match r.Cq_core.Learn.quotient with
           | Some q ->
-              Printf.sprintf
-                ", \"quotient_reps\": %d, \"quotient_states\": %d, \
-                 \"quotient_aliases\": %d, \"alias_queries\": %d, \
-                 \"state_collapse\": %.2f"
-                q.Cq_learner.Quotient.reps q.Cq_learner.Quotient.states
-                q.Cq_learner.Quotient.aliases
-                q.Cq_learner.Quotient.alias_queries
-                (Cq_learner.Quotient.collapse q)
-          | None -> ""
+              [
+                ("quotient_reps", Json.Int q.Cq_learner.Quotient.reps);
+                ("quotient_states", Json.Int q.Cq_learner.Quotient.states);
+                ("quotient_aliases", Json.Int q.Cq_learner.Quotient.aliases);
+                ("alias_queries", Json.Int q.Cq_learner.Quotient.alias_queries);
+                ("state_collapse", num 2 (Cq_learner.Quotient.collapse q));
+              ]
+          | None -> []
         in
-        Printf.sprintf
-          "{ \"learned\": true, \"states\": %d, \"member_queries\": %d, \
-           \"member_symbols\": %d, \"cache_queries\": %d, \
-           \"cache_accesses\": %d, \"seconds\": %.6f%s }"
-          r.Cq_core.Learn.states r.Cq_core.Learn.member_queries
-          r.Cq_core.Learn.member_symbols r.Cq_core.Learn.cache_queries
-          r.Cq_core.Learn.cache_accesses r.Cq_core.Learn.seconds quot
+        Json.Obj
+          ([
+             ("learned", Json.Bool true);
+             ("states", Json.Int r.Cq_core.Learn.states);
+             ("member_queries", Json.Int r.Cq_core.Learn.member_queries);
+             ("member_symbols", Json.Int r.Cq_core.Learn.member_symbols);
+             ("cache_queries", Json.Int r.Cq_core.Learn.cache_queries);
+             ("cache_accesses", Json.Int r.Cq_core.Learn.cache_accesses);
+             ("seconds", num 6 r.Cq_core.Learn.seconds);
+           ]
+          @ quotient)
     | Cq_core.Learn.Partial p ->
-        Printf.sprintf "{ \"learned\": false, \"reason\": %S }"
-          (Fmt.str "%a" Cq_core.Learn.pp_failure p.Cq_core.Learn.failure)
+        Json.Obj
+          [
+            ("learned", Json.Bool false);
+            ( "reason",
+              Json.String
+                (Fmt.str "%a" Cq_core.Learn.pp_failure p.Cq_core.Learn.failure)
+            );
+          ]
   in
-  List.iteri
-    (fun i (name, assoc, off, on, identical) ->
-      out
-        "    { \"policy\": %S, \"assoc\": %d,\n      \"quotient\": %s,\n\
-        \      \"direct\": %s,\n      \"identical\": %s }%s\n"
-        name assoc (run_json on)
-        (match off with Some o -> run_json o | None -> "null")
-        (match identical with
-        | Some b -> string_of_bool b
-        | None -> "null")
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  out "  ]\n}\n";
-  Cq_util.Atomic_file.write ~path:"BENCH_assoc.json" (Buffer.contents buf);
-  Printf.printf "\n(wrote BENCH_assoc.json)\n%!";
+  let run_s, agrees_s, speedup, identical, list_s, list_speedup =
+    compiled_eval
+  in
+  write_artifact ~smoke "BENCH_assoc.json"
+    (Json.Obj
+       ([
+          ( "mode",
+            Json.String
+              (if smoke then "smoke" else if full then "full" else "default") );
+          ( "compiled_eval",
+            Json.Obj
+              [
+                ("run_seconds", num 6 run_s);
+                ("agrees_seconds", num 6 agrees_s);
+                ("speedup", num 2 speedup);
+                ("identical_verdicts", Json.Bool identical);
+                ("agrees_list_seconds", num 6 list_s);
+                ("agrees_list_speedup", num 2 list_speedup);
+              ] );
+        ]
+       @ (match budget with
+         | Some (q12, q8, within) ->
+             [
+               ( "plru12_quotient_vs_plru8_direct",
+                 Json.Obj
+                   [
+                     ("plru12_queries", Json.Int q12);
+                     ("plru8_queries", Json.Int q8);
+                     ("within_budget", Json.Bool within);
+                   ] );
+             ]
+         | None -> [])
+       @ [
+           ( "results",
+             Json.List
+               (List.map
+                  (fun (name, assoc, off, on, identical) ->
+                    Json.Obj
+                      [
+                        ("policy", Json.String name);
+                        ("assoc", Json.Int assoc);
+                        ("quotient", run_json on);
+                        ( "direct",
+                          match off with Some o -> run_json o | None -> Json.Null );
+                        ( "identical",
+                          match identical with
+                          | Some b -> Json.Bool b
+                          | None -> Json.Null );
+                      ])
+                  rows) );
+         ]));
   let mismatches =
     List.filter_map
       (fun (name, assoc, _, _, identical) ->
@@ -1795,7 +1873,6 @@ let workload () =
   (* --- phase 5: the daemon as a load source --- *)
   let module Server = Cq_service.Server in
   let module Client = Cq_service.Client in
-  let module Json = Cq_service.Json in
   let state_dir = "bench-workload-state" in
   (try Unix.mkdir state_dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let socket = Filename.concat state_dir "bench.sock" in
@@ -1835,59 +1912,54 @@ let workload () =
   if not daemon_match then
     failwith "workload bench: daemon replay diverged from local replay";
   (* --- prior-run trend (tolerant of missing/partial files) --- *)
-  (match Cq_util.Atomic_file.read_opt ~path:"BENCH_workload.json" with
-  | None -> ()
-  | Some prior -> (
-      match json_int_field prior "compiled_accesses_per_sec" with
-      | Some p ->
-          Printf.printf
-            "\nprior compiled throughput: %d accesses/s -> this run: %.0f\n%!"
-            p compiled_aps
-      | None ->
-          Printf.printf
-            "(prior BENCH_workload.json unreadable or partial -- ignored)\n%!"));
-  (* --- artifact --- *)
-  let buf = Buffer.create 2048 in
-  Printf.ksprintf (Buffer.add_string buf)
-    "{\n\
-    \  \"assoc\": %d,\n\
-    \  \"learned_policy\": \"PLRU\",\n\
-    \  \"learned_states\": %d,\n\
-    \  \"learn_seconds\": %.3f,\n\
-    \  \"streams_identical\": %b,\n\
-    \  \"throughput_trace\": %S,\n\
-    \  \"compiled_accesses_per_sec\": %d,\n\
-    \  \"policy_accesses_per_sec\": %d,\n\
-    \  \"speedup\": %.2f,\n\
-    \  \"daemon_match\": %b,\n\
-    \  \"rows\": [\n"
-    assoc states report.Cq_core.Learn.seconds streams_identical big_spec
-    (int_of_float compiled_aps)
-    (int_of_float policy_aps)
-    (compiled_aps /. policy_aps)
-    daemon_match;
-  let n_rows = List.length rows in
-  List.iteri
-    (fun i (r : W.Eval.row) ->
-      Printf.ksprintf (Buffer.add_string buf)
-        "    { \"policy\": %S, \"trace\": %S, \"accesses\": %d, \"hits\": \
-         %d, \"hit_rate\": %.6f, \"opt_hit_rate\": %.6f }%s\n"
-        r.W.Eval.subject r.W.Eval.trace r.W.Eval.accesses r.W.Eval.hits
-        r.W.Eval.rate r.W.Eval.opt_rate
-        (if i = n_rows - 1 then "" else ","))
-    rows;
-  Buffer.add_string buf "  ],\n  \"attribution_top\": [\n";
-  let top = W.Replay.top_miss_states attr 5 in
-  let n_top = List.length top in
-  List.iteri
-    (fun i (s, m, h) ->
-      Printf.ksprintf (Buffer.add_string buf)
-        "    { \"state\": %d, \"misses\": %d, \"hits\": %d }%s\n" s m h
-        (if i = n_top - 1 then "" else ","))
-    top;
-  Buffer.add_string buf "  ]\n}\n";
-  Cq_util.Atomic_file.write ~path:"BENCH_workload.json" (Buffer.contents buf);
-  Printf.printf "\n(wrote BENCH_workload.json)\n%!"
+  (match prior_int "BENCH_workload.json" [ "compiled_accesses_per_sec" ] with
+  | `Missing -> ()
+  | `Prior p ->
+      Printf.printf
+        "\nprior compiled throughput: %d accesses/s -> this run: %.0f\n%!" p
+        compiled_aps
+  | `Unreadable ->
+      Printf.printf
+        "(prior BENCH_workload.json unreadable or partial -- ignored)\n%!");
+  write_artifact "BENCH_workload.json"
+    (Json.Obj
+       [
+         ("assoc", Json.Int assoc);
+         ("learned_policy", Json.String "PLRU");
+         ("learned_states", Json.Int states);
+         ("learn_seconds", num 3 report.Cq_core.Learn.seconds);
+         ("streams_identical", Json.Bool streams_identical);
+         ("throughput_trace", Json.String big_spec);
+         ("compiled_accesses_per_sec", Json.Int (int_of_float compiled_aps));
+         ("policy_accesses_per_sec", Json.Int (int_of_float policy_aps));
+         ("speedup", num 2 (compiled_aps /. policy_aps));
+         ("daemon_match", Json.Bool daemon_match);
+         ( "rows",
+           Json.List
+             (List.map
+                (fun (r : W.Eval.row) ->
+                  Json.Obj
+                    [
+                      ("policy", Json.String r.W.Eval.subject);
+                      ("trace", Json.String r.W.Eval.trace);
+                      ("accesses", Json.Int r.W.Eval.accesses);
+                      ("hits", Json.Int r.W.Eval.hits);
+                      ("hit_rate", num 6 r.W.Eval.rate);
+                      ("opt_hit_rate", num 6 r.W.Eval.opt_rate);
+                    ])
+                rows) );
+         ( "attribution_top",
+           Json.List
+             (List.map
+                (fun (s, m, h) ->
+                  Json.Obj
+                    [
+                      ("state", Json.Int s);
+                      ("misses", Json.Int m);
+                      ("hits", Json.Int h);
+                    ])
+                (W.Replay.top_miss_states attr 5)) );
+       ])
 
 (* ----------------------------------------------------------------------- *)
 (* Security analysis: eviction sets, stealthy sequences, leakage            *)
@@ -1985,55 +2057,49 @@ let attack ~smoke () =
                "attack bench: BIP-%d does not leak less than LRU-%d" assoc
                assoc))
       [ 4; 8 ];
-  (* Prior-run trend (tolerant of missing/partial files — first runs have
-     no BENCH_attack.json at all). *)
-  (match Cq_util.Atomic_file.read_opt ~path:"BENCH_attack.json" with
-  | None -> ()
-  | Some prior -> (
-      match json_int_field prior "max_analysis_ms" with
-      | Some p ->
-          let worst =
-            List.fold_left (fun acc (_, dt, _, _) -> max acc dt) 0.0 rows
-          in
-          Printf.printf
-            "\nprior worst analysis: %d ms -> this run: %.0f ms\n%!" p
-            (worst *. 1000.0)
-      | None ->
-          Printf.printf
-            "(prior BENCH_attack.json unreadable or partial -- ignored)\n%!"));
-  let buf = Buffer.create 2048 in
   let worst_ms =
     List.fold_left (fun acc (_, dt, _, _) -> max acc (dt *. 1000.0)) 0.0 rows
   in
-  Printf.ksprintf (Buffer.add_string buf)
-    "{\n\
-    \  \"smoke\": %b,\n\
-    \  \"verified_all\": true,\n\
-    \  \"row_count\": %d,\n\
-    \  \"max_analysis_ms\": %d,\n\
-    \  \"rows\": [\n"
-    smoke (List.length rows)
-    (int_of_float (Float.round worst_ms));
-  let n = List.length rows in
-  List.iteri
-    (fun i (r, dt, stealth_len, stealth_rep) ->
-      let l = r.A.leakage in
-      Printf.ksprintf (Buffer.add_string buf)
-        "    { \"policy\": %S, \"assoc\": %d, \"states\": %d, \
-         \"eviction_set_size\": %d, \"eviction_length\": %d, \
-         \"stealthy_length\": %d, \"stealthy_repeatable\": %b, \
-         \"probe_classes\": %d, \"evicted_information\": %.6f, \
-         \"absorbed_noise\": %d, \"residual_information\": %.6f, \
-         \"analysis_ms\": %.3f, \"verified\": true }%s\n"
-        r.A.name r.A.assoc r.A.states r.A.eviction_set_size
-        r.A.eviction_length stealth_len stealth_rep l.A.probe_classes
-        l.A.evicted_information l.A.absorbed_noise l.A.residual_information
-        (dt *. 1000.0)
-        (if i = n - 1 then "" else ","))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  Cq_util.Atomic_file.write ~path:"BENCH_attack.json" (Buffer.contents buf);
-  Printf.printf "\n(wrote BENCH_attack.json)\n%!"
+  (* Prior-run trend (tolerant of missing/partial files — first runs have
+     no BENCH_attack.json at all). *)
+  (match prior_int ~smoke "BENCH_attack.json" [ "max_analysis_ms" ] with
+  | `Missing -> ()
+  | `Prior p ->
+      Printf.printf "\nprior worst analysis: %d ms -> this run: %.0f ms\n%!" p
+        worst_ms
+  | `Unreadable ->
+      Printf.printf
+        "(prior BENCH_attack.json unreadable or partial -- ignored)\n%!");
+  write_artifact ~smoke "BENCH_attack.json"
+    (Json.Obj
+       [
+         ("smoke", Json.Bool smoke);
+         ("verified_all", Json.Bool true);
+         ("row_count", Json.Int (List.length rows));
+         ("max_analysis_ms", Json.Int (int_of_float (Float.round worst_ms)));
+         ( "rows",
+           Json.List
+             (List.map
+                (fun (r, dt, stealth_len, stealth_rep) ->
+                  let l = r.A.leakage in
+                  Json.Obj
+                    [
+                      ("policy", Json.String r.A.name);
+                      ("assoc", Json.Int r.A.assoc);
+                      ("states", Json.Int r.A.states);
+                      ("eviction_set_size", Json.Int r.A.eviction_set_size);
+                      ("eviction_length", Json.Int r.A.eviction_length);
+                      ("stealthy_length", Json.Int stealth_len);
+                      ("stealthy_repeatable", Json.Bool stealth_rep);
+                      ("probe_classes", Json.Int l.A.probe_classes);
+                      ("evicted_information", num 6 l.A.evicted_information);
+                      ("absorbed_noise", Json.Int l.A.absorbed_noise);
+                      ("residual_information", num 6 l.A.residual_information);
+                      ("analysis_ms", num 3 (dt *. 1000.0));
+                      ("verified", Json.Bool true);
+                    ])
+                rows) );
+       ])
 
 (* ----------------------------------------------------------------------- *)
 (* Driver                                                                    *)

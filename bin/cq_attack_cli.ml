@@ -36,7 +36,8 @@ let verdict = function
   | `Skipped _ -> "verification skipped (--no-verify)"
   | `Unverified -> "not verified (no ground-truth policy)"
 
-let write_json path text =
+let write_json path json =
+  let text = Cq_util.Json.to_string_pretty json ^ "\n" in
   if path = "-" then print_string text
   else begin
     Out_channel.with_open_text path (fun oc ->
@@ -82,9 +83,7 @@ let run_all assoc json no_verify =
       Option.iter
         (fun path ->
           write_json path
-            ("[\n"
-            ^ String.concat ",\n" (List.map Attack.report_json reports)
-            ^ "]\n"))
+            (Cq_util.Json.List (List.map Attack.report_json reports)))
         json;
       `Ok ()
 

@@ -599,56 +599,57 @@ let verify_hwsim p r =
 
 (* --- rendering ---------------------------------------------------------- *)
 
-let js = Cq_util.Metrics.json_string
-
-let word_json w = "[" ^ String.concat ", " (List.map string_of_int w) ^ "]"
-
-let stealthy_json ~assoc st =
-  let misses = List.filter (fun i -> i = assoc) (st.setup @ st.body) in
-  Printf.sprintf
-    "{\"target\": %d, \"setup_length\": %d, \"body_length\": %d, \
-     \"misses\": %d, \"repeatable\": %b, \"setup\": %s, \"body\": %s}"
-    st.starget (List.length st.setup) (List.length st.body)
-    (List.length misses) st.repeatable (word_json st.setup)
-    (word_json st.body)
+module Json = Cq_util.Json
 
 let report_json r =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\n  \"policy\": %s,\n  \"assoc\": %d,\n  \"states\": %d,\n"
-       (js r.name) r.assoc r.states);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"eviction_set_size\": %d,\n  \"eviction_length\": %d,\n"
-       r.eviction_set_size r.eviction_length);
-  Buffer.add_string b "  \"evictions\": [";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"target\": %d, \"length\": %d, \"accesses\": %d, \"misses\": \
-            %d, \"word\": %s}"
-           e.target e.strategy.length e.strategy.accesses e.strategy.misses
-           (word_json e.strategy.word)))
-    r.evictions;
-  Buffer.add_string b "],\n";
-  (match r.stealthy with
-  | None -> Buffer.add_string b "  \"stealthy\": null,\n"
-  | Some st ->
-      Buffer.add_string b
-        (Printf.sprintf "  \"stealthy\": %s,\n"
-           (stealthy_json ~assoc:r.assoc st)));
+  let int n = Json.Int n and word w = Json.of_int_list w in
+  let stealthy st =
+    let misses = List.filter (fun i -> i = r.assoc) (st.setup @ st.body) in
+    Json.Obj
+      [
+        ("target", int st.starget);
+        ("setup_length", int (List.length st.setup));
+        ("body_length", int (List.length st.body));
+        ("misses", int (List.length misses));
+        ("repeatable", Json.Bool st.repeatable);
+        ("setup", word st.setup);
+        ("body", word st.body);
+      ]
+  in
   let l = r.leakage in
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"leakage\": {\"probe_classes\": %d, \"evicted_information\": %.6f, \
-        \"absorbed_noise\": %d, \"reachable_states\": %d, \
-        \"observation_classes\": %d, \"residual_information\": %.6f}\n}\n"
-       l.probe_classes l.evicted_information l.absorbed_noise
-       l.reachable_states l.observation_classes l.residual_information);
-  Buffer.contents b
+  Json.Obj
+    [
+      ("policy", Json.String r.name);
+      ("assoc", int r.assoc);
+      ("states", int r.states);
+      ("eviction_set_size", int r.eviction_set_size);
+      ("eviction_length", int r.eviction_length);
+      ( "evictions",
+        Json.List
+          (List.map
+             (fun e ->
+               Json.Obj
+                 [
+                   ("target", int e.target);
+                   ("length", int e.strategy.length);
+                   ("accesses", int e.strategy.accesses);
+                   ("misses", int e.strategy.misses);
+                   ("word", word e.strategy.word);
+                 ])
+             r.evictions) );
+      ( "stealthy",
+        match r.stealthy with Some st -> stealthy st | None -> Json.Null );
+      ( "leakage",
+        Json.Obj
+          [
+            ("probe_classes", int l.probe_classes);
+            ("evicted_information", Json.Float l.evicted_information);
+            ("absorbed_noise", int l.absorbed_noise);
+            ("reachable_states", int l.reachable_states);
+            ("observation_classes", int l.observation_classes);
+            ("residual_information", Json.Float l.residual_information);
+          ] );
+    ]
 
 let pp_stealthy ~assoc ppf st =
   let word w =

@@ -167,7 +167,7 @@ val verify_hwsim : Cq_policy.Policy.t -> report -> (unit, string) result
 
 (** {2 Report rendering} *)
 
-val report_json : report -> string
+val report_json : report -> Cq_util.Json.t
 val pp_report : Format.formatter -> report -> unit
 
 val pp_table : Format.formatter -> report list -> unit

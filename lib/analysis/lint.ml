@@ -359,11 +359,15 @@ let pp_finding ppf f =
   Fmt.pf ppf "%s:%d: [%s] %s@,    %s" f.file f.line f.rule f.message f.excerpt
 
 let report_json findings =
-  let js = Cq_util.Metrics.json_string in
+  let module Json = Cq_util.Json in
   let one f =
-    Printf.sprintf
-      "{\"file\": %s, \"line\": %d, \"rule\": %s, \"message\": %s, \
-       \"excerpt\": %s}"
-      (js f.file) f.line (js f.rule) (js f.message) (js f.excerpt)
+    Json.Obj
+      [
+        ("file", Json.String f.file);
+        ("line", Json.Int f.line);
+        ("rule", Json.String f.rule);
+        ("message", Json.String f.message);
+        ("excerpt", Json.String f.excerpt);
+      ]
   in
-  "[\n  " ^ String.concat ",\n  " (List.map one findings) ^ "\n]\n"
+  Json.to_string_pretty (Json.List (List.map one findings)) ^ "\n"

@@ -69,5 +69,5 @@ val lint_paths : string list -> finding list
 val pp_finding : Format.formatter -> finding -> unit
 
 val report_json : finding list -> string
-(** The findings as a JSON array (hand-rolled, like the metrics
-    exporter). *)
+(** The findings as a JSON array of
+    [{"file", "line", "rule", "message", "excerpt"}] objects. *)

@@ -383,15 +383,26 @@ let session_json s =
         ]
     | Idle | Queued -> []
   in
-  Json.Obj (base @ state_fields)
+  base @ state_fields
 
-let find_session t params =
-  match Json.mem_int "session" params with
-  | None -> Error "missing integer \"session\" field"
-  | Some sid -> (
-      match Hashtbl.find_opt t.sessions sid with
-      | Some s -> Ok s
-      | None -> Error (Printf.sprintf "unknown session %d" sid))
+(* --- typed rejections --- *)
+
+(* A verb refuses a request by raising [Reject (kind, message)];
+   [dispatch] turns it into the typed error reply in one place. *)
+exception Reject of string * string
+
+let reject kind fmt =
+  Printf.ksprintf (fun msg -> raise (Reject (kind, msg))) fmt
+
+(* The request's session, under [t.m]. *)
+let with_session t params f =
+  locked t (fun () ->
+      match Json.mem_int "session" params with
+      | None -> reject "unknown_session" "missing integer \"session\" field"
+      | Some sid -> (
+          match Hashtbl.find_opt t.sessions sid with
+          | Some s -> f s
+          | None -> reject "unknown_session" "unknown session %d" sid))
 
 let remaining_budget s =
   match s.budget with
@@ -428,18 +439,27 @@ let device t cpu seed noise =
 
 let max_idem_entries = 256
 
-let idem_find t key = locked t (fun () -> Hashtbl.find_opt t.idem key)
-
-let idem_store t key fields =
-  locked t (fun () ->
-      if not (Hashtbl.mem t.idem key) then begin
-        Hashtbl.replace t.idem key fields;
-        Queue.push key t.idem_order;
-        if Queue.length t.idem_order > max_idem_entries then begin
-          let oldest = Queue.pop t.idem_order in
-          Hashtbl.remove t.idem oldest
-        end
-      end)
+(* Run a mutating verb at most once per client-chosen "idem" key: a retry
+   across a reconnect gets the first success reply back.  Rejections
+   propagate uncached, so the client genuinely retries those. *)
+let idempotent t params f =
+  match Json.mem_str "idem" params with
+  | None -> f ()
+  | Some key -> (
+      match locked t (fun () -> Hashtbl.find_opt t.idem key) with
+      | Some fields ->
+          Metrics.incr t.c_idem_replays;
+          fields
+      | None ->
+          let fields = f () in
+          locked t (fun () ->
+              if not (Hashtbl.mem t.idem key) then begin
+                Hashtbl.replace t.idem key fields;
+                Queue.push key t.idem_order;
+                if Queue.length t.idem_order > max_idem_entries then
+                  Hashtbl.remove t.idem (Queue.pop t.idem_order)
+              end);
+          fields)
 
 (* --- the learn worker --- *)
 
@@ -670,7 +690,37 @@ let worker_loop t =
 (* --- request dispatch --- *)
 
 let reply fd ?id fields = Protocol.send fd (Protocol.ok ?id fields)
-let reply_error fd ?id ~kind msg = Protocol.send fd (Protocol.error ?id ~kind msg)
+
+let check_budget s =
+  if remaining_budget s = Some 0 then
+    reject "budget_exhausted" "session budget of %d queries spent"
+      (Option.value ~default:0 s.budget)
+
+(* One turn of the hardware token around [f]. *)
+let with_gate t f =
+  let ticket = Gate.acquire t.gate in
+  Fun.protect ~finally:(fun () -> Gate.release t.gate ticket) f
+
+(* The read-only verbs (replay, analyze) serve simulated sessions only. *)
+let sim_target verb s =
+  match s.target with
+  | Sim { policy; assoc } -> (policy, assoc)
+  | Hw _ -> reject "bad_request" "%s serves simulated sessions only" verb
+
+(* The machine a read-only verb evaluates, from its "source" field:
+   [Some] learned machine, or [None] for the session's policy.  "auto"
+   takes the learned machine once there is one. *)
+let resolve_source t s params =
+  let machine = locked t (fun () -> s.machine) in
+  match Option.value ~default:"auto" (Json.mem_str "source" params) with
+  | "learned" when Option.is_none machine ->
+      reject "bad_request" "session has no learned machine yet"
+  | "auto" | "learned" -> machine
+  | "policy" -> None
+  | _ -> reject "bad_request" "source must be \"auto\", \"policy\" or \"learned\""
+
+let source_name machine =
+  Json.String (if Option.is_none machine then "policy" else "learned")
 
 let parse_level s =
   match String.uppercase_ascii s with
@@ -680,68 +730,55 @@ let parse_level s =
   | _ -> None
 
 let parse_target params =
-  match Json.member "target" params with
-  | None -> Error "missing \"target\" object"
-  | Some target -> (
-      match Json.mem_str "kind" target with
-      | Some "sim" | Some "policy" -> (
-          let assoc = Option.value ~default:4 (Json.mem_int "assoc" target) in
-          match Json.mem_str "policy" target with
-          | None -> Error "sim target lacks a \"policy\" field"
-          | Some policy -> (
-              match Cq_policy.Zoo.make ~name:policy ~assoc with
-              | Error msg -> Error msg
-              | Ok _ -> Ok (Sim { policy; assoc })))
-      | Some "hw" -> (
-          let cpu = Option.value ~default:"skylake" (Json.mem_str "cpu" target) in
-          match Cq_hwsim.Cpu_model.by_name cpu with
-          | None -> Error (Printf.sprintf "unknown CPU %S" cpu)
-          | Some _ -> (
-              match
-                parse_level
-                  (Option.value ~default:"L1" (Json.mem_str "level" target))
-              with
-              | None -> Error "level must be L1, L2 or L3"
-              | Some level -> (
-                  (* "noise" accepts a preset name; booleans are kept for
-                     protocol-1 clients (false = quiet, true = default). *)
-                  let noise =
-                    match Json.member "noise" target with
-                    | None -> Ok "quiet"
-                    | Some (Json.Bool b) -> Ok (if b then "default" else "quiet")
-                    | Some (Json.String s) -> (
-                        match noise_preset_of_name s with
-                        | Some _ -> Ok s
-                        | None ->
-                            Error
-                              (Printf.sprintf
-                                 "unknown noise preset %S (quiet, default, \
-                                  burst, drift)"
-                                 s))
-                    | Some _ ->
-                        Error "noise must be a bool or a preset name string"
-                  in
-                  match noise with
-                  | Error _ as e -> e
-                  | Ok noise ->
-                      Ok
-                        (Hw
-                           {
-                             cpu;
-                             level;
-                             slice =
-                               Option.value ~default:0
-                                 (Json.mem_int "slice" target);
-                             set =
-                               Option.value ~default:0
-                                 (Json.mem_int "set" target);
-                             seed =
-                               Option.value ~default:42
-                                 (Json.mem_int "seed" target);
-                             noise;
-                           }))))
-      | Some k -> Error (Printf.sprintf "unknown target kind %S" k)
-      | None -> Error "target lacks a \"kind\" field")
+  let bad fmt = reject "bad_request" fmt in
+  let target =
+    match Json.member "target" params with
+    | Some target -> target
+    | None -> bad "missing \"target\" object"
+  in
+  let field get key default = Option.value ~default (get key target) in
+  match Json.mem_str "kind" target with
+  | Some ("sim" | "policy") -> (
+      let assoc = field Json.mem_int "assoc" 4 in
+      match Json.mem_str "policy" target with
+      | None -> bad "sim target lacks a \"policy\" field"
+      | Some policy -> (
+          match Cq_policy.Zoo.make ~name:policy ~assoc with
+          | Error msg -> bad "%s" msg
+          | Ok _ -> Sim { policy; assoc }))
+  | Some "hw" ->
+      let cpu = field Json.mem_str "cpu" "skylake" in
+      if Option.is_none (Cq_hwsim.Cpu_model.by_name cpu) then
+        bad "unknown CPU %S" cpu;
+      let level =
+        match parse_level (field Json.mem_str "level" "L1") with
+        | Some level -> level
+        | None -> bad "level must be L1, L2 or L3"
+      in
+      (* "noise" accepts a preset name; booleans are kept for protocol-1
+         clients (false = quiet, true = default). *)
+      let noise =
+        match Json.member "noise" target with
+        | None -> "quiet"
+        | Some (Json.Bool b) -> if b then "default" else "quiet"
+        | Some (Json.String s) when Option.is_some (noise_preset_of_name s)
+          ->
+            s
+        | Some (Json.String s) ->
+            bad "unknown noise preset %S (quiet, default, burst, drift)" s
+        | Some _ -> bad "noise must be a bool or a preset name string"
+      in
+      Hw
+        {
+          cpu;
+          level;
+          slice = field Json.mem_int "slice" 0;
+          set = field Json.mem_int "set" 0;
+          seed = field Json.mem_int "seed" 42;
+          noise;
+        }
+  | Some k -> bad "unknown target kind %S" k
+  | None -> bad "target lacks a \"kind\" field"
 
 let sanitize_name name =
   String.map
@@ -751,461 +788,332 @@ let sanitize_name name =
       | _ -> '_')
     name
 
-let v_session_create t fd id params =
-  let idem = Json.mem_str "idem" params in
-  match Option.bind idem (idem_find t) with
-  | Some fields ->
-      (* A retried create after a reconnect: replay the original success
-         instead of double-creating the session. *)
-      Metrics.incr t.c_idem_replays;
-      reply fd ~id fields
-  | None -> (
-      match parse_target params with
-      | Error msg -> reply_error fd ~id ~kind:"bad_request" msg
-      | Ok target ->
-      let result =
-        locked t (fun () ->
-            if t.stopping then Error ("shutting_down", "daemon is shutting down")
-            else begin
-              let sid = t.next_sid in
-              t.next_sid <- sid + 1;
-              let name =
-                match Json.mem_str "name" params with
-                | Some n -> sanitize_name n
-                | None -> Printf.sprintf "session-%d" sid
-              in
-              let clash =
-                Hashtbl.fold
-                  (fun _ s acc -> acc || s.name = name)
-                  t.sessions false
-              in
-              if clash then
-                Error
-                  ( "bad_request",
-                    Printf.sprintf "session name %S already in use" name )
-              else begin
-                let s =
-                  {
-                    sid;
-                    name;
-                    target;
-                    snapshot_path =
-                      Filename.concat t.cfg.state_dir (name ^ ".snap");
-                    budget = Json.mem_int "query_budget" params;
-                    queries_used = 0;
-                    refs = 1;
-                    state = Idle;
-                    cancel_requested = false;
-                    learn_resume = false;
-                    kill_after = None;
-                    learn_budget = None;
-                    machine = None;
-                    learned_assoc =
-                      (match target with
-                      | Sim { assoc; _ } -> Some assoc
-                      | Hw _ -> None);
-                    sim_polca = None;
-                    hw_frontend = None;
-                    events = [];
-                    next_seq = 0;
-                    last_progress = 0;
-                  }
-                in
-                Hashtbl.replace t.sessions sid s;
-                publish_locked t s "created" [];
-                Ok s
-              end
-            end)
-      in
-      match result with
-      | Error (kind, msg) -> reply_error fd ~id ~kind msg
-      | Ok s ->
-          let fields =
-            [
-              ("session", Json.Int s.sid);
-              ("name", Json.String s.name);
-              ("snapshot", Json.String s.snapshot_path);
-            ]
-          in
-          (match idem with
-          | Some key -> idem_store t key fields
-          | None -> ());
-          reply fd ~id fields)
+(* --- verbs: each takes the request params and returns reply fields --- *)
 
-let v_learn_start t fd id params =
-  let idem = Json.mem_str "idem" params in
-  match Option.bind idem (idem_find t) with
-  | Some fields ->
-      (* Retried across a daemon failover: the learn was already queued
-         by the original request — replay, don't double-start. *)
-      Metrics.incr t.c_idem_replays;
-      reply fd ~id fields
-  | None -> (
-      let result =
+let v_session_create t params =
+  idempotent t params (fun () ->
+      let target = parse_target params in
+      let s =
         locked t (fun () ->
-            match find_session t params with
-            | Error msg -> Error ("unknown_session", msg)
-            | Ok s -> (
-                if t.stopping then
-                  Error ("shutting_down", "daemon is shutting down")
-                else
-                  match s.state with
-                  | Queued | Running _ ->
-                      Metrics.incr t.c_busy;
-                      Error
-                        ("busy", "a learn is already in progress on this session")
-                  | Idle | Done _ | Failed _ ->
-                      if t.inflight >= t.cfg.max_inflight then begin
-                        Metrics.incr t.c_busy;
-                        Error
-                          ( "busy",
-                            Printf.sprintf
-                              "server at capacity (%d learns in flight)"
-                              t.inflight )
-                      end
-                      else if remaining_budget s = Some 0 then
-                        Error
-                          ( "budget_exhausted",
-                            Printf.sprintf "session budget of %d queries spent"
-                              (Option.value ~default:0 s.budget) )
-                      else if not (Cq_util.Breaker.allow t.breaker) then begin
-                        (* Load shedding: the backend keeps failing — a
-                           fast typed rejection beats a slot in a queue
-                           that cannot drain. *)
-                        Metrics.incr t.c_degraded;
-                        Error
-                          ( "degraded",
-                            "hardware backend degraded (circuit breaker \
-                             open); retry after the cooldown" )
-                      end
-                      else begin
-                        s.learn_resume <-
-                          Option.value ~default:false
-                            (Json.mem_bool "resume" params);
-                        s.kill_after <- Json.mem_int "kill_after_queries" params;
-                        s.learn_budget <- Json.mem_int "query_budget" params;
-                        s.cancel_requested <- false;
-                        s.state <- Queued;
-                        t.inflight <- t.inflight + 1;
-                        Metrics.incr t.c_learns_started;
-                        Queue.push s.sid t.queue;
-                        publish_locked t s "queued" [];
-                        Condition.signal t.work_available;
-                        Ok s.sid
-                      end))
+            if t.stopping then reject "shutting_down" "daemon is shutting down";
+            let sid = t.next_sid in
+            let taken name =
+              Hashtbl.fold (fun _ s acc -> acc || s.name = name) t.sessions false
+            in
+            let name =
+              match Json.mem_str "name" params with
+              | Some n ->
+                  let name = sanitize_name n in
+                  if taken name then
+                    reject "bad_request" "session name %S already in use" name;
+                  name
+              | None ->
+                  (* A client may have claimed "session-<sid>" by name
+                     already: suffix the default until it is free. *)
+                  let rec free k =
+                    let name =
+                      if k = 0 then Printf.sprintf "session-%d" sid
+                      else Printf.sprintf "session-%d.%d" sid k
+                    in
+                    if taken name then free (k + 1) else name
+                  in
+                  free 0
+            in
+            t.next_sid <- sid + 1;
+            let s =
+              {
+                sid;
+                name;
+                target;
+                snapshot_path = Filename.concat t.cfg.state_dir (name ^ ".snap");
+                budget = Json.mem_int "query_budget" params;
+                queries_used = 0;
+                refs = 1;
+                state = Idle;
+                cancel_requested = false;
+                learn_resume = false;
+                kill_after = None;
+                learn_budget = None;
+                machine = None;
+                learned_assoc =
+                  (match target with Sim { assoc; _ } -> Some assoc | Hw _ -> None);
+                sim_polca = None;
+                hw_frontend = None;
+                events = [];
+                next_seq = 0;
+                last_progress = 0;
+              }
+            in
+            Hashtbl.replace t.sessions sid s;
+            publish_locked t s "created" [];
+            s)
       in
-      match result with
-      | Error (kind, msg) -> reply_error fd ~id ~kind msg
-      | Ok sid ->
-          let fields =
-            [ ("session", Json.Int sid); ("state", Json.String "queued") ]
-          in
-          (match idem with
-          | Some key -> idem_store t key fields
-          | None -> ());
-          reply fd ~id fields)
+      [
+        ("session", Json.Int s.sid);
+        ("name", Json.String s.name);
+        ("snapshot", Json.String s.snapshot_path);
+      ])
 
-let v_learn_cancel t fd id params =
-  let result =
-    locked t (fun () ->
-        match find_session t params with
-        | Error msg -> Error ("unknown_session", msg)
-        | Ok s -> (
-            match s.state with
-            | Running _ ->
-                s.cancel_requested <- true;
-                Ok "cancelling"
-            | Queued ->
-                (* Never started: pull it out of the queue directly. *)
-                let keep = Queue.create () in
-                Queue.iter
-                  (fun sid -> if sid <> s.sid then Queue.push sid keep)
-                  t.queue;
-                Queue.clear t.queue;
-                Queue.transfer keep t.queue;
-                t.inflight <- t.inflight - 1;
-                s.state <-
-                  Failed
-                    {
-                      kind = "cancelled";
-                      detail = "cancelled before starting";
-                      snapshot = None;
-                    };
-                publish_locked t s "failed"
-                  [ ("failure", Json.String "cancelled") ];
-                Ok "cancelled"
-            | Idle | Done _ | Failed _ ->
-                Error ("bad_request", "no learn in progress")))
+let v_session_drop t params =
+  with_session t params (fun s ->
+      (match s.state with
+      | Queued | Running _ -> reject "busy" "session has a learn in progress"
+      | Idle | Done _ | Failed _ -> Hashtbl.remove t.sessions s.sid);
+      [ ("dropped", Json.Int s.sid) ])
+
+let v_session_result t params =
+  let digest, states, m, assoc =
+    with_session t params (fun s ->
+        match (s.state, s.machine) with
+        | Done d, Some m -> (d.digest, d.states, m, s.learned_assoc)
+        | _ -> reject "no_result" "session has no completed learn")
   in
-  match result with
-  | Error (kind, msg) -> reply_error fd ~id ~kind msg
-  | Ok state -> reply fd ~id [ ("state", Json.String state) ]
+  let dot =
+    if Option.value ~default:false (Json.mem_bool "dot" params) then
+      let assoc =
+        match assoc with
+        | Some a -> a
+        | None -> Cq_automata.Mealy.n_inputs m - 1
+      in
+      [
+        ( "dot",
+          Json.String
+            (Cq_automata.Mealy.to_dot
+               ~input_label:(Cq_policy.Types.input_label ~assoc)
+               ~output_label:Cq_policy.Types.output_label m) );
+      ]
+    else []
+  in
+  [ ("digest", Json.String digest); ("states", Json.Int states) ] @ dot
 
-let v_learn_wait t fd id params =
-  let timeout = Json.member "timeout_s" params in
-  let timeout = Option.bind timeout Json.to_float in
+let v_learn_start t params =
+  (* A retried start across a daemon failover replays the original reply
+     instead of queueing the learn twice. *)
+  idempotent t params (fun () ->
+      with_session t params (fun s ->
+          if t.stopping then reject "shutting_down" "daemon is shutting down";
+          let busy fmt =
+            Metrics.incr t.c_busy;
+            reject "busy" fmt
+          in
+          (match s.state with
+          | Queued | Running _ ->
+              busy "a learn is already in progress on this session"
+          | Idle | Done _ | Failed _ -> ());
+          if t.inflight >= t.cfg.max_inflight then
+            busy "server at capacity (%d learns in flight)" t.inflight;
+          check_budget s;
+          if not (Cq_util.Breaker.allow t.breaker) then begin
+            (* Load shedding: the backend keeps failing — a fast typed
+               rejection beats a slot in a queue that cannot drain. *)
+            Metrics.incr t.c_degraded;
+            reject "degraded"
+              "hardware backend degraded (circuit breaker open); retry \
+               after the cooldown"
+          end;
+          s.learn_resume <-
+            Option.value ~default:false (Json.mem_bool "resume" params);
+          s.kill_after <- Json.mem_int "kill_after_queries" params;
+          s.learn_budget <- Json.mem_int "query_budget" params;
+          s.cancel_requested <- false;
+          s.state <- Queued;
+          t.inflight <- t.inflight + 1;
+          Metrics.incr t.c_learns_started;
+          Queue.push s.sid t.queue;
+          publish_locked t s "queued" [];
+          Condition.signal t.work_available;
+          [ ("session", Json.Int s.sid); ("state", Json.String "queued") ]))
+
+let v_learn_cancel t params =
+  with_session t params (fun s ->
+      let state =
+        match s.state with
+        | Running _ ->
+            s.cancel_requested <- true;
+            "cancelling"
+        | Queued ->
+            (* Never started: pull it out of the queue directly. *)
+            let keep = Queue.create () in
+            Queue.iter
+              (fun sid -> if sid <> s.sid then Queue.push sid keep)
+              t.queue;
+            Queue.clear t.queue;
+            Queue.transfer keep t.queue;
+            t.inflight <- t.inflight - 1;
+            s.state <-
+              Failed
+                {
+                  kind = "cancelled";
+                  detail = "cancelled before starting";
+                  snapshot = None;
+                };
+            publish_locked t s "failed" [ ("failure", Json.String "cancelled") ];
+            "cancelled"
+        | Idle | Done _ | Failed _ -> reject "bad_request" "no learn in progress"
+      in
+      [ ("state", Json.String state) ])
+
+let v_learn_wait t params =
   let deadline =
-    match timeout with Some s -> Clock.after s | None -> Clock.no_deadline
+    match Option.bind (Json.member "timeout_s" params) Json.to_float with
+    | Some s -> Clock.after s
+    | None -> Clock.no_deadline
   in
   let rec wait () =
     let status =
-      locked t (fun () ->
-          match find_session t params with
-          | Error msg -> Some (Error ("unknown_session", msg))
-          | Ok s -> (
-              match s.state with
-              | Done _ | Failed _ | Idle -> Some (Ok (session_json s, false))
-              | Queued | Running _ ->
-                  if t.stopping then Some (Ok (session_json s, false))
-                  else if Clock.expired deadline then
-                    Some (Ok (session_json s, true))
-                  else None))
+      with_session t params (fun s ->
+          let settled =
+            match s.state with
+            | Done _ | Failed _ | Idle -> true
+            | Queued | Running _ -> t.stopping
+          in
+          let timed_out = (not settled) && Clock.expired deadline in
+          if settled || timed_out then
+            Some (session_json s @ [ ("timed_out", Json.Bool timed_out) ])
+          else None)
     in
     match status with
-    | Some r -> r
+    | Some fields -> fields
     | None ->
         Thread.delay 0.02;
         wait ()
   in
-  match wait () with
-  | Error (kind, msg) -> reply_error fd ~id ~kind msg
-  | Ok (json, timed_out) ->
-      let fields =
-        match json with Json.Obj f -> f | other -> [ ("status", other) ]
-      in
-      reply fd ~id (fields @ [ ("timed_out", Json.Bool timed_out) ])
-
-let v_session_result t fd id params =
-  let want_dot = Option.value ~default:false (Json.mem_bool "dot" params) in
-  let result =
-    locked t (fun () ->
-        match find_session t params with
-        | Error msg -> Error ("unknown_session", msg)
-        | Ok s -> (
-            match (s.state, s.machine) with
-            | Done d, Some m -> Ok (d.digest, d.states, m, s.learned_assoc)
-            | _ -> Error ("no_result", "session has no completed learn")))
-  in
-  match result with
-  | Error (kind, msg) -> reply_error fd ~id ~kind msg
-  | Ok (digest, states, m, assoc) ->
-      let dot =
-        if want_dot then
-          let assoc =
-            match assoc with
-            | Some a -> a
-            | None -> Cq_automata.Mealy.n_inputs m - 1
-          in
-          [
-            ( "dot",
-              Json.String
-                (Cq_automata.Mealy.to_dot
-                   ~input_label:(Cq_policy.Types.input_label ~assoc)
-                   ~output_label:Cq_policy.Types.output_label m) );
-          ]
-        else []
-      in
-      reply fd ~id
-        ([ ("digest", Json.String digest); ("states", Json.Int states) ] @ dot)
+  wait ()
 
 (* Membership queries: one hardware interaction under the gate, counted
    against the session budget. *)
-let v_query t fd id params =
-  let checked =
-    locked t (fun () ->
-        match find_session t params with
-        | Error msg -> Error ("unknown_session", msg)
-        | Ok s ->
-            if remaining_budget s = Some 0 then
-              Error
-                ( "budget_exhausted",
-                  Printf.sprintf "session budget of %d queries spent"
-                    (Option.value ~default:0 s.budget) )
-            else Ok s)
+let v_query t params =
+  let s =
+    with_session t params (fun s ->
+        check_budget s;
+        s)
   in
-  match checked with
-  | Error (kind, msg) -> reply_error fd ~id ~kind msg
-  | Ok s -> (
-      match s.target with
-      | Sim { policy; assoc } -> (
-          match Option.bind (Json.member "word" params) Json.int_list with
-          | None ->
-              reply_error fd ~id ~kind:"bad_request"
-                "sim query needs a \"word\" list of integers"
-          | Some word ->
-              let n = assoc + 1 in
-              if List.exists (fun i -> i < 0 || i >= n) word then
-                reply_error fd ~id ~kind:"bad_request"
-                  (Printf.sprintf "word symbols must be in 0..%d" (n - 1))
-              else begin
-                let ticket = Gate.acquire t.gate in
-                let outputs =
-                  Fun.protect
-                    ~finally:(fun () -> Gate.release t.gate ticket)
-                    (fun () ->
-                      let polca =
-                        match s.sim_polca with
-                        | Some p -> p
-                        | None ->
-                            let p =
-                              Cq_core.Polca.create ~check_hits:false
-                                (Cq_cache.Oracle.of_policy
-                                   (Cq_policy.Zoo.make_exn ~name:policy ~assoc))
-                            in
-                            s.sim_polca <- Some p;
-                            p
-                      in
-                      Cq_core.Polca.run polca word)
-                in
-                locked t (fun () -> s.queries_used <- s.queries_used + 1);
-                reply fd ~id
-                  [
-                    ( "outputs",
-                      Json.List
-                        (List.map
-                           (fun o ->
-                             Json.String (Cq_policy.Types.output_label o))
-                           outputs) );
-                  ]
-              end)
-      | Hw { cpu; level; slice; set; seed; noise } -> (
-          match Json.mem_str "mbl" params with
-          | None ->
-              reply_error fd ~id ~kind:"bad_request"
-                "hw query needs an \"mbl\" expression string"
-          | Some mbl -> (
-              let ticket = Gate.acquire t.gate in
-              match
-                Fun.protect
-                  ~finally:(fun () -> Gate.release t.gate ticket)
-                  (fun () ->
-                    let frontend =
-                      match s.hw_frontend with
-                      | Some f -> f
-                      | None ->
-                          let machine = device t cpu seed noise in
-                          let backend =
-                            Cq_cachequery.Backend.create machine
-                              { Cq_cachequery.Backend.level; slice; set }
-                          in
-                          ignore (Cq_cachequery.Backend.calibrate backend);
-                          let f = Cq_cachequery.Frontend.create backend in
-                          s.hw_frontend <- Some f;
-                          f
+  match s.target with
+  | Sim { policy; assoc } ->
+      let word =
+        match Option.bind (Json.member "word" params) Json.int_list with
+        | Some word -> word
+        | None ->
+            reject "bad_request" "sim query needs a \"word\" list of integers"
+      in
+      if List.exists (fun i -> i < 0 || i > assoc) word then
+        reject "bad_request" "word symbols must be in 0..%d" assoc;
+      let outputs =
+        with_gate t (fun () ->
+            let polca =
+              match s.sim_polca with
+              | Some p -> p
+              | None ->
+                  let p =
+                    Cq_core.Polca.create ~check_hits:false
+                      (Cq_cache.Oracle.of_policy
+                         (Cq_policy.Zoo.make_exn ~name:policy ~assoc))
+                  in
+                  s.sim_polca <- Some p;
+                  p
+            in
+            Cq_core.Polca.run polca word)
+      in
+      locked t (fun () -> s.queries_used <- s.queries_used + 1);
+      [
+        ( "outputs",
+          Json.List
+            (List.map
+               (fun o -> Json.String (Cq_policy.Types.output_label o))
+               outputs) );
+      ]
+  | Hw { cpu; level; slice; set; seed; noise } ->
+      let mbl =
+        match Json.mem_str "mbl" params with
+        | Some mbl -> mbl
+        | None ->
+            reject "bad_request" "hw query needs an \"mbl\" expression string"
+      in
+      let results =
+        match
+          with_gate t (fun () ->
+              let frontend =
+                match s.hw_frontend with
+                | Some f -> f
+                | None ->
+                    let machine = device t cpu seed noise in
+                    let backend =
+                      Cq_cachequery.Backend.create machine
+                        { Cq_cachequery.Backend.level; slice; set }
                     in
-                    Cq_cachequery.Frontend.run_mbl frontend mbl)
-              with
-              | results ->
-                  locked t (fun () ->
-                      s.queries_used <- s.queries_used + List.length results);
-                  reply fd ~id
-                    [
-                      ( "results",
-                        Json.List
-                          (List.map
-                             (fun (q, rs) ->
-                               Json.Obj
-                                 [
-                                   ( "query",
-                                     Json.String
-                                       (Cq_mbl.Expand.query_to_string q) );
-                                   ( "outcomes",
-                                     Json.List
-                                       (List.map
-                                          (fun r ->
-                                            Json.String
-                                              (match r with
-                                              | Cq_cache.Cache_set.Hit -> "Hit"
-                                              | Cq_cache.Cache_set.Miss ->
-                                                  "Miss"))
-                                          rs) );
-                                 ])
-                             results) );
-                    ]
-              | exception e ->
-                  reply_error fd ~id ~kind:"bad_request"
-                    (Printexc.to_string e))))
+                    ignore (Cq_cachequery.Backend.calibrate backend);
+                    let f = Cq_cachequery.Frontend.create backend in
+                    s.hw_frontend <- Some f;
+                    f
+              in
+              Cq_cachequery.Frontend.run_mbl frontend mbl)
+        with
+        | results -> results
+        | exception e -> reject "bad_request" "%s" (Printexc.to_string e)
+      in
+      locked t (fun () ->
+          s.queries_used <- s.queries_used + List.length results);
+      let outcome = function
+        | Cq_cache.Cache_set.Hit -> Json.String "Hit"
+        | Cq_cache.Cache_set.Miss -> Json.String "Miss"
+      in
+      [
+        ( "results",
+          Json.List
+            (List.map
+               (fun (q, rs) ->
+                 Json.Obj
+                   [
+                     ("query", Json.String (Cq_mbl.Expand.query_to_string q));
+                     ("outcomes", Json.List (List.map outcome rs));
+                   ])
+               results) );
+      ]
 
 (* Workload replay served by the daemon: evaluate a trace spec against
    the session's policy (or its learned machine, once a learn is done)
    and the Belady-OPT bound.  One gate turn covers the whole trace —
    replay is a read-only evaluation, not a hardware interaction, so it
    does not charge the query budget. *)
-let v_replay t fd id params =
-  let checked =
-    locked t (fun () ->
-        match find_session t params with
-        | Error msg -> Error ("unknown_session", msg)
-        | Ok s -> Ok s)
+let v_replay t params =
+  let s = with_session t params Fun.id in
+  let policy, assoc = sim_target "replay" s in
+  let spec =
+    match Json.mem_str "spec" params with
+    | Some spec -> spec
+    | None ->
+        reject "bad_request" "replay needs a \"spec\" string (%s)"
+          Cq_workload.Trace.spec_syntax
   in
-  match checked with
-  | Error (kind, msg) -> reply_error fd ~id ~kind msg
-  | Ok s -> (
-      match s.target with
-      | Hw _ ->
-          reply_error fd ~id ~kind:"bad_request"
-            "replay serves simulated sessions only"
-      | Sim { policy; assoc } -> (
-          match Json.mem_str "spec" params with
-          | None ->
-              reply_error fd ~id ~kind:"bad_request"
-                (Printf.sprintf "replay needs a \"spec\" string (%s)"
-                   Cq_workload.Trace.spec_syntax)
-          | Some spec -> (
-              match Cq_workload.Trace.of_spec ~assoc spec with
-              | Error msg -> reply_error fd ~id ~kind:"bad_request" msg
-              | Ok tr -> (
-                  let source =
-                    Option.value ~default:"auto" (Json.mem_str "source" params)
-                  in
-                  let machine = locked t (fun () -> s.machine) in
-                  match (source, machine) with
-                  | "learned", None ->
-                      reply_error fd ~id ~kind:"bad_request"
-                        "session has no learned machine yet"
-                  | (("auto" | "learned" | "policy") as source), _ ->
-                      let blocks = tr.Cq_workload.Trace.blocks in
-                      let use_learned =
-                        source <> "policy" && machine <> None
-                      in
-                      let ticket = Gate.acquire t.gate in
-                      let outcome =
-                        Fun.protect
-                          ~finally:(fun () -> Gate.release t.gate ticket)
-                          (fun () ->
-                            if use_learned then
-                              let m = Option.get machine in
-                              Cq_workload.Replay.compiled
-                                (Cq_automata.Mealy.compile m)
-                                blocks
-                            else
-                              Cq_workload.Replay.policy
-                                (Cq_policy.Zoo.make_exn ~name:policy ~assoc)
-                                blocks)
-                      in
-                      let opt = Cq_workload.Opt.replay ~assoc blocks in
-                      reply fd ~id
-                        [
-                          ("spec", Json.String tr.Cq_workload.Trace.spec);
-                          ("trace", Json.String tr.Cq_workload.Trace.label);
-                          ( "source",
-                            Json.String
-                              (if use_learned then "learned" else "policy") );
-                          ("accesses", Json.Int (Array.length blocks));
-                          ("hits", Json.Int outcome.Cq_workload.Replay.hits);
-                          ( "misses",
-                            Json.Int outcome.Cq_workload.Replay.misses );
-                          ( "hit_rate",
-                            Json.Float (Cq_workload.Replay.hit_rate outcome)
-                          );
-                          ( "opt_hits",
-                            Json.Int opt.Cq_workload.Replay.hits );
-                          ( "opt_hit_rate",
-                            Json.Float (Cq_workload.Replay.hit_rate opt) );
-                        ]
-                  | _ ->
-                      reply_error fd ~id ~kind:"bad_request"
-                        "source must be \"auto\", \"policy\" or \"learned\""))))
+  let tr =
+    match Cq_workload.Trace.of_spec ~assoc spec with
+    | Ok tr -> tr
+    | Error msg -> reject "bad_request" "%s" msg
+  in
+  let machine = resolve_source t s params in
+  let blocks = tr.Cq_workload.Trace.blocks in
+  let outcome =
+    with_gate t (fun () ->
+        match machine with
+        | Some m ->
+            Cq_workload.Replay.compiled (Cq_automata.Mealy.compile m) blocks
+        | None ->
+            Cq_workload.Replay.policy
+              (Cq_policy.Zoo.make_exn ~name:policy ~assoc)
+              blocks)
+  in
+  let opt = Cq_workload.Opt.replay ~assoc blocks in
+  [
+    ("spec", Json.String tr.Cq_workload.Trace.spec);
+    ("trace", Json.String tr.Cq_workload.Trace.label);
+    ("source", source_name machine);
+    ("accesses", Json.Int (Array.length blocks));
+    ("hits", Json.Int outcome.Cq_workload.Replay.hits);
+    ("misses", Json.Int outcome.Cq_workload.Replay.misses);
+    ("hit_rate", Json.Float (Cq_workload.Replay.hit_rate outcome));
+    ("opt_hits", Json.Int opt.Cq_workload.Replay.hits);
+    ("opt_hit_rate", Json.Float (Cq_workload.Replay.hit_rate opt));
+  ]
 
 (* Static security analysis served by the daemon: run Cq_analysis.Attack
    over the session's policy automaton (or its learned machine, once a
@@ -1213,149 +1121,91 @@ let v_replay t fd id params =
    the replay paths and hwsim, and reply with the attack-cost and
    leakage summary.  Like replay: read-only, one gate turn, no query
    budget charged. *)
-let v_analyze t fd id params =
-  let checked =
-    locked t (fun () ->
-        match find_session t params with
-        | Error msg -> Error ("unknown_session", msg)
-        | Ok s -> Ok s)
+let v_analyze t params =
+  let module A = Cq_analysis.Attack in
+  let s = with_session t params Fun.id in
+  let policy, assoc = sim_target "analyze" s in
+  let machine = resolve_source t s params in
+  let p = Cq_policy.Zoo.make_exn ~name:policy ~assoc in
+  let report, verified =
+    with_gate t (fun () ->
+        let report =
+          match machine with
+          | Some m -> A.analyze ~name:policy m
+          | None -> A.analyze_policy p
+        in
+        match (A.verify p report, A.verify_hwsim p report) with
+        | Ok (), Ok () -> (report, Ok ())
+        | Error e, _ | _, Error e -> (report, Error e))
   in
-  match checked with
-  | Error (kind, msg) -> reply_error fd ~id ~kind msg
-  | Ok s -> (
-      match s.target with
-      | Hw _ ->
-          reply_error fd ~id ~kind:"bad_request"
-            "analyze serves simulated sessions only"
-      | Sim { policy; assoc } -> (
-          let source =
-            Option.value ~default:"auto" (Json.mem_str "source" params)
-          in
-          let machine = locked t (fun () -> s.machine) in
-          match (source, machine) with
-          | "learned", None ->
-              reply_error fd ~id ~kind:"bad_request"
-                "session has no learned machine yet"
-          | (("auto" | "learned" | "policy") as source), _ -> (
-              let use_learned = source <> "policy" && machine <> None in
-              let p = Cq_policy.Zoo.make_exn ~name:policy ~assoc in
-              let ticket = Gate.acquire t.gate in
-              let outcome =
-                Fun.protect
-                  ~finally:(fun () -> Gate.release t.gate ticket)
-                  (fun () ->
-                    let report =
-                      if use_learned then
-                        Cq_analysis.Attack.analyze ~name:policy
-                          (Option.get machine)
-                      else Cq_analysis.Attack.analyze_policy p
-                    in
-                    let verified =
-                      match
-                        ( Cq_analysis.Attack.verify p report,
-                          Cq_analysis.Attack.verify_hwsim p report )
-                      with
-                      | Ok (), Ok () -> Ok ()
-                      | Error e, _ | _, Error e -> Error e
-                    in
-                    (report, verified))
-              in
-              match outcome with
-              | report, Ok () ->
-                  let module A = Cq_analysis.Attack in
-                  let l = report.A.leakage in
-                  reply fd ~id
-                    ([
-                       ( "source",
-                         Json.String
-                           (if use_learned then "learned" else "policy") );
-                       ("policy", Json.String policy);
-                       ("assoc", Json.Int report.A.assoc);
-                       ("states", Json.Int report.A.states);
-                       ( "eviction_set_size",
-                         Json.Int report.A.eviction_set_size );
-                       ("eviction_length", Json.Int report.A.eviction_length);
-                       ("probe_classes", Json.Int l.A.probe_classes);
-                       ( "evicted_information",
-                         Json.Float l.A.evicted_information );
-                       ("absorbed_noise", Json.Int l.A.absorbed_noise);
-                       ( "residual_information",
-                         Json.Float l.A.residual_information );
-                       ("verified", Json.Int 1);
-                     ]
-                    @
-                    match report.A.stealthy with
-                    | None -> [ ("stealthy", Json.Null) ]
-                    | Some st ->
-                        [
-                          ( "stealthy_length",
-                            Json.Int
-                              (List.length st.A.setup
-                              + List.length st.A.body) );
-                          ("stealthy_repeatable", Json.Bool st.A.repeatable);
-                        ])
-              | _, Error msg ->
-                  reply_error fd ~id ~kind:"internal"
-                    ("synthesized sequence failed dynamic verification: "
-                    ^ msg))
-          | _ ->
-              reply_error fd ~id ~kind:"bad_request"
-                "source must be \"auto\", \"policy\" or \"learned\""))
+  (match verified with
+  | Ok () -> ()
+  | Error msg ->
+      reject "internal" "synthesized sequence failed dynamic verification: %s"
+        msg);
+  let l = report.A.leakage in
+  [
+    ("source", source_name machine);
+    ("policy", Json.String policy);
+    ("assoc", Json.Int report.A.assoc);
+    ("states", Json.Int report.A.states);
+    ("eviction_set_size", Json.Int report.A.eviction_set_size);
+    ("eviction_length", Json.Int report.A.eviction_length);
+    ("probe_classes", Json.Int l.A.probe_classes);
+    ("evicted_information", Json.Float l.A.evicted_information);
+    ("absorbed_noise", Json.Int l.A.absorbed_noise);
+    ("residual_information", Json.Float l.A.residual_information);
+    ("verified", Json.Int 1);
+  ]
+  @
+  match report.A.stealthy with
+  | None -> [ ("stealthy", Json.Null) ]
+  | Some st ->
+      [
+        ( "stealthy_length",
+          Json.Int (List.length st.A.setup + List.length st.A.body) );
+        ("stealthy_repeatable", Json.Bool st.A.repeatable);
+      ]
 
-let v_events t fd id params =
+(* The one streaming verb: a [subscribed] reply, then every event from
+   sequence [from] on, then an [end] event once the learn is settled (or
+   at once without [follow]). *)
+let v_events t fd ~id params =
   let from = Option.value ~default:0 (Json.mem_int "from" params) in
   let follow = Option.value ~default:true (Json.mem_bool "follow" params) in
-  let sid =
-    locked t (fun () ->
-        match find_session t params with
-        | Error msg -> Error ("unknown_session", msg)
-        | Ok s -> Ok s.sid)
-  in
-  match sid with
-  | Error (kind, msg) -> reply_error fd ~id ~kind msg
-  | Ok sid ->
-      reply fd ~id [ ("subscribed", Json.Int sid) ];
-      let next = ref from in
-      let rec stream () =
-        let batch, finished =
-          locked t (fun () ->
-              match Hashtbl.find_opt t.sessions sid with
-              | None -> ([], true)
-              | Some s ->
-                  let fresh =
-                    List.filter (fun (seq, _) -> seq >= !next) s.events
-                    |> List.sort (fun (a, _) (b, _) -> compare a b)
-                  in
-                  let terminal =
-                    match s.state with
-                    | Done _ | Failed _ | Idle -> true
-                    | Queued | Running _ -> false
-                  in
-                  (fresh, (terminal && not follow) || terminal))
-        in
-        List.iter
-          (fun (seq, fields) ->
-            next := seq + 1;
-            Protocol.send fd (Protocol.event fields))
-          batch;
-        let stop_now =
-          locked t (fun () -> t.stopping)
-          || (finished && batch = [])
-          || not follow
-        in
-        if stop_now then
-          Protocol.send fd (Protocol.event [ ("type", Json.String "end") ])
-        else begin
-          Thread.delay 0.02;
-          stream ()
-        end
-      in
+  let sid = with_session t params (fun s -> s.sid) in
+  reply fd ~id [ ("subscribed", Json.Int sid) ];
+  let next = ref from in
+  let rec stream () =
+    let batch, terminal =
+      locked t (fun () ->
+          match Hashtbl.find_opt t.sessions sid with
+          | None -> ([], true)
+          | Some s ->
+              ( List.filter (fun (seq, _) -> seq >= !next) s.events
+                |> List.sort (fun (a, _) (b, _) -> compare a b),
+                match s.state with
+                | Done _ | Failed _ | Idle -> true
+                | Queued | Running _ -> false ))
+    in
+    List.iter
+      (fun (seq, fields) ->
+        next := seq + 1;
+        Protocol.send fd (Protocol.event fields))
+      batch;
+    if locked t (fun () -> t.stopping) || (terminal && batch = []) || not follow
+    then Protocol.send fd (Protocol.event [ ("type", Json.String "end") ])
+    else begin
+      Thread.delay 0.02;
       stream ()
+    end
+  in
+  stream ()
 
 (* Liveness + degradation in one reply: gate depth (hardware contention),
    inflight vs capacity, breaker state, snapshot-disk headroom, and the
    armed fault sites (so a chaos run can audit its own schedule). *)
-let v_health t fd id =
+let v_health t _params =
   let gate_depth = Gate.depth t.gate in
   let sessions, inflight, stopping =
     locked t (fun () -> (Hashtbl.length t.sessions, t.inflight, t.stopping))
@@ -1377,123 +1227,103 @@ let v_health t fd id =
                  ])
              (Cq_util.Faults.counts f))
   in
-  reply fd ~id
-    [
-      ("status", Json.String (if degraded then "degraded" else "ok"));
-      ("breaker", Json.String (Cq_util.Breaker.state_to_string breaker));
-      ("breaker_trips", Json.Int (Cq_util.Breaker.trips t.breaker));
-      ("breaker_rejections", Json.Int (Cq_util.Breaker.rejections t.breaker));
-      ("gate_depth", Json.Int gate_depth);
-      ("inflight", Json.Int inflight);
-      ("max_inflight", Json.Int t.cfg.max_inflight);
-      ("sessions", Json.Int sessions);
-      ("stopping", Json.Bool stopping);
-      ("uptime_seconds", Json.Float (Clock.mono () -. t.started_at));
-      ("state_dir", Json.String t.cfg.state_dir);
-      ( "disk_free_bytes",
-        match Cq_util.Disk.free_bytes t.cfg.state_dir with
-        | Some b -> Json.Int (Int64.to_int b)
-        | None -> Json.Null );
-      ("fault_sites", fault_sites);
-    ]
+  [
+    ("status", Json.String (if degraded then "degraded" else "ok"));
+    ("breaker", Json.String (Cq_util.Breaker.state_to_string breaker));
+    ("breaker_trips", Json.Int (Cq_util.Breaker.trips t.breaker));
+    ("breaker_rejections", Json.Int (Cq_util.Breaker.rejections t.breaker));
+    ("gate_depth", Json.Int gate_depth);
+    ("inflight", Json.Int inflight);
+    ("max_inflight", Json.Int t.cfg.max_inflight);
+    ("sessions", Json.Int sessions);
+    ("stopping", Json.Bool stopping);
+    ("uptime_seconds", Json.Float (Clock.mono () -. t.started_at));
+    ("state_dir", Json.String t.cfg.state_dir);
+    ( "disk_free_bytes",
+      match Cq_util.Disk.free_bytes t.cfg.state_dir with
+      | Some b -> Json.Int (Int64.to_int b)
+      | None -> Json.Null );
+    ("fault_sites", fault_sites);
+  ]
 
-let v_stats t fd id =
+let v_stats t _params =
   let sessions, inflight =
     locked t (fun () -> (Hashtbl.length t.sessions, t.inflight))
   in
-  let metrics_json =
-    match Json.parse_opt (Metrics.to_json t.registry) with
-    | Some j -> j
-    | None -> Json.Null
-  in
-  reply fd ~id
-    [
-      ("sessions", Json.Int sessions);
-      ("inflight", Json.Int inflight);
-      ("uptime_seconds", Json.Float (Clock.mono () -. t.started_at));
-      ("metrics", metrics_json);
-    ]
+  [
+    ("sessions", Json.Int sessions);
+    ("inflight", Json.Int inflight);
+    ("uptime_seconds", Json.Float (Clock.mono () -. t.started_at));
+    ("metrics", Metrics.json t.registry);
+  ]
+
+type handler =
+  | Reply of (t -> Json.t -> (string * Json.t) list)
+  | Stream of (t -> Unix.file_descr -> id:Json.t -> Json.t -> unit)
+
+let hello _ _ =
+  [ ("server", Json.String "cachequeryd"); ("protocol", Json.Int 1) ]
+
+let status t params = with_session t params session_json
+
+let verbs =
+  [
+    ("hello", Reply hello);
+    ("ping", Reply hello);
+    ("session.create", Reply v_session_create);
+    ( "session.attach",
+      Reply
+        (fun t params ->
+          with_session t params (fun s ->
+              s.refs <- s.refs + 1;
+              session_json s)) );
+    ( "session.detach",
+      Reply
+        (fun t params ->
+          with_session t params (fun s ->
+              s.refs <- max 0 (s.refs - 1);
+              [ ("refs", Json.Int s.refs) ])) );
+    ( "session.list",
+      Reply
+        (fun t _ ->
+          let sessions =
+            locked t (fun () ->
+                Hashtbl.fold (fun _ s acc -> s :: acc) t.sessions []
+                |> List.sort (fun a b -> compare a.sid b.sid)
+                |> List.map (fun s -> Json.Obj (session_json s)))
+          in
+          [ ("sessions", Json.List sessions) ]) );
+    ("session.drop", Reply v_session_drop);
+    ("session.status", Reply status);
+    ("session.result", Reply v_session_result);
+    ("learn.status", Reply status);
+    ("learn.start", Reply v_learn_start);
+    ("learn.cancel", Reply v_learn_cancel);
+    ("learn.wait", Reply v_learn_wait);
+    ("query", Reply v_query);
+    ("replay", Reply v_replay);
+    ("analyze", Reply v_analyze);
+    ("events", Stream v_events);
+    ("stats", Reply v_stats);
+    ("health", Reply v_health);
+    (* [run] acts on the flag at its next poll, and [stop] joins the
+       accept threads before it closes connections: this reply goes out
+       first. *)
+    ( "shutdown",
+      Reply
+        (fun t _ ->
+          t.stop_requested <- true;
+          Condition.broadcast t.changed;
+          [ ("stopping", Json.Bool true) ]) );
+  ]
 
 let dispatch t fd { Protocol.id; verb; params } =
-  match verb with
-  | "hello" | "ping" ->
-      reply fd ~id
-        [ ("server", Json.String "cachequeryd"); ("protocol", Json.Int 1) ]
-  | "session.create" -> v_session_create t fd id params
-  | "session.attach" -> (
-      match
-        locked t (fun () ->
-            match find_session t params with
-            | Error msg -> Error msg
-            | Ok s ->
-                s.refs <- s.refs + 1;
-                Ok (session_json s))
-      with
-      | Error msg -> reply_error fd ~id ~kind:"unknown_session" msg
-      | Ok json -> (
-          match json with
-          | Json.Obj fields -> reply fd ~id fields
-          | other -> reply fd ~id [ ("status", other) ]))
-  | "session.detach" -> (
-      match
-        locked t (fun () ->
-            match find_session t params with
-            | Error msg -> Error msg
-            | Ok s ->
-                s.refs <- max 0 (s.refs - 1);
-                Ok s.refs)
-      with
-      | Error msg -> reply_error fd ~id ~kind:"unknown_session" msg
-      | Ok refs -> reply fd ~id [ ("refs", Json.Int refs) ])
-  | "session.list" ->
-      let sessions =
-        locked t (fun () ->
-            Hashtbl.fold (fun _ s acc -> s :: acc) t.sessions []
-            |> List.sort (fun a b -> compare a.sid b.sid)
-            |> List.map session_json)
-      in
-      reply fd ~id [ ("sessions", Json.List sessions) ]
-  | "session.drop" -> (
-      match
-        locked t (fun () ->
-            match find_session t params with
-            | Error msg -> Error ("unknown_session", msg)
-            | Ok s -> (
-                match s.state with
-                | Queued | Running _ ->
-                    Error ("busy", "session has a learn in progress")
-                | Idle | Done _ | Failed _ ->
-                    Hashtbl.remove t.sessions s.sid;
-                    Ok s.sid))
-      with
-      | Error (kind, msg) -> reply_error fd ~id ~kind msg
-      | Ok sid -> reply fd ~id [ ("dropped", Json.Int sid) ])
-  | "session.status" | "learn.status" -> (
-      match locked t (fun () ->
-          match find_session t params with
-          | Error msg -> Error msg
-          | Ok s -> Ok (session_json s))
-      with
-      | Error msg -> reply_error fd ~id ~kind:"unknown_session" msg
-      | Ok (Json.Obj fields) -> reply fd ~id fields
-      | Ok other -> reply fd ~id [ ("status", other) ])
-  | "learn.start" -> v_learn_start t fd id params
-  | "learn.cancel" -> v_learn_cancel t fd id params
-  | "learn.wait" -> v_learn_wait t fd id params
-  | "session.result" -> v_session_result t fd id params
-  | "query" -> v_query t fd id params
-  | "replay" -> v_replay t fd id params
-  | "analyze" -> v_analyze t fd id params
-  | "events" -> v_events t fd id params
-  | "stats" -> v_stats t fd id
-  | "health" -> v_health t fd id
-  | "shutdown" ->
-      reply fd ~id [ ("stopping", Json.Bool true) ];
-      t.stop_requested <- true;
-      Condition.broadcast t.changed
-  | verb ->
-      reply_error fd ~id ~kind:"unknown_verb"
-        (Printf.sprintf "unknown verb %S" verb)
+  try
+    match List.assoc_opt verb verbs with
+    | Some (Reply handler) -> reply fd ~id (handler t params)
+    | Some (Stream handler) -> handler t fd ~id params
+    | None -> reject "unknown_verb" "unknown verb %S" verb
+  with Reject (kind, msg) -> Protocol.send fd (Protocol.error ~id ~kind msg)
 
 (* --- connections --- *)
 
@@ -1549,8 +1379,9 @@ let handle_conn t fd =
                        the peer sees Truncated/Eof and reconnects. *)
                     | Cq_util.Faults.Injected _ as e -> raise e
                     | e ->
-                        reply_error fd ~id:req.Protocol.id ~kind:"error"
-                          (Printexc.to_string e))));
+                        Protocol.send fd
+                          (Protocol.error ~id:req.Protocol.id ~kind:"error"
+                             (Printexc.to_string e)))));
             Metrics.observe t.h_request_seconds (Clock.mono () -. t0);
             loop ())
   in

@@ -1,12 +1,13 @@
-(** A minimal JSON tree for the service protocol.
+(** A minimal JSON tree: the one value every emitter in the repository
+    builds.
 
-    The repository deliberately has no JSON dependency — the metrics and
-    trace exporters hand-roll their output through
-    {!Cq_util.Metrics.json_string}.  The daemon additionally needs to
-    {e read} JSON (requests arrive as JSON frames), so this module adds
-    the smallest recursive-descent parser that round-trips with those
-    exporters.  Integers are kept distinct from floats so session ids and
-    query counts survive a round-trip exactly. *)
+    The repository deliberately has no JSON dependency.  The daemon's
+    wire format ({!to_string}), the metrics registry and trace exporters,
+    the analysis reports and the bench artifacts ({!to_string_pretty})
+    all build a [t] and print it here, so there is one escaping rule and
+    one clamp for non-finite floats.  The parser is the smallest
+    recursive descent that reads all of them back.  Integers are kept distinct from floats
+    so session ids and query counts survive a round-trip exactly. *)
 
 type t =
   | Null
@@ -28,8 +29,16 @@ val parse : string -> t
 val parse_opt : string -> t option
 
 val to_string : t -> string
-(** Compact (single-line) serialization; strings are escaped exactly like
-    the metrics exporter's. *)
+(** Compact (single-line) serialization, the daemon's wire format.
+    Floats print with [%.17g]; NaN and infinities, which JSON cannot
+    spell, are clamped to [0] and [±1e308]. *)
+
+val to_string_pretty : t -> string
+(** Multi-line serialization for files, without a trailing newline:
+    ["key": value] pairs, two-space indent, one element per line — except
+    that a list or object holding only scalars stays on one line.  Floats
+    print with the first of [%.15g], [%.16g] and [%.17g] that reads back
+    as the same value. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -210,62 +210,35 @@ let snapshot t =
   in
   List.sort (fun (a, _) (b, _) -> String.compare a b) items
 
-(* --- JSON (hand-rolled; the repo carries no JSON dependency) ----------- *)
+(* --- JSON ---------------------------------------------------------------- *)
 
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
-(* JSON has no NaN/Infinity literals. *)
-let json_float x =
-  if Float.is_nan x then "0"
-  else if x = Float.infinity then "1e308"
-  else if x = Float.neg_infinity then "-1e308"
-  else Printf.sprintf "%.17g" x
-
-let add_json_value buf = function
-  | Counter_value n -> Buffer.add_string buf (string_of_int n)
-  | Gauge_value x -> Buffer.add_string buf (json_float x)
+let value_json = function
+  | Counter_value n -> Json.Int n
+  | Gauge_value x -> Json.Float x
   | Histogram_value h ->
-      Buffer.add_string buf
-        (Printf.sprintf "{\"count\":%d,\"sum\":%s,\"buckets\":[" h.hs_count
-           (json_float h.hs_sum));
-      Array.iteri
-        (fun i (ub, n) ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf
-            (match ub with
-            | Some ub -> Printf.sprintf "{\"le\":%s,\"n\":%d}" (json_float ub) n
-            | None -> Printf.sprintf "{\"le\":null,\"n\":%d}" n))
-        h.hs_buckets;
-      Buffer.add_string buf "]}"
+      Json.Obj
+        [
+          ("count", Json.Int h.hs_count);
+          ("sum", Json.Float h.hs_sum);
+          ( "buckets",
+            Json.List
+              (Array.to_list
+                 (Array.map
+                    (fun (ub, n) ->
+                      Json.Obj
+                        [
+                          ( "le",
+                            match ub with
+                            | Some ub -> Json.Float ub
+                            | None -> Json.Null );
+                          ("n", Json.Int n);
+                        ])
+                    h.hs_buckets)) );
+        ]
 
-let to_json t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf "  ";
-      Buffer.add_string buf (json_string name);
-      Buffer.add_string buf ": ";
-      add_json_value buf v)
-    (snapshot t);
-  Buffer.add_string buf "\n}\n";
-  Buffer.contents buf
+let json t =
+  Json.Obj (List.map (fun (name, v) -> (name, value_json v)) (snapshot t))
+
+let to_json t = Json.to_string_pretty (json t) ^ "\n"
 
 let write_json ~path t = Atomic_file.write ~path (to_json t)

@@ -82,17 +82,14 @@ type value_snapshot =
 val snapshot : t -> (string * value_snapshot) list
 (** Every registered metric with its current value, sorted by name. *)
 
+val json : t -> Json.t
+(** The registry as one JSON object, keys sorted: counters as integers,
+    gauges as floats, histograms as
+    [{"count", "sum", "buckets": [{"le", "n"}]}] ([le] is [null] on the
+    unbounded last bucket). *)
+
 val to_json : t -> string
-(** The registry as one JSON object (hand-rolled; the repo carries no
-    JSON dependency), keys sorted. *)
+(** {!json} through {!Json.to_string_pretty}, newline-terminated. *)
 
 val write_json : path:string -> t -> unit
 (** [to_json] through {!Atomic_file.write}. *)
-
-val json_string : string -> string
-(** Quote and escape [s] as a JSON string literal (shared with the
-    trace exporters). *)
-
-val json_float : float -> string
-(** Render a float as a JSON number ([nan]/[inf] are clamped: JSON has
-    no literals for them). *)

@@ -179,64 +179,47 @@ let clear () =
 
 (* --- exporters -------------------------------------------------------- *)
 
-let add_args_json buf args =
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Metrics.json_string k);
-      Buffer.add_char buf ':';
-      Buffer.add_string buf (Metrics.json_string v))
-    args;
-  Buffer.add_char buf '}'
-
 (* One event as a Chrome trace_event object.  Spans are complete events
    (ph "X"), instants ph "i" (thread scope), counter samples ph "C". *)
-let add_event_json buf ev =
-  Buffer.add_string buf "{\"name\":";
-  Buffer.add_string buf (Metrics.json_string ev.name);
-  Buffer.add_string buf ",\"cat\":";
-  Buffer.add_string buf
-    (Metrics.json_string (if ev.cat = "" then "cq" else ev.cat));
-  (match ev.kind with
-  | Span ->
-      Buffer.add_string buf ",\"ph\":\"X\",\"dur\":";
-      Buffer.add_string buf (Metrics.json_float ev.dur_us)
-  | Instant -> Buffer.add_string buf ",\"ph\":\"i\",\"s\":\"t\""
-  | Counter_sample -> Buffer.add_string buf ",\"ph\":\"C\"");
-  Buffer.add_string buf ",\"ts\":";
-  Buffer.add_string buf (Metrics.json_float ev.ts_us);
-  Buffer.add_string buf ",\"pid\":1,\"tid\":";
-  Buffer.add_string buf (string_of_int ev.tid);
-  (match ev.kind with
-  | Counter_sample ->
-      Buffer.add_string buf ",\"args\":{\"value\":";
-      Buffer.add_string buf (Metrics.json_float ev.value);
-      Buffer.add_char buf '}'
-  | Span | Instant ->
-      Buffer.add_string buf ",\"args\":";
-      add_args_json buf (("depth", string_of_int ev.depth) :: ev.args));
-  Buffer.add_char buf '}'
+let event_json ev =
+  let str s = Json.String s in
+  let phase =
+    match ev.kind with
+    | Span -> [ ("ph", str "X"); ("dur", Json.Float ev.dur_us) ]
+    | Instant -> [ ("ph", str "i"); ("s", str "t") ]
+    | Counter_sample -> [ ("ph", str "C") ]
+  in
+  let args =
+    match ev.kind with
+    | Counter_sample -> [ ("value", Json.Float ev.value) ]
+    | Span | Instant ->
+        List.map
+          (fun (k, v) -> (k, str v))
+          (("depth", string_of_int ev.depth) :: ev.args)
+  in
+  Json.Obj
+    ([
+       ("name", str ev.name);
+       ("cat", str (if ev.cat = "" then "cq" else ev.cat));
+     ]
+    @ phase
+    @ [
+        ("ts", Json.Float ev.ts_us);
+        ("pid", Json.Int 1);
+        ("tid", Json.Int ev.tid);
+        ("args", Json.Obj args);
+      ])
+
+(* One compact event per line: the Chrome form wraps the lines in an
+   array, JSONL leaves them bare. *)
+let event_lines () =
+  List.map (fun ev -> Json.to_string (event_json ev)) (events ())
 
 let to_chrome_json () =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "[\n";
-  List.iteri
-    (fun i ev ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      add_event_json buf ev)
-    (events ());
-  Buffer.add_string buf "\n]\n";
-  Buffer.contents buf
+  "[\n" ^ String.concat ",\n" (event_lines ()) ^ "\n]\n"
 
 let to_jsonl () =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun ev ->
-      add_event_json buf ev;
-      Buffer.add_char buf '\n')
-    (events ());
-  Buffer.contents buf
+  String.concat "" (List.map (fun l -> l ^ "\n") (event_lines ()))
 
 let export_chrome ~path () = Atomic_file.write ~path (to_chrome_json ())
 let export_jsonl ~path () = Atomic_file.write ~path (to_jsonl ())

@@ -518,6 +518,44 @@ let test_busy_and_cancel () =
           let st = Client.learn_wait c ~timeout_s:120.0 b in
           Alcotest.(check string) "slot freed" "done" (str_field "state" st)))
 
+(* An unnamed session defaults to "session-<sid>"; a client that already
+   claimed that name explicitly must not make the next unnamed create
+   fail (nor burn its sid). *)
+let test_default_name_never_clashes () =
+  with_server (fun _server socket _dir ->
+      with_client socket (fun c ->
+          let named = Client.create_sim c ~name:"session-2" ~policy:"LRU" ~assoc:2 () in
+          let a = Client.create_sim c ~policy:"LRU" ~assoc:2 () in
+          let b = Client.create_sim c ~policy:"FIFO" ~assoc:2 () in
+          Alcotest.(check (list int)) "consecutive sids" [ named + 1; named + 2 ] [ a; b ];
+          let name sid = str_field "name" (Client.status c sid) in
+          let names = List.map name [ named; a; b ] in
+          Alcotest.(check string) "explicit name kept" "session-2" (List.hd names);
+          Alcotest.(check int) "three distinct names" 3
+            (List.length (List.sort_uniq compare names))))
+
+(* Every session-scoped verb answers an unknown session with the typed
+   [unknown_session] error; an unknown verb stays [unknown_verb]. *)
+let test_unknown_session_every_verb () =
+  with_server (fun _server socket _dir ->
+      with_client socket (fun c ->
+          let kind verb =
+            match Client.call c ~params:(Json.Obj [ ("session", Json.Int 999) ]) verb with
+            | _ -> "ok"
+            | exception Client.Error { kind; _ } -> kind
+          in
+          List.iter
+            (fun verb ->
+              Alcotest.(check string) verb "unknown_session" (kind verb))
+            [
+              "session.attach"; "session.detach"; "session.drop";
+              "session.status"; "session.result"; "learn.start";
+              "learn.status"; "learn.cancel"; "learn.wait"; "query";
+              "replay"; "analyze"; "events";
+            ];
+          Alcotest.(check string) "unknown verb" "unknown_verb"
+            (kind "session.frobnicate")))
+
 let test_events_stream () =
   with_server (fun _server socket _dir ->
       with_client socket (fun c ->
@@ -665,6 +703,10 @@ let suite =
       Alcotest.test_case "busy backpressure and cancel" `Quick
         test_busy_and_cancel;
       Alcotest.test_case "events stream" `Quick test_events_stream;
+      Alcotest.test_case "default session name never clashes" `Quick
+        test_default_name_never_clashes;
+      Alcotest.test_case "unknown session on every verb" `Quick
+        test_unknown_session_every_verb;
       Alcotest.test_case "hw session MBL query" `Quick test_hw_session_mbl;
       Alcotest.test_case "SIGTERM flushes trace+metrics" `Quick
         test_sigterm_flushes_observability;

@@ -125,6 +125,62 @@ let prop_welford_matches_naive =
       let naive = List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs) in
       Float.abs (Cq_util.Stats.mean s -. naive) < 1e-6)
 
+(* Both JSON printers read back as the value they printed: compared
+   through the compact printer, since an integral float prints (and so
+   parses) as an integer. *)
+let json_gen =
+  let open QCheck.Gen in
+  let char =
+    oneof
+      [
+        char_range '\000' '\031';
+        oneofl [ '"'; '\\'; '/'; ' ' ];
+        char_range 'a' 'z';
+        char_range '\128' '\255';
+      ]
+  in
+  let str = string_size ~gen:char (0 -- 12) in
+  let finite =
+    oneof
+      [
+        map (fun f -> if Float.is_finite f then f else 0.5) float;
+        oneofl [ 0.; -0.; 3.0; 0.1; 1e300; -2.5e-300 ];
+      ]
+  in
+  let scalar =
+    oneof
+      [
+        return Cq_util.Json.Null;
+        map (fun b -> Cq_util.Json.Bool b) bool;
+        map (fun n -> Cq_util.Json.Int n) int;
+        map (fun f -> Cq_util.Json.Float f) finite;
+        map (fun s -> Cq_util.Json.String s) str;
+      ]
+  in
+  sized_size (0 -- 4)
+  @@ fix (fun self n ->
+         if n = 0 then scalar
+         else
+           frequency
+             [
+               (2, scalar);
+               (1, map (fun l -> Cq_util.Json.List l) (list_size (0 -- 4) (self (n - 1))));
+               ( 1,
+                 map
+                   (fun l -> Cq_util.Json.Obj l)
+                   (list_size (0 -- 4) (pair str (self (n - 1)))) );
+             ])
+
+let prop_json_printers_roundtrip =
+  QCheck.Test.make ~name:"Json: compact and pretty printers round-trip"
+    ~count:500
+    (QCheck.make ~print:Cq_util.Json.to_string json_gen)
+    (fun v ->
+      let expected = Cq_util.Json.to_string v in
+      List.for_all
+        (fun print -> Cq_util.Json.(to_string (parse (print v))) = expected)
+        [ Cq_util.Json.to_string; Cq_util.Json.to_string_pretty ])
+
 (* PR-7 regressions: deadlines ride the monotonic clock (a mocked NTP
    step on the wall clock must not fire or starve them), and the duration
    printer carries centisecond rounding into minutes/hours. *)
@@ -190,4 +246,5 @@ let suite =
       QCheck_alcotest.to_alcotest prop_median_bounded;
       QCheck_alcotest.to_alcotest prop_shuffle_permutation;
       QCheck_alcotest.to_alcotest prop_welford_matches_naive;
+      QCheck_alcotest.to_alcotest prop_json_printers_roundtrip;
     ] )
