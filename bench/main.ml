@@ -492,24 +492,22 @@ let ablations () =
     [ "LRU"; "FIFO"; "PLRU"; "MRU"; "LIP"; "SRRIP-HP"; "New1"; "New2" ]
 
 (* ----------------------------------------------------------------------- *)
-(* Query-engine benchmark: sequential vs batched vs parallel                 *)
+(* Query-engine benchmark: sequential vs batched                             *)
 (* ----------------------------------------------------------------------- *)
 
-(* Compare the three query engines on the simulated-cache pipeline: the
-   sequential baseline (reset-and-replay, short-circuit findEvicted), the
-   prefix-sharing batched engine, and batched + pooled conformance testing.
-   All three must learn the same automaton; the speedups land in
-   BENCH_engine.json for machine consumption. *)
+(* Compare the two query engines on the simulated-cache pipeline: the
+   sequential baseline (reset-and-replay, short-circuit findEvicted) and
+   the prefix-sharing batched engine.  Both must learn the same automaton;
+   the speedups land in BENCH_engine.json for machine consumption. *)
 let engine () =
   header
-    "Engine: sequential vs batched vs parallel query engines (Polca + L*, \
-     Wp-method depth 1)";
-  let domains = max 2 (Domain.recommended_domain_count ()) in
+    "Engine: sequential vs batched query engines (Polca + L*, Wp-method \
+     depth 1)";
   let configs =
     [ ("LRU", 4); ("PLRU", 4); ("FIFO", 8); ("PLRU", 8); ("FIFO", 16) ]
   in
-  Printf.printf "%-8s %5s | %9s | %9s %7s | %9s %7s | %6s %5s\n%!" "Policy"
-    "assoc" "seq" "batched" "speedup" "par" "speedup" "saved%" "agree";
+  Printf.printf "%-8s %5s | %9s | %9s %7s | %6s %5s\n%!" "Policy" "assoc"
+    "seq" "batched" "speedup" "saved%" "agree";
   (* Observability overhead gate: the same learning run with tracing
      enabled must issue exactly the same queries and block accesses — the
      span instrumentation must never perturb the pipeline.  The enabled
@@ -558,15 +556,12 @@ let engine () =
         in
         let seq = run Cq_core.Learn.Sequential in
         let bat = run Cq_core.Learn.Batched in
-        let par = run (Cq_core.Learn.Parallel { domains }) in
         let states (r : Cq_core.Learn.report) = r.Cq_core.Learn.states in
         let machine (r : Cq_core.Learn.report) = r.Cq_core.Learn.machine in
         let seconds (r : Cq_core.Learn.report) = r.Cq_core.Learn.seconds in
         let agree =
           states seq = states bat
-          && states seq = states par
           && Cq_automata.Mealy.equivalent (machine seq) (machine bat)
-          && Cq_automata.Mealy.equivalent (machine seq) (machine par)
         in
         let speedup r = seconds seq /. Float.max 1e-9 (seconds r) in
         let saved_pct =
@@ -575,11 +570,10 @@ let engine () =
           /. float_of_int (max 1 bat.Cq_core.Learn.cache_accesses)
         in
         Printf.printf
-          "%-8s %5d | %8.3fs | %8.3fs %6.2fx | %8.3fs %6.2fx | %5.1f%% %5s\n%!"
-          name assoc (seconds seq) (seconds bat) (speedup bat) (seconds par)
-          (speedup par) saved_pct
+          "%-8s %5d | %8.3fs | %8.3fs %6.2fx | %5.1f%% %5s\n%!" name assoc
+          (seconds seq) (seconds bat) (speedup bat) saved_pct
           (if agree then "yes" else "NO <-- MISMATCH");
-        (name, assoc, seq, bat, par, agree))
+        (name, assoc, seq, bat, agree))
       configs
   in
   let engine_json (seq : Cq_core.Learn.report) (r : Cq_core.Learn.report) =
@@ -599,7 +593,6 @@ let engine () =
   write_artifact "BENCH_engine.json"
     (Json.Obj
        ([
-          ("domains", Json.Int domains);
           ("tracing_overhead_identical", Json.Bool overhead_identical);
           ("tracing_probe_events", Json.Int trace_events);
         ]
@@ -607,14 +600,14 @@ let engine () =
           so the bench JSON carries the same observability block the
           learning reports do. *)
        @ (match rows with
-         | (_, _, _, bat, _, _) :: _ ->
+         | (_, _, _, bat, _) :: _ ->
              [ ("metrics", Cq_util.Metrics.json bat.Cq_core.Learn.metrics) ]
          | [] -> [])
        @ [
            ( "results",
              Json.List
                (List.map
-                  (fun (name, assoc, seq, bat, par, agree) ->
+                  (fun (name, assoc, seq, bat, agree) ->
                     Json.Obj
                       [
                         ("policy", Json.String name);
@@ -623,11 +616,9 @@ let engine () =
                         ("automata_identical", Json.Bool agree);
                         ("sequential", engine_json seq seq);
                         ("batched", engine_json seq bat);
-                        ("parallel", engine_json seq par);
                       ])
                   rows) );
          ]));
-  Printf.printf "(%d worker domains for parallel)\n%!" domains;
   if not overhead_identical then
     failwith "engine bench: tracing changed the pipeline's query counts"
 

@@ -11,6 +11,10 @@ let paths_arg =
   in
   Arg.(value & pos_all string [ "lib"; "bin"; "test" ] & info [] ~docv:"PATH" ~doc)
 
+(* Trees that import library values without being linted: the
+   dead-export rule must see their references too. *)
+let reference_trees = [ "bench"; "examples"; "perfbench" ]
+
 let out_arg =
   let doc = "Also write the findings to $(docv) as a JSON report." in
   Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE" ~doc)
@@ -29,7 +33,8 @@ let main paths out list_rules =
     match List.filter (fun p -> not (Sys.file_exists p)) paths with
     | missing :: _ -> `Error (false, Printf.sprintf "no such path: %s" missing)
     | [] ->
-        let findings = Cq_analysis.Lint.lint_paths paths in
+        let refs = List.filter Sys.file_exists reference_trees in
+        let findings = Cq_analysis.Lint.lint_paths ~refs paths in
         Option.iter
           (fun path ->
             Cq_util.Atomic_file.write ~path

@@ -6,8 +6,9 @@
 open Cmdliner
 
 (* Failures in the supervisor's taxonomy exit with distinct codes
-   (Transient 10, Diverged 11, Budget_exhausted 12, Worker_lost 13,
-   Invalid 14), so campaign scripts can branch without parsing stderr. *)
+   (Transient 10, Diverged 11, Budget_exhausted 12, Invalid 14; 13 is
+   retired and not reused), so campaign scripts can branch without
+   parsing stderr. *)
 let exit_partial failure =
   Fmt.epr "polca: %a@." Cq_core.Learn.pp_failure failure;
   exit (Cq_core.Learn.failure_exit_code failure)
@@ -20,7 +21,7 @@ let snapshot_policy_of snapshot snapshot_every =
 
 (* Observability hooks: enable tracing up front and flush trace + metrics
    on every exit path, including the distinct-exit-code failure paths
-   (at_exit runs on [exit 10..13] too) and SIGINT/SIGTERM — a killed
+   (at_exit runs on [exit 10..14] too) and SIGINT/SIGTERM — a killed
    campaign run keeps its trace instead of losing it to the default
    signal disposition. *)
 let setup_observability trace metrics registry =

@@ -555,6 +555,9 @@ let verify p r =
          ])
        (report_words r))
 
+(* A single-slice CPU model whose L1 runs the given policy at its
+   associativity, with capacity headroom below so inclusive
+   back-invalidation never touches the analyzed set. *)
 let hw_model p =
   let assoc = Policy.assoc p in
   let lvl a sets hit pol =

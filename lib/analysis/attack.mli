@@ -27,7 +27,7 @@
       then the sequence length.
     - {e Stealth} (RELOAD+REFRESH): the victim's line is shared read-only
       memory, so the attacker {e may} access it (the reload); the
-      constraint is that no insertion ever evicts it.  {!find_stealthy}
+      constraint is that no insertion ever evicts it.  The analysis
       searches the product of the automaton with the
       target-line-resident flag for the shortest controlling word —
       preferring a {e repeatable} cycle (the automaton returns to the
@@ -105,18 +105,6 @@ val shortest_eviction :
     when the policy never evicts that line without the attacker touching
     it. *)
 
-val find_stealthy :
-  ?max_anchors:int ->
-  Cq_policy.Types.output Cq_automata.Mealy.t ->
-  target:int ->
-  stealthy option
-(** A short stealthy controlling sequence for one target line (see
-    {!stealthy}) — deterministic, found by bounded best-first search
-    over cycle entries in BFS order, but not certified minimal.
-    [max_anchors] caps the cycle-entry candidates scanned (default
-    512); a one-shot result does not claim no cycle exists beyond the
-    cap. *)
-
 val analyze :
   ?name:string -> Cq_policy.Types.output Cq_automata.Mealy.t -> report
 (** Analyze a policy automaton (alphabet [Ln(0..a-1), Evct]).  Purely
@@ -154,15 +142,10 @@ val verify : Cq_policy.Policy.t -> report -> (unit, string) result
     policy) and compare each stream against the prediction byte for
     byte.  The error names the first diverging strategy. *)
 
-val hw_model : Cq_policy.Policy.t -> Cq_hwsim.Cpu_model.t
-(** A single-slice CPU model whose L1 runs the given policy at its
-    associativity, with capacity headroom below so inclusive
-    back-invalidation never touches the analyzed set. *)
-
 val verify_hwsim : Cq_policy.Policy.t -> report -> (unit, string) result
 (** As {!verify}, but the streams come from a quiet, prefetcher-less
-    {!Cq_hwsim.Machine} replaying the concrete traces against
-    {!hw_model} — the synthesized attacks must work on the simulated
+    {!Cq_hwsim.Machine} replaying the concrete traces against a
+    single-slice CPU model whose L1 runs the policy — the synthesized attacks must work on the simulated
     silicon, not just on the abstract automaton. *)
 
 (** {2 Report rendering} *)

@@ -72,7 +72,6 @@ val symmetry_checked : report -> bool
     skipped above [max_symmetry_states] (the some-start-state equivalence
     search is cubic in states). *)
 
-val pp_violation : Format.formatter -> violation -> unit
 val pp_report : Format.formatter -> report -> unit
 val report_to_string : report -> string
 

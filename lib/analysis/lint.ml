@@ -38,6 +38,9 @@ let rules =
       "scratch/snapshot artifact in the source tree; runtime state \
        (wl-scratch-* dirs, *.snap session snapshots) must stay out of \
        version control" );
+    ( "dead-export",
+      "lib/ interface value that no file outside its module references; \
+       delete it, or drop it from the .mli if its module uses it" );
   ]
 
 (* --- Stripping --------------------------------------------------------- *)
@@ -297,10 +300,93 @@ let lint_source ~file src =
     stripped;
   List.rev !findings
 
-let lint_file path =
+let read_source path =
   match In_channel.with_open_bin path In_channel.input_all with
-  | src -> lint_source ~file:path src
-  | exception Sys_error _ -> []
+  | src -> Some src
+  | exception Sys_error _ -> None
+
+(* --- Dead exports ------------------------------------------------------ *)
+
+(* A cross-file rule: a [val] of a library interface ([.mli] under a
+   [lib] directory) is dead when no file outside its own module mentions
+   its name as a whole word.  The scan is lexical and over stripped text,
+   so a mention in a comment is not a use, while any same-named
+   identifier elsewhere is (the rule can miss a dead export, never flag a
+   live one).  A module is its [.ml]/[.mli] pair, keyed by the path
+   without extension. *)
+let words stripped =
+  let seen = Hashtbl.create 1024 in
+  let n = String.length stripped in
+  let rec go i =
+    if i < n then
+      if is_ident_char stripped.[i] then begin
+        let j = ref i in
+        while !j < n && is_ident_char stripped.[!j] do
+          incr j
+        done;
+        Hashtbl.replace seen (String.sub stripped i (!j - i)) ();
+        go !j
+      end
+      else go (i + 1)
+  in
+  go 0;
+  seen
+
+let is_lib_mli path =
+  Filename.check_suffix path ".mli"
+  && List.mem "lib" (String.split_on_char '/' path)
+
+(* [val name] declarations with their 1-based lines. *)
+let declared_vals stripped =
+  List.concat
+    (List.mapi
+       (fun i l ->
+         let l = String.trim l in
+         if String.length l > 4 && String.sub l 0 4 = "val " then
+           let rest = String.trim (String.sub l 4 (String.length l - 4)) in
+           let k = ref 0 in
+           while !k < String.length rest && is_ident_char rest.[!k] do
+             incr k
+           done;
+           if !k = 0 then [] else [ (String.sub rest 0 !k, i + 1) ]
+         else [])
+       (split_lines stripped))
+
+let dead_exports ?(refs = []) sources =
+  let scan (file, src) = (file, src, strip src) in
+  let linted = List.map scan sources in
+  let vocabulary =
+    List.map
+      (fun (file, _, stripped) ->
+        (Filename.remove_extension file, words stripped))
+      (linted @ List.map scan refs)
+  in
+  let used_outside file name =
+    let own = Filename.remove_extension file in
+    List.exists
+      (fun (m, ws) -> m <> own && Hashtbl.mem ws name)
+      vocabulary
+  in
+  List.concat_map
+    (fun (file, src, stripped) ->
+      if not (is_lib_mli file) then []
+      else
+        let raw = Array.of_list (split_lines src) in
+        List.filter_map
+          (fun (name, line) ->
+            if used_outside file name || allowed raw line "dead-export" then
+              None
+            else
+              Some
+                {
+                  file;
+                  line;
+                  rule = "dead-export";
+                  excerpt = String.trim raw.(line - 1);
+                  message = message_of "dead-export";
+                })
+          (declared_vals stripped))
+    linted
 
 let is_ml path =
   Filename.check_suffix path ".ml" || Filename.check_suffix path ".mli"
@@ -344,12 +430,27 @@ let rec walk path ((mls, strays) as acc) =
   else if is_ml path then (path :: mls, strays)
   else acc
 
-let lint_paths paths =
+let read_all files =
+  List.filter_map
+    (fun f -> Option.map (fun src -> (f, src)) (read_source f))
+    files
+
+let lint_paths ?(refs = []) paths =
   let mls, strays =
     List.fold_left (fun acc p -> walk p acc) ([], []) paths
   in
   let files = List.rev mls in
-  let findings = strays @ List.concat_map lint_file files in
+  let ref_files =
+    List.filter
+      (fun f -> not (List.mem f files))
+      (List.rev (fst (List.fold_left (fun acc p -> walk p acc) ([], []) refs)))
+  in
+  let sources = read_all files in
+  let findings =
+    strays
+    @ List.concat_map (fun (file, src) -> lint_source ~file src) sources
+    @ dead_exports ~refs:(read_all ref_files) sources
+  in
   List.sort
     (fun a b ->
       match compare a.file b.file with 0 -> compare a.line b.line | c -> c)

@@ -27,7 +27,11 @@
     - [stray-artifact]: scratch/snapshot runtime state ([wl-scratch-*]
       directories, [*.snap] learning-session snapshots) sitting under a
       linted path — PR 9 accidentally committed one; the fix is
-      deletion (plus [.gitignore]), so this rule has no allow.
+      deletion (plus [.gitignore]), so this rule has no allow;
+    - [dead-export]: a [val] in a library interface ([.mli] under a
+      [lib] directory) whose name no file outside its own module
+      mentions as a whole word — an export nobody imports is API
+      surface kept alive for nothing.  Cross-file: see {!dead_exports}.
 
     Matching is over comment- and string-stripped source text, so
     mentioning a pattern in a docstring (as this one just did, four
@@ -52,19 +56,26 @@ type finding = {
 val rules : (string * string) list
 (** Rule names with one-line descriptions. *)
 
-val lint_file : string -> finding list
-(** Lint one [.ml]/[.mli] file (read from disk).  Files that cannot be
-    read yield no findings. *)
-
 val lint_source : file:string -> string -> finding list
 (** Lint source text directly ([file] is used for reporting only). *)
 
-val lint_paths : string list -> finding list
+val dead_exports :
+  ?refs:(string * string) list -> (string * string) list -> finding list
+(** [dead_exports ~refs sources] runs the [dead-export] rule over
+    [(file, text)] pairs: every [val] of a [lib] interface among
+    [sources] that no other module of [sources] or [refs] mentions is a
+    finding.  [refs] only count as references, they are not linted.
+    Meaningful when the two together cover every file that may import a
+    library value. *)
+
+val lint_paths : ?refs:string list -> string list -> finding list
 (** Lint every [.ml]/[.mli] under the given files/directories
     (directories are walked recursively, skipping [_build] and
     dot-directories), sorted by file then line.  Non-source files are
     not read, but scratch/snapshot artifacts encountered during the
-    walk are reported under [stray-artifact]. *)
+    walk are reported under [stray-artifact].  The [.ml]/[.mli] files
+    under [refs] (default none) count as references for [dead-export]
+    without being linted themselves. *)
 
 val pp_finding : Format.formatter -> finding -> unit
 

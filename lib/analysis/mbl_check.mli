@@ -45,9 +45,6 @@ type diagnostic = {
           [Tagged]/[Power] the child is [0]). *)
 }
 
-val pp_code : Format.formatter -> code -> unit
-val pp_diagnostic : Format.formatter -> diagnostic -> unit
-
 val diagnostic_to_string : diagnostic -> string
 
 (** {1 The summary computed for accepted programs} *)

@@ -54,7 +54,7 @@ type stats = {
       (* runs spent per voted access that entered the voting loop *)
 }
 
-let fresh_stats ?registry ?(prefix = "oracle") () =
+let fresh_stats ?registry ?(prefix = "oracle") ?timed_loads () =
   let r =
     match registry with Some r -> r | None -> Cq_util.Metrics.create ()
   in
@@ -67,7 +67,8 @@ let fresh_stats ?registry ?(prefix = "oracle") () =
     batched_queries = c "batched_queries";
     accesses_saved = c "accesses_saved";
     memo_overflows = c "memo_overflows";
-    timed_loads = c "timed_loads";
+    timed_loads =
+      (match timed_loads with Some l -> l | None -> c "timed_loads");
     vote_runs = c "vote_runs";
     transient_flips = c "transient_flips";
     retry_attempts = c "retry_attempts";
@@ -235,43 +236,5 @@ let noisy ~prng ~p t =
     (* Per-outcome noise consumes PRNG draws in query order; session-style
        checkpointed execution would desynchronise the stream, so force
        consumers back onto the query paths. *)
-    ops = None;
-  }
-
-(* Majority vote over [reps] repetitions of the query — the denoising the
-   CacheQuery backend applies when executing generated code several times. *)
-let majority ~reps t =
-  if reps < 1 then invalid_arg "Oracle.majority: reps must be >= 1";
-  if reps mod 2 = 0 then
-    (* An even repetition count can tie, and any fixed tie-break silently
-       biases the vote (the old code defaulted ties to Miss). *)
-    invalid_arg "Oracle.majority: reps must be odd";
-  let vote runs =
-    match runs with
-    | [] -> assert false
-    | first :: _ ->
-        (* One pass per run over per-position hit counters, instead of the
-           former O(L²) [List.nth run i] inside [List.mapi]. *)
-        let len = List.length first in
-        let hits = Array.make len 0 in
-        List.iter
-          (fun run ->
-            List.iteri
-              (fun i r ->
-                if Cache_set.result_is_hit r then hits.(i) <- hits.(i) + 1)
-              run)
-          runs;
-        List.init len (fun i ->
-            if 2 * hits.(i) > reps then Cache_set.Hit else Cache_set.Miss)
-  in
-  {
-    t with
-    query = (fun blocks -> vote (List.init reps (fun _ -> t.query blocks)));
-    query_batch =
-      (fun batch ->
-        let runs = List.init reps (fun _ -> t.query_batch batch) in
-        List.mapi (fun i _ -> vote (List.map (fun run -> List.nth run i) runs)) batch);
-    (* Majority voting re-executes whole queries; single-access session
-       semantics cannot express that. *)
     ops = None;
   }

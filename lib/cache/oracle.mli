@@ -55,10 +55,18 @@ type stats = {
     ({!Cq_util.Metrics}), so report fields and registry exports cannot
     disagree. *)
 
-val fresh_stats : ?registry:Cq_util.Metrics.t -> ?prefix:string -> unit -> stats
+val fresh_stats :
+  ?registry:Cq_util.Metrics.t ->
+  ?prefix:string ->
+  ?timed_loads:Cq_util.Metrics.counter ->
+  unit ->
+  stats
 (** Stats whose fields are registered as ["<prefix>.<field>"] (default
     prefix ["oracle"]) in [registry] (default: a fresh private registry).
-    Two stats records sharing a registry must use distinct prefixes. *)
+    Two stats records sharing a registry must use distinct prefixes.
+    [timed_loads] shares an existing counter instead of registering one:
+    a device layer passes its backend's, so loads are counted in one
+    place whatever path issued them. *)
 
 val sequential_batch :
   (Block.t list -> Cache_set.result list) ->
@@ -87,8 +95,3 @@ val memoized : ?stats:stats -> ?max_entries:int -> t -> t
 
 val noisy : prng:Cq_util.Prng.t -> p:float -> t -> t
 (** Flip each individual outcome with probability [p] (fault injection). *)
-
-val majority : reps:int -> t -> t
-(** Majority vote over [reps] repetitions of each query.  [reps] must be
-    odd: even counts can tie, and a fixed tie-break would silently bias
-    the vote.  Raises [Invalid_argument] otherwise. *)

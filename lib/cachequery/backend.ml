@@ -95,9 +95,8 @@ let machine t = t.machine
 let target t = t.target
 let threshold t = t.threshold
 let timed_loads t = Cq_util.Metrics.value t.timed_loads
+let load_counter t = t.timed_loads
 let filter_loads t = Cq_util.Metrics.value t.filter_loads
-let margin t = t.margin
-let miss_ceiling t = t.miss_ceiling
 let recalibrations t = Cq_util.Metrics.value t.recalibrations
 let recalibrate_due t = t.recalibrate_due
 
@@ -416,23 +415,6 @@ let run_query t (q : Cq_mbl.Expand.query) =
       | Some Cq_mbl.Ast.Profile ->
           let cycles = timed_load t el.block in
           Some (classify t cycles)
-      | None ->
-          ignore (timed_load t el.block);
-          None)
-    q
-
-(* As [run_query], but also returns raw cycle counts of profiled loads
-   (used by the §7.2 cost experiment and by calibration diagnostics). *)
-let run_query_timed t (q : Cq_mbl.Expand.query) =
-  List.filter_map
-    (fun (el : Cq_mbl.Expand.element) ->
-      match el.tag with
-      | Some Cq_mbl.Ast.Flush ->
-          flush_block t el.block;
-          None
-      | Some Cq_mbl.Ast.Profile ->
-          let cycles = timed_load t el.block in
-          Some (classify t cycles, cycles)
       | None ->
           ignore (timed_load t el.block);
           None)

@@ -31,12 +31,12 @@ val threshold : t -> int
 (** Current hit/miss latency threshold (cycles). *)
 
 val timed_loads : t -> int
-val filter_loads : t -> int
 
-val margin : t -> int
-(** Half-width (cycles) of the suspicious latency band around the
-    threshold: readings at most [threshold - margin] are confident hits,
-    readings within [margin] of the threshold feed the drift detector. *)
+val load_counter : t -> Cq_util.Metrics.counter
+(** The counter behind {!timed_loads}: every timed load, whichever path
+    issued it. *)
+
+val filter_loads : t -> int
 
 val recalibrations : t -> int
 (** Drift-triggered recalibrations performed so far. *)
@@ -61,33 +61,27 @@ val classify : t -> int -> Cq_cache.Cache_set.result
     is flagged for {!maybe_recalibrate}. *)
 
 val confident_hit : t -> int -> bool
-(** [cycles <= threshold - margin]: noise sources only add latency, so a
-    reading this low cannot be a disguised miss and a single sample
-    suffices (the voting layer's fast path). *)
+(** [cycles <= threshold - margin], where [margin] is the half-width of
+    the suspicious band around the threshold (set by {!calibrate}):
+    noise sources only add latency, so a reading this low cannot be a
+    disguised miss and a single sample suffices (the voting layer's fast
+    path). *)
 
 val confident_miss : t -> int -> bool
 (** Clearly above the threshold yet inside the next-level latency
     population (below the miss ceiling): cannot be an outlier-spiked hit —
     spikes overshoot the level gap — so a single sample suffices. *)
 
-val miss_ceiling : t -> int
-(** Upper bound of the confident-miss band (refined by calibration). *)
-
 val settle : ?loads:int -> t -> unit
 (** Issue untimed loads to a non-interfering address so a transient
     common-mode noise burst can expire between vote re-measurements. *)
 
-val flush_block : t -> Cq_cache.Block.t -> unit
 val flush_all_known : t -> unit
 (** clflush everything this backend ever directed at the target set (the
     building block of the Flush+Refill reset). *)
 
 val run_query : t -> Cq_mbl.Expand.query -> Cq_cache.Cache_set.result list
 (** Execute an expanded MBL query; returns outcomes of profiled accesses. *)
-
-val run_query_timed :
-  t -> Cq_mbl.Expand.query -> (Cq_cache.Cache_set.result * int) list
-(** As [run_query] but with raw cycle counts (§7.2 measurements). *)
 
 val calibrate : ?samples:int -> t -> int * int list * int list
 (** Measure known-hit and known-miss latency populations at the target

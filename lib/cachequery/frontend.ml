@@ -36,10 +36,6 @@ let validate_voting = function
         invalid_arg
           "Frontend: max repetitions must be odd (even counts can tie)"
 
-let voting_to_string = function
-  | Fixed n -> Printf.sprintf "fixed %d" n
-  | Adaptive { max } -> Printf.sprintf "adaptive <= %d" max
-
 type t = {
   backend : Backend.t;
   assoc : int; (* effective associativity of the target level *)
@@ -79,7 +75,9 @@ let create ?(reset = Flush_refill) ?repetitions ?voting ?max_memo_entries
     memo = Hashtbl.create 8192;
     (* The frontend is the pipeline's *device* layer; distinct prefix so
        it can share a registry with the learn-level oracle wrappers. *)
-    stats = Cq_cache.Oracle.fresh_stats ?registry:metrics ~prefix:"frontend" ();
+    stats =
+      Cq_cache.Oracle.fresh_stats ?registry:metrics ~prefix:"frontend"
+        ~timed_loads:(Backend.load_counter backend) ();
     metrics;
   }
 
@@ -87,7 +85,6 @@ let backend t = t.backend
 let assoc t = t.assoc
 let stats t = t.stats
 let set_reset t reset = t.reset <- reset
-let reset_sequence t = t.reset
 
 let set_voting t v =
   validate_voting v;
@@ -96,9 +93,6 @@ let set_voting t v =
 let voting t = t.voting
 
 let set_repetitions t n = set_voting t (Fixed n)
-
-let max_repetitions t =
-  match t.voting with Fixed n -> n | Adaptive { max } -> max
 
 let set_memo t enabled = t.memo_enabled <- enabled
 let clear_memo t = Hashtbl.reset t.memo
@@ -306,7 +300,6 @@ let query_blocks t blocks =
         else run ())
       @@ fun () ->
       Cq_util.Metrics.incr t.stats.Cq_cache.Oracle.queries;
-      let loads0 = Backend.timed_loads t.backend in
       let votes0 = Cq_util.Metrics.value t.stats.Cq_cache.Oracle.vote_runs in
       apply_reset t;
       let r = List.map (voted_access t) blocks in
@@ -316,8 +309,6 @@ let query_blocks t blocks =
       Cq_util.Metrics.add t.stats.Cq_cache.Oracle.block_accesses
         (List.length blocks
         + (Cq_util.Metrics.value t.stats.Cq_cache.Oracle.vote_runs - votes0));
-      Cq_util.Metrics.add t.stats.Cq_cache.Oracle.timed_loads
-        (Backend.timed_loads t.backend - loads0);
       if t.memo_enabled then memo_store t key r;
       r
 
@@ -367,7 +358,6 @@ let query_blocks_batch t batches =
        (naive - shared);
      Cq_util.Metrics.observe t.stats.Cq_cache.Oracle.batch_depth
        (float_of_int (List.length todo));
-     let loads0 = Backend.timed_loads t.backend in
      let votes0 = Cq_util.Metrics.value t.stats.Cq_cache.Oracle.vote_runs in
      let answers = Cq_cache.Batch.run (batch_ops t) todo in
      (* Actual executed accesses: the shared trie walk plus whatever the
@@ -375,8 +365,6 @@ let query_blocks_batch t batches =
      Cq_util.Metrics.add t.stats.Cq_cache.Oracle.block_accesses
        (shared
        + (Cq_util.Metrics.value t.stats.Cq_cache.Oracle.vote_runs - votes0));
-     Cq_util.Metrics.add t.stats.Cq_cache.Oracle.timed_loads
-       (Backend.timed_loads t.backend - loads0);
      List.iter2
        (fun q r ->
          let key = Cq_util.Deep.pack q in

@@ -21,8 +21,6 @@ type voting =
     any fixed tie-break silently biases the vote.  Constructors and
     setters raise [Invalid_argument] on even counts. *)
 
-val voting_to_string : voting -> string
-
 type t
 
 val create :
@@ -46,21 +44,20 @@ val assoc : t -> int
 (** Effective associativity of the target level (CAT-aware). *)
 
 val stats : t -> Cq_cache.Oracle.stats
-(** Under voting, [block_accesses] and [timed_loads] count *actual*
-    executions including vote re-measurements; [vote_runs] isolates the
-    re-measurement overhead. *)
+(** Under voting, [block_accesses] counts *actual* executions including
+    vote re-measurements; [vote_runs] isolates the re-measurement
+    overhead.  [timed_loads] is the backend's own load counter
+    ({!Backend.load_counter}), so it counts every timed load the
+    backend issued — session-mode accesses, resets and calibration
+    included. *)
 
 val set_reset : t -> reset -> unit
-val reset_sequence : t -> reset
 
 val set_voting : t -> voting -> unit
 val voting : t -> voting
 
 val set_repetitions : t -> int -> unit
 (** Shorthand for [set_voting t (Fixed n)]. *)
-
-val max_repetitions : t -> int
-(** The voting cap: [n] for [Fixed n], [max] for [Adaptive]. *)
 
 val set_memo : t -> bool -> unit
 val clear_memo : t -> unit

@@ -21,10 +21,6 @@ type scan_result = {
   classification : classification;
 }
 
-val thrash_probe : Cq_cachequery.Frontend.t -> int
-(** Fill with ['@'], sweep 2x associativity fresh blocks, re-probe: the
-    number of original blocks that survived. *)
-
 val scan :
   ?slice:int -> ?pound_rounds:int -> Cq_hwsim.Machine.t -> int list -> scan_result list
 (** Classify the given L3 set indices of [slice]. *)

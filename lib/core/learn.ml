@@ -17,18 +17,8 @@ let default_equivalence = Wp_method 1
      short-circuit findEvicted scan — the seed's behaviour, kept as the
      baseline for the engine benchmark and the determinism tests.
    - [Batched] (default): closure waves and findEvicted fan-outs go to the
-     cache as prefix-shared batches (trie executor over snapshot/restore).
-   - [Parallel]: [Batched] plus conformance testing fanned across
-     [domains] worker domains, each owning a private oracle stack built
-     from [cache_factory]. *)
-type engine = Sequential | Batched | Parallel of { domains : int }
-
-let default_engine = Batched
-
-let engine_to_string = function
-  | Sequential -> "sequential"
-  | Batched -> "batched"
-  | Parallel { domains } -> Printf.sprintf "parallel:%d" domains
+     cache as prefix-shared batches (trie executor over snapshot/restore). *)
+type engine = Sequential | Batched
 
 (* Snapshot cadence for durable sessions: write at most every
    [every_queries] hardware queries AND at least every [every_seconds]
@@ -66,7 +56,6 @@ type failure =
          a retry (with escalated voting) can succeed *)
   | Diverged of Cq_learner.Lstar.divergence (* the table never stabilised *)
   | Budget_exhausted of string (* wall-clock deadline or query budget *)
-  | Worker_lost of string (* a pooled task failed every retry *)
   | Invalid of string
       (* the learned automaton violates the policy axioms (the ~validate
          gate); like Transient, a retry with escalated voting can succeed *)
@@ -75,7 +64,6 @@ let pp_failure ppf = function
   | Transient m -> Fmt.pf ppf "transient: %s" m
   | Diverged d -> Fmt.pf ppf "diverged: %a" Cq_learner.Lstar.pp_divergence d
   | Budget_exhausted m -> Fmt.pf ppf "budget exhausted: %s" m
-  | Worker_lost m -> Fmt.pf ppf "worker lost: %s" m
   | Invalid m -> Fmt.pf ppf "invalid automaton: %s" m
 
 (* Distinct non-zero exit codes, so scripted campaigns can branch on the
@@ -84,7 +72,6 @@ let failure_exit_code = function
   | Transient _ -> 10
   | Diverged _ -> 11
   | Budget_exhausted _ -> 12
-  | Worker_lost _ -> 13
   | Invalid _ -> 14
 
 exception Out_of_budget of string
@@ -109,8 +96,6 @@ type report = {
   accesses_saved : int; (* block accesses avoided by prefix sharing *)
   memo_overflows : int; (* times the bounded query memo was cleared *)
   row_cache_overflows : int; (* times the bounded L* row cache was cleared *)
-  domains : int; (* worker domains used by the equivalence oracle *)
-  worker_restarts : int; (* pooled worker contexts poisoned and rebuilt *)
   identified : string list; (* known policies equivalent to the result *)
   quotient : Cq_learner.Quotient.stats option;
       (* symmetry-quotient merge statistics (state collapse, alias count,
@@ -128,15 +113,16 @@ type report = {
          views over it (frozen at completion) *)
 }
 
+(* The box closes after the optional lines: a break hint printed outside
+   it prints nothing. *)
 let pp_report ppf r =
   Fmt.pf ppf
     "@[<v>states: %d@,time: %a@,equivalence rounds: %d@,suffixes added: \
      %d@,membership queries: %d (%d symbols)@,cache queries: %d (%d block \
-     accesses)@,cache batches: %d (%d accesses saved)@,domains: \
-     %d@,identified as: %s@]"
+     accesses)@,cache batches: %d (%d accesses saved)@,identified as: %s"
     r.states Cq_util.Clock.pp_duration r.seconds r.rounds r.suffixes
     r.member_queries r.member_symbols r.cache_queries r.cache_accesses
-    r.cache_batches r.accesses_saved r.domains
+    r.cache_batches r.accesses_saved
     (match r.identified with [] -> "(unknown policy)" | l -> String.concat ", " l);
   (match r.quotient with
   | Some q -> Fmt.pf ppf "@,quotient: %a" Cq_learner.Quotient.pp q
@@ -146,8 +132,7 @@ let pp_report ppf r =
       "@,timed loads: %d@,vote re-runs: %d@,retries: %d (%d transient flips \
        absorbed)"
       r.timed_loads r.vote_runs r.retry_attempts r.transient_flips;
-  if r.worker_restarts > 0 then
-    Fmt.pf ppf "@,worker restarts: %d" r.worker_restarts
+  Fmt.pf ppf "@]"
 
 (* What a supervised run salvaged when it could not complete: the failure
    class, the last hypothesis submitted to the equivalence oracle, and the
@@ -179,7 +164,7 @@ let load_resume ~metrics path =
    exception on failure (the historical API), [run] classifies it into
    the failure taxonomy and returns a [Partial] instead. *)
 let learn_core ?(equivalence = default_equivalence)
-    ?(engine = default_engine) ?cache_factory ?(check_hits = true)
+    ?(engine = Batched) ?(check_hits = true)
     ?(memoize = true) ?max_memo_entries ?max_row_cache
     ?(max_states = 1_000_000) ?(identify = true) ?(validate = false)
     ?(quotient = false)
@@ -187,7 +172,7 @@ let learn_core ?(equivalence = default_equivalence)
     ?resumed ?snapshot_meta ?(deadline = Cq_util.Clock.no_deadline)
     ?query_budget ?probe cache =
   (* One registry for the whole run: the learn-level oracle wrappers
-     ("oracle.", "member.", "pool.", "learn." prefixes) all register here.
+     ("oracle.", "member.", "learn." prefixes) all register here.
      Callers pass the same registry to Backend/Frontend.create so the
      device layer's "backend."/"frontend." series land alongside. *)
   let registry =
@@ -202,8 +187,8 @@ let learn_core ?(equivalence = default_equivalence)
   and snapshot_replay_h = snapshot_replay_histogram registry in
   (* [device_stats]: the device layer's own stats record (the CacheQuery
      frontend's), whose voting/timed-load counters are invisible to the
-     wrappers below; its deltas over the learning run are folded into the
-     report. *)
+     wrappers below; its deltas over the learning run are the report's
+     [timed_loads] and [vote_runs]. *)
   let dev_snapshot () =
     match device_stats with
     | None -> (0, 0)
@@ -220,12 +205,11 @@ let learn_core ?(equivalence = default_equivalence)
     | Some _ -> resumed
     | None -> Option.map (load_resume ~metrics:registry) resume
   in
-  let pool_stats = Cq_util.Pool.fresh_stats ~registry () in
-  let batch_probes = match engine with Sequential -> false | _ -> true in
+  let batch_probes = engine = Batched in
   let cache =
     match engine with
     | Sequential -> Cq_cache.Oracle.sequential cache
-    | Batched | Parallel _ -> cache
+    | Batched -> cache
   in
   let cache_stats = Cq_cache.Oracle.fresh_stats ~registry () in
   let cache = Cq_cache.Oracle.counting cache_stats cache in
@@ -405,45 +389,19 @@ let learn_core ?(equivalence = default_equivalence)
           r);
     }
   in
-  let domains =
-    match engine with Parallel { domains } -> max 1 domains | _ -> 1
-  in
-  (* A worker's private oracle stack: its own cache (from the factory), its
-     own memo and prefix cache — no mutable state shared across domains.
-     Queries are independent restarts from the reset state, so a fresh
-     stack answers exactly like the main one. *)
-  let worker_oracle () =
-    match cache_factory with
-    | None -> invalid_arg "Learn: Parallel engine requires ~cache_factory"
-    | Some factory ->
-        let cache = factory () in
-        let cache =
-          if memoize then
-            Cq_cache.Oracle.memoized ?max_entries:max_memo_entries cache
-          else cache
-        in
-        Polca.moracle (Polca.create ~check_hits ~batch_probes:true cache)
-        |> Cq_learner.Moracle.cached
-  in
   (* The latest hypothesis' rep/alias decomposition, published by the
      quotient learner so the conformance suite can focus on representative
      states (aliased states only get a frame spot-check). *)
   let qview = ref None in
   let make_find_cex oracle =
-    let mk_pool () =
-      if Option.is_none cache_factory then
-        invalid_arg "Learn: Parallel engine requires ~cache_factory";
-      Cq_util.Pool.create ~size:domains ~stats:pool_stats
-        ~factory:worker_oracle ()
-    in
     let quotient_conformance = quotient && Polca.assoc polca >= 2 in
     let find_cex =
-      match (equivalence, engine) with
-      | Random_walk { max_tests; max_len; seed }, _ ->
+      match equivalence with
+      | Random_walk { max_tests; max_len; seed } ->
           Cq_learner.Equivalence.random_walk
             ~prng:(Cq_util.Prng.of_int seed)
             ~max_tests ~max_len oracle
-      | (W_method depth | Wp_method depth), _ when quotient_conformance -> (
+      | W_method depth | Wp_method depth when quotient_conformance ->
           let assoc = Polca.assoc polca in
           let sweep = List.init assoc (fun _ -> assoc) in
           let is_rep s =
@@ -453,21 +411,9 @@ let learn_core ?(equivalence = default_equivalence)
                 s < Array.length v.Cq_learner.Lstar.is_rep_state
                 && v.Cq_learner.Lstar.is_rep_state.(s)
           in
-          match engine with
-          | Parallel _ when domains > 1 ->
-              Cq_learner.Equivalence.pooled
-                ~suite:
-                  (Cq_learner.Equivalence.wp_quotient_suite ~depth ~is_rep
-                     ~sweep)
-                (mk_pool ())
-          | _ ->
-              Cq_learner.Equivalence.wp_quotient ~depth ~is_rep ~sweep oracle)
-      | W_method depth, Parallel _ when domains > 1 ->
-          Cq_learner.Equivalence.w_method_pooled ~depth (mk_pool ())
-      | Wp_method depth, Parallel _ when domains > 1 ->
-          Cq_learner.Equivalence.wp_method_pooled ~depth (mk_pool ())
-      | W_method depth, _ -> Cq_learner.Equivalence.w_method ~depth oracle
-      | Wp_method depth, _ -> Cq_learner.Equivalence.wp_method ~depth oracle
+          Cq_learner.Equivalence.wp_quotient ~depth ~is_rep ~sweep oracle
+      | W_method depth -> Cq_learner.Equivalence.w_method ~depth oracle
+      | Wp_method depth -> Cq_learner.Equivalence.wp_method ~depth oracle
     in
     (* Counterexample verification (noise hardening): a transient measurement
        flip during conformance testing fabricates a counterexample the
@@ -505,17 +451,11 @@ let learn_core ?(equivalence = default_equivalence)
       accesses_saved = v cache_stats.Cq_cache.Oracle.accesses_saved;
       memo_overflows = v cache_stats.Cq_cache.Oracle.memo_overflows;
       row_cache_overflows = result.row_cache_overflows;
-      domains;
-      worker_restarts = v pool_stats.Cq_util.Pool.worker_restarts;
       identified =
         (if identify then Cq_policy.Zoo.identify result.machine else []);
       quotient = result.Cq_learner.Lstar.quotient;
-      timed_loads =
-        (let dev_loads, _ = dev_snapshot () in
-         v cache_stats.Cq_cache.Oracle.timed_loads + (dev_loads - dev_loads0));
-      vote_runs =
-        (let _, dev_votes = dev_snapshot () in
-         v cache_stats.Cq_cache.Oracle.vote_runs + (dev_votes - dev_votes0));
+      timed_loads = fst (dev_snapshot ()) - dev_loads0;
+      vote_runs = snd (dev_snapshot ()) - dev_votes0;
       transient_flips =
         v cache_stats.Cq_cache.Oracle.transient_flips
         + v mstats.Cq_learner.Moracle.conflicts;
@@ -619,7 +559,6 @@ let learn_core ?(equivalence = default_equivalence)
             Some (Transient ("non-deterministic responses: " ^ m ^ diagnosis))
         | Cq_learner.Moracle.Inconsistent m ->
             Some (Transient ("non-deterministic responses: " ^ m))
-        | Cq_util.Pool.Worker_lost m -> Some (Worker_lost m)
         | Out_of_budget m -> Some (Budget_exhausted m)
         | _ -> None
       in
@@ -636,12 +575,12 @@ let learn_core ?(equivalence = default_equivalence)
                 seconds;
               } ))
 
-let learn_from_cache ?equivalence ?engine ?cache_factory ?check_hits ?memoize
+let learn_from_cache ?equivalence ?engine ?check_hits ?memoize
     ?max_memo_entries ?max_row_cache ?max_states ?identify ?validate ?quotient ?retries ?on_retry ?device_stats
     ?metrics ?snapshot ?resume ?snapshot_meta ?deadline ?query_budget ?probe
     cache =
   match
-    learn_core ?equivalence ?engine ?cache_factory ?check_hits ?memoize
+    learn_core ?equivalence ?engine ?check_hits ?memoize
       ?max_memo_entries ?max_row_cache ?max_states ?identify ?validate
       ?quotient ?retries ?on_retry
       ?device_stats ?metrics ?snapshot ?resume ?snapshot_meta ?deadline
@@ -650,12 +589,12 @@ let learn_from_cache ?equivalence ?engine ?cache_factory ?check_hits ?memoize
   | Ok report -> report
   | Error (e, _) -> raise e
 
-let run ?equivalence ?engine ?cache_factory ?check_hits ?memoize
+let run ?equivalence ?engine ?check_hits ?memoize
     ?max_memo_entries ?max_row_cache ?max_states ?identify ?validate ?quotient ?retries ?on_retry ?device_stats
     ?metrics ?snapshot ?resume ?resumed ?snapshot_meta ?deadline ?query_budget
     ?probe cache =
   match
-    learn_core ?equivalence ?engine ?cache_factory ?check_hits ?memoize
+    learn_core ?equivalence ?engine ?check_hits ?memoize
       ?max_memo_entries ?max_row_cache ?max_states ?identify ?validate
       ?quotient ?retries ?on_retry
       ?device_stats ?metrics ?snapshot ?resume ?resumed ?snapshot_meta
@@ -664,15 +603,11 @@ let run ?equivalence ?engine ?cache_factory ?check_hits ?memoize
   | Ok report -> Complete report
   | Error (_, partial) -> Partial partial
 
-(* Case study §6: learn a policy from a software-simulated cache.  The
-   simulated oracle is trivially reproducible, so the Parallel engine's
-   per-domain factory comes for free. *)
+(* Case study §6: learn a policy from a software-simulated cache. *)
 let learn_simulated ?equivalence ?engine ?check_hits ?max_memo_entries
     ?max_row_cache ?max_states ?identify ?validate ?quotient ?metrics ?snapshot ?resume ?deadline ?query_budget
     ?probe policy =
-  learn_from_cache ?equivalence ?engine
-    ~cache_factory:(fun () -> Cq_cache.Oracle.of_policy policy)
-    ?check_hits ?max_memo_entries ?max_row_cache ?max_states ?identify
+  learn_from_cache ?equivalence ?engine ?check_hits ?max_memo_entries ?max_row_cache ?max_states ?identify
     ?validate ?quotient ?metrics
     ?snapshot ?resume ?deadline ?query_budget ?probe
     (Cq_cache.Oracle.of_policy policy)
@@ -681,9 +616,7 @@ let learn_simulated ?equivalence ?engine ?check_hits ?max_memo_entries
 let run_simulated ?equivalence ?engine ?check_hits ?max_memo_entries
     ?max_row_cache ?max_states ?identify ?validate ?quotient ?metrics ?snapshot ?resume ?deadline ?query_budget
     ?probe policy =
-  run ?equivalence ?engine
-    ~cache_factory:(fun () -> Cq_cache.Oracle.of_policy policy)
-    ?check_hits ?max_memo_entries ?max_row_cache ?max_states ?identify
+  run ?equivalence ?engine ?check_hits ?max_memo_entries ?max_row_cache ?max_states ?identify
     ?validate ?quotient ?metrics
     ?snapshot ?resume ?deadline ?query_budget ?probe
     (Cq_cache.Oracle.of_policy policy)

@@ -10,9 +10,6 @@ type equivalence =
   | Wp_method of int  (** Wp-method, depth k: same guarantee, smaller suite *)
   | Random_walk of { max_tests : int; max_len : int; seed : int }
 
-val default_equivalence : equivalence
-(** [Wp_method 1], the paper's configuration (§3.4). *)
-
 type engine =
   | Sequential
       (** one query at a time, reset-and-replay, short-circuit findEvicted
@@ -20,14 +17,6 @@ type engine =
   | Batched
       (** closure waves and findEvicted fan-outs reach the cache as
           prefix-shared batches (the default) *)
-  | Parallel of { domains : int }
-      (** [Batched] plus conformance testing fanned across worker domains;
-          requires [cache_factory] *)
-
-val default_engine : engine
-(** [Batched]. *)
-
-val engine_to_string : engine -> string
 
 type snapshot_policy = {
   path : string;
@@ -67,7 +56,6 @@ type failure =
       (** the observation table never stabilised *)
   | Budget_exhausted of string
       (** the wall-clock deadline or the query budget tripped *)
-  | Worker_lost of string  (** a pooled task failed every bounded retry *)
   | Invalid of string
       (** the learned automaton violates the policy axioms — the
           [~validate] model-checker gate rejected it; like [Transient],
@@ -78,7 +66,8 @@ val pp_failure : Format.formatter -> failure -> unit
 val failure_exit_code : failure -> int
 (** Distinct non-zero exit codes for scripted campaigns:
     [Transient] → 10, [Diverged] → 11, [Budget_exhausted] → 12,
-    [Worker_lost] → 13, [Invalid] → 14. *)
+    [Invalid] → 14.  13 belonged to a retired failure class and is not
+    reused. *)
 
 exception Out_of_budget of string
 (** Raised (from inside the oracle stack) when the deadline or query
@@ -104,10 +93,6 @@ type report = {
   accesses_saved : int;  (** block accesses avoided by prefix sharing *)
   memo_overflows : int;  (** bounded-memo clears (see [max_memo_entries]) *)
   row_cache_overflows : int;  (** bounded L* row-cache clears *)
-  domains : int;  (** worker domains used by the equivalence oracle *)
-  worker_restarts : int;
-      (** pooled worker contexts poisoned (and rebuilt) after task
-          exceptions — 0 on a healthy run *)
   identified : string list;
       (** known policies trace-equivalent to the result (up to reset state
           and line permutation) *)
@@ -117,8 +102,9 @@ type report = {
           queries, and the merge witness — when [~quotient] was set;
           [None] when quotient learning was off *)
   timed_loads : int;
-      (** physical timed loads including vote re-measurements (0 for quiet
-          software oracles without a [device_stats] record) *)
+      (** physical timed loads including vote re-measurements: the delta
+          of the device's load counter over the learn (0 for software
+          oracles without a [device_stats] record) *)
   vote_runs : int;  (** extra executions spent on majority voting *)
   transient_flips : int;
       (** [Polca.Non_deterministic] words absorbed by the retry layer *)
@@ -128,8 +114,8 @@ type report = {
           (always a passing report here — violations abort the run with
           {!Invalid_automaton} / [Invalid]); [None] otherwise *)
   metrics : Cq_util.Metrics.t;
-      (** the run's full metrics registry ("oracle.", "member.", "pool.",
-          "learn." series; plus the device layer's "frontend." /
+      (** the run's full metrics registry ("oracle.", "member.", "learn."
+          series; plus the device layer's "frontend." /
           "backend." series when the caller shared one registry across
           the stack).  The scalar fields above are views over it, frozen
           at completion. *)
@@ -160,7 +146,6 @@ val load_resume :
 val learn_from_cache :
   ?equivalence:equivalence ->
   ?engine:engine ->
-  ?cache_factory:(unit -> Cq_cache.Oracle.t) ->
   ?check_hits:bool ->
   ?memoize:bool ->
   ?max_memo_entries:int ->
@@ -181,14 +166,13 @@ val learn_from_cache :
   ?probe:(int -> unit) ->
   Cq_cache.Oracle.t ->
   report
-(** Learn the replacement policy behind a cache oracle.  [memoize] (default
-    true) interposes a query memo — disable it when the oracle already
-    memoizes (the CacheQuery frontend does).  [engine] selects the query
-    engine (default {!Batched}); [Parallel] additionally needs
-    [cache_factory], a thunk producing a fresh, independent oracle for
-    each worker domain (raises [Invalid_argument] otherwise).
-    [max_memo_entries] / [max_row_cache] bound the query memo and the L*
-    row cache with clear-on-overflow semantics; overflows are reported.
+(** Learn the replacement policy behind a cache oracle.  [equivalence]
+    defaults to [Wp_method 1], the paper's configuration (§3.4).
+    [memoize] (default true) interposes a query memo — disable it when
+    the oracle already memoizes (the CacheQuery frontend does).  [engine]
+    selects the query engine (default {!Batched}).  [max_memo_entries] /
+    [max_row_cache] bound the query memo and the L* row cache with
+    clear-on-overflow semantics; overflows are reported.
 
     [validate] (default false) model-checks the learned machine against
     the policy axioms ({!Cq_analysis.Automaton_check}: hit consistency,
@@ -213,7 +197,7 @@ val learn_from_cache :
     retry layer (see {!Polca.create}).  [device_stats] is the device
     layer's own stats record (e.g. {!Cq_cachequery.Frontend.stats}), whose
     timed-load / vote counters bypass the learning-side wrappers; their
-    deltas over the run are folded into the report.
+    deltas over the run are the report's [timed_loads] / [vote_runs].
 
     Durability: [snapshot] writes the session state ({!Session.snapshot})
     to disk on the given cadence, and once more on any failure.  A run's
@@ -237,13 +221,12 @@ val learn_from_cache :
     recovery benchmark) raise from it to simulate a crash.
 
     May raise {!Cq_learner.Lstar.Diverged}, {!Polca.Non_deterministic},
-    {!Cq_util.Pool.Worker_lost}, {!Out_of_budget} or {!Session.Corrupt};
+    {!Out_of_budget} or {!Session.Corrupt};
     {!run} is the non-raising variant. *)
 
 val run :
   ?equivalence:equivalence ->
   ?engine:engine ->
-  ?cache_factory:(unit -> Cq_cache.Oracle.t) ->
   ?check_hits:bool ->
   ?memoize:bool ->
   ?max_memo_entries:int ->
@@ -290,9 +273,7 @@ val learn_simulated :
   ?probe:(int -> unit) ->
   Cq_policy.Policy.t ->
   report
-(** Case study §6: learn a policy from a software-simulated cache.  The
-    simulated oracle is reproducible, so the [Parallel] engine's
-    per-domain factory is supplied automatically. *)
+(** Case study §6: learn a policy from a software-simulated cache. *)
 
 val run_simulated :
   ?equivalence:equivalence ->

@@ -200,11 +200,3 @@ let load_opt ~path =
   | None -> None
   | Some s -> Some (decode ~path s)
 
-let pp_meta ppf m =
-  Fmt.pf ppf "%s%d queries, seed %s, threshold %s"
-    (if m.label = "" then "" else m.label ^ ": ")
-    m.queries
-    (match m.seed with Some s -> string_of_int s | None -> "-")
-    (match m.calibration with
-    | Some c -> string_of_int c.Cq_cachequery.Backend.cal_threshold ^ "c"
-    | None -> "-")

@@ -83,4 +83,3 @@ val load_opt : path:string -> 'o snapshot option
     exists but is damaged — a damaged snapshot is an error to surface, not
     an absence to paper over. *)
 
-val pp_meta : Format.formatter -> meta -> unit

@@ -12,12 +12,6 @@
 
 type set_kind = Plain | Leader_a | Leader_b | Follower
 
-let set_kind_to_string = function
-  | Plain -> "plain"
-  | Leader_a -> "leader-A"
-  | Leader_b -> "leader-B"
-  | Follower -> "follower"
-
 type set_state = {
   content : int option array; (* line address per way; None = invalid *)
   inst_a : Cq_policy.Instance.t;
@@ -31,7 +25,6 @@ type t = {
   effective_assoc : int; (* = spec.assoc unless reduced via CAT *)
   sets : (int, set_state) Hashtbl.t;
   prng : Cq_util.Prng.t;
-  mutable fills : int;
   mutable evictions : int;
 }
 
@@ -45,7 +38,6 @@ let create ?(effective_assoc = -1) ~prng level (spec : Cpu_model.level_spec) =
     effective_assoc;
     sets = Hashtbl.create 997;
     prng;
-    fills = 0;
     evictions = 0;
   }
 
@@ -116,7 +108,6 @@ let noisy_b t =
    if any, so the machine can maintain inclusivity. *)
 let fill t ~slice ~set ~line ~use_b =
   let st = get_set t ~slice ~set in
-  t.fills <- t.fills + 1;
   let invalid_way =
     let found = ref None in
     Array.iteri (fun w b -> if !found = None && b = None then found := Some w) st.content;
@@ -175,7 +166,7 @@ let checkpoint t =
         :: acc)
       t.sets []
   in
-  let fills = t.fills and evictions = t.evictions in
+  let evictions = t.evictions in
   let restore_prng = Cq_util.Prng.checkpoint t.prng in
   fun () ->
     Hashtbl.reset t.sets;
@@ -187,11 +178,9 @@ let checkpoint t =
         (* cq-lint: allow hashtbl-add: the table was reset just above *)
         Hashtbl.add t.sets key st)
       saved;
-    t.fills <- fills;
     t.evictions <- evictions;
     restore_prng ()
 
 (* Test-only introspection. *)
 let peek_content t ~slice ~set = Array.copy (get_set t ~slice ~set).content
-let fills t = t.fills
 let evictions t = t.evictions

@@ -10,8 +10,6 @@
 
 type set_kind = Plain | Leader_a | Leader_b | Follower
 
-val set_kind_to_string : set_kind -> string
-
 type t
 
 val create :
@@ -62,5 +60,4 @@ val checkpoint : t -> unit -> unit
 (** {1 Introspection (tests, diagnostics)} *)
 
 val peek_content : t -> slice:int -> set:int -> int option array
-val fills : t -> int
 val evictions : t -> int

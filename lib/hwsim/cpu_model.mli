@@ -11,7 +11,6 @@
 type level = L1 | L2 | L3
 
 val level_to_string : level -> string
-val pp_level : Format.formatter -> level -> unit
 val all_levels : level list
 
 (** How the sets of a level choose their replacement policy. *)

@@ -79,7 +79,6 @@ let create ?(seed = 0xC0FFEEL) ?(noise = quiet_noise) model =
 
 let model t = t.model
 let set_noise t noise = t.noise := noise
-let prefetchers_enabled t = t.prefetchers
 let set_prefetchers t enabled = t.prefetchers <- enabled
 let loads t = t.loads
 
@@ -381,5 +380,3 @@ let replay_set ?universe t level ~slice ~set blocks =
 let peek_set t level ~slice ~set =
   Cache_level.peek_content (level_cache t level) ~slice ~set
 
-(* Set-dueling introspection (tests/diagnostics). *)
-let psel t = t.psel

@@ -41,7 +41,6 @@ val create : ?seed:int64 -> ?noise:noise_config -> Cpu_model.t -> t
 
 val model : t -> Cpu_model.t
 val set_noise : t -> noise_config -> unit
-val prefetchers_enabled : t -> bool
 val set_prefetchers : t -> bool -> unit
 
 val loads : t -> int
@@ -77,9 +76,6 @@ val set_cat_ways : t -> int -> unit
 
 val reset_cat : t -> unit
 (** Undo {!set_cat_ways} (again dropping the L3 content). *)
-
-val load_raw : t -> int -> [ `L1 | `L2 | `L3 | `Memory ]
-(** Load without timing: returns the level that served the access. *)
 
 val load : t -> int -> int
 (** Timed load: the measured latency in cycles, as rdtsc-style profiling
@@ -124,5 +120,3 @@ val replay_set :
 val peek_set : t -> Cpu_model.level -> slice:int -> set:int -> int option array
 (** The tags of one set (a copy). *)
 
-val psel : t -> int
-(** The set-dueling selector counter. *)

@@ -361,58 +361,3 @@ let wp_method ?(depth = 1) (oracle : 'o Moracle.t) : 'o t =
    W-vs-Wp ablation. *)
 let suite_symbols suite =
   Seq.fold_left (fun acc w -> acc + List.length w) 0 suite
-
-(* --- Pooled conformance testing ---------------------------------------- *)
-
-(* Split off up to [n] chunks of [chunk] words from a suite.  Chunks keep
-   suite order, so "first failing word of the earliest failing chunk" is
-   exactly the word sequential execution would have found first. *)
-let take_chunks n chunk seq =
-  let rec take_chunk k seq acc =
-    if k = 0 then (List.rev acc, seq)
-    else
-      match seq () with
-      | Seq.Nil -> (List.rev acc, Seq.empty)
-      | Seq.Cons (w, rest) -> take_chunk (k - 1) rest (w :: acc)
-  in
-  let rec go n seq acc =
-    if n = 0 then (List.rev acc, seq)
-    else
-      let c, rest = take_chunk chunk seq [] in
-      if c = [] then (List.rev acc, rest) else go (n - 1) rest (c :: acc)
-  in
-  go n seq []
-
-(* Conformance testing through a domain pool: the suite is cut into
-   in-order chunks, one round of [Pool.size] chunks is fanned out at a
-   time (each worker querying its own private oracle), and the round's
-   results are scanned in suite order.  A failing round stops the scan, so
-   the returned counterexample is identical to the sequential one; the
-   only overshoot is the tail of the round already in flight. *)
-let pooled ?(chunk = 512) ~suite (pool : 'o Moracle.t Cq_util.Pool.t) : 'o t =
- fun h ->
-  if chunk < 1 then invalid_arg "Equivalence.pooled: chunk must be >= 1";
-  (* The compiled hypothesis is immutable, so sharing it read-only across
-     the pool's domains is safe. *)
-  let c = Cq_automata.Mealy.compile h in
-  let rec rounds seq =
-    let chunks, rest = take_chunks (Cq_util.Pool.size pool) chunk seq in
-    if chunks = [] then None
-    else
-      let results =
-        Cq_util.Pool.map_list pool
-          (fun oracle words ->
-            List.find_opt (fun w -> run_test oracle c w) words)
-          chunks
-      in
-      match List.find_map Fun.id results with
-      | Some cex -> Some cex
-      | None -> rounds rest
-  in
-  rounds (suite h)
-
-let w_method_pooled ?(depth = 1) ?chunk pool =
-  pooled ?chunk ~suite:(w_method_suite ~depth) pool
-
-let wp_method_pooled ?(depth = 1) ?chunk pool =
-  pooled ?chunk ~suite:(wp_method_suite ~depth) pool

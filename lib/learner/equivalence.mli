@@ -14,10 +14,6 @@ val characterization_set : 'o Cq_automata.Mealy.t -> int list list
 (** A set of input words separating every pair of states of a minimal
     machine.  Raises [Invalid_argument] on non-minimal machines. *)
 
-val words_of_length : int -> int -> int list Seq.t
-(** [words_of_length n_inputs len]: all input words of length [len],
-    lexicographic, lazily. *)
-
 val words_up_to : int -> int -> int list Seq.t
 (** [words_up_to n_inputs k]: all input words of length [<= k], shortest
     first (including the empty word), as a lazy (re-traversable)
@@ -43,46 +39,11 @@ val wp_method_suite : depth:int -> 'o Cq_automata.Mealy.t -> int list Seq.t
 
 val wp_method : ?depth:int -> 'o Moracle.t -> 'o t
 
-val wp_quotient_suite :
-  depth:int ->
-  is_rep:(int -> bool) ->
-  sweep:int list ->
-  'o Cq_automata.Mealy.t ->
-  int list Seq.t
-(** Focused suite for a quotient-learned hypothesis: representative
-    states ([is_rep]) get full Wp-style phases whose distinguishers are
-    the eviction [sweep] (which fingerprints a state's line frame) plus
-    shortest separators of representative pairs; aliased states get a
-    spot-check (access word [.] sweep, and access word [.] input [.]
-    sweep per transition).  Cost scales with states x inputs instead of
-    states^2, trading the (|H|+depth)-completeness bound for a budget
-    that stays within the direct learner's at larger associativity —
-    wrong merges still surface because the sweep pins the exact frame
-    each merge asserted. *)
-
 val wp_quotient :
   ?depth:int -> is_rep:(int -> bool) -> sweep:int list -> 'o Moracle.t -> 'o t
 
 val suite_symbols : int list Seq.t -> int
 (** Total input symbols in a suite (the W-vs-Wp ablation metric). *)
-
-val pooled :
-  ?chunk:int ->
-  suite:('o Cq_automata.Mealy.t -> int list Seq.t) ->
-  'o Moracle.t Cq_util.Pool.t ->
-  'o t
-(** Run a conformance-test suite through a domain pool: in-order chunks of
-    [chunk] (default 512) words, one pool-sized round in flight at a time,
-    each worker testing against its own private oracle from the pool's
-    factory.  Returns the same counterexample as sequential execution
-    (first failing word in suite order); a failing round only overshoots
-    by the chunks already in flight. *)
-
-val w_method_pooled :
-  ?depth:int -> ?chunk:int -> 'o Moracle.t Cq_util.Pool.t -> 'o t
-
-val wp_method_pooled :
-  ?depth:int -> ?chunk:int -> 'o Moracle.t Cq_util.Pool.t -> 'o t
 
 val random_walk :
   prng:Cq_util.Prng.t -> ?max_tests:int -> ?max_len:int -> 'o Moracle.t -> 'o t

@@ -333,12 +333,8 @@ let cached_session ?stats ?(conflict_retries = 0) ?(journal = false) t =
     },
     { refresh; export; preload; drain } )
 
-let cached_refresh ?stats ?conflict_retries t =
-  let oracle, handle = cached_session ?stats ?conflict_retries t in
-  (oracle, handle.refresh)
-
 let cached ?stats ?conflict_retries t =
-  fst (cached_refresh ?stats ?conflict_retries t)
+  fst (cached_session ?stats ?conflict_retries t)
 
 (* Oracle backed by an explicit Mealy machine — ground truth in tests and
    the "perfect teacher" ablation. *)

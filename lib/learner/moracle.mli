@@ -60,15 +60,6 @@ val cached : ?stats:stats -> ?conflict_retries:int -> 'o t -> 'o t
     cached execution, whose entry is overwritten.  Conflicts that persist
     raise {!Inconsistent} — the system looks genuinely nondeterministic. *)
 
-val cached_refresh :
-  ?stats:stats -> ?conflict_retries:int -> 'o t -> 'o t * (int list -> 'o list)
-(** As {!cached}, but also returns a [refresh] handle that bypasses the
-    cache: it re-executes a word on the underlying system (until two
-    consecutive runs agree, bounded by [conflict_retries]), overwrites the
-    cached path with the fresh answer and returns it.  Callers use it to
-    repair entries they suspect of holding a transient measurement flip —
-    e.g. before trusting a counterexample from conformance testing. *)
-
 type 'o knowledge
 (** A portable, ordered list of (word, outputs) paths that rebuilds
     prefix-trie contents when applied in order, each path overwriting what
@@ -85,7 +76,13 @@ val knowledge_concat : 'o knowledge list -> 'o knowledge
 (** The dumps applied one after the other (a base, then log records). *)
 
 type 'o handle = {
-  refresh : int list -> 'o list;  (** as returned by {!cached_refresh} *)
+  refresh : int list -> 'o list;
+      (** bypass the cache: re-execute a word on the underlying system
+          (until two consecutive runs agree, bounded by
+          [conflict_retries]), overwrite the cached path with the fresh
+          answer and return it — how callers repair an entry suspected of
+          holding a transient measurement flip, e.g. before trusting a
+          counterexample from conformance testing *)
   export : unit -> 'o knowledge;  (** dump the trie's current contents *)
   preload : 'o knowledge -> unit;
       (** seed the trie from a dump (overwrites overlapping paths) *)
@@ -101,8 +98,8 @@ val cached_session :
   ?journal:bool ->
   'o t ->
   'o t * 'o handle
-(** As {!cached_refresh}, but the handle also exposes the trie for
-    session snapshot / resume.  [journal] (default false) records every
+(** As {!cached}, plus a handle that repairs entries ([refresh]) and
+    exposes the trie for session snapshot / resume.  [journal] (default false) records every
     trie mutation for [drain], so a session can append the answers it
     learned since its last write instead of re-exporting the trie. *)
 

@@ -17,8 +17,6 @@ val expand : ?max_queries:int -> assoc:int -> Ast.t -> query list
 val expand_string : ?max_queries:int -> assoc:int -> string -> query list
 (** Parse ([Parser.parse]) and expand. *)
 
-val pp_element : Format.formatter -> element -> unit
-val pp_query : Format.formatter -> query -> unit
 val query_to_string : query -> string
 
 val blocks : query -> Cq_cache.Block.t list

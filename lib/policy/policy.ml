@@ -51,9 +51,6 @@ let to_mealy ?(max_states = 2_000_000) (Policy p) =
       checked_step ~assoc:p.assoc p.step s (Types.input_of_int ~assoc:p.assoc i))
     ~max_states
 
-let n_reachable_states ?max_states p =
-  Cq_automata.Mealy.n_states (to_mealy ?max_states p)
-
 let n_minimal_states ?max_states p =
   Cq_automata.Mealy.n_states (Cq_automata.Mealy.minimize (to_mealy ?max_states p))
 

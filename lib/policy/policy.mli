@@ -37,7 +37,6 @@ val to_mealy : ?max_states:int -> t -> Types.output Cq_automata.Mealy.t
 (** Explicit automaton of the reachable control states.  Fails
     ([Failure _]) beyond [max_states] (default 2,000,000). *)
 
-val n_reachable_states : ?max_states:int -> t -> int
 val n_minimal_states : ?max_states:int -> t -> int
 (** Reachable states after Mealy minimization — the numbers Table 2 of the
     paper reports. *)

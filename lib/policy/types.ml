@@ -38,5 +38,3 @@ let input_label ~assoc i =
 
 let output_label = function None -> "_" | Some i -> string_of_int i
 
-let equal_input (a : input) (b : input) = a = b
-let equal_output (a : output) (b : output) = a = b

@@ -22,5 +22,3 @@ val input_label : assoc:int -> int -> string
 
 val output_label : output -> string
 
-val equal_input : input -> input -> bool
-val equal_output : output -> output -> bool

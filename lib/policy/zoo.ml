@@ -34,18 +34,6 @@ let entries : entry list =
 
 let names = List.map (fun e -> e.name) entries
 
-(* The associativity-scaling targets of the quotient-learning benchmark
-   ([bench -- assoc]): the two policies the paper's assoc-8 budget could
-   not crack at L2/L3 widths, plus fully-symmetric (LRU) and asymmetric
-   (FIFO) controls, at 12 and 16 ways. *)
-let scaling_targets =
-  List.concat_map
-    (fun assoc ->
-      List.map
-        (fun name -> (Printf.sprintf "%s-%d" name assoc, name, assoc))
-        [ "PLRU"; "New1"; "LRU"; "FIFO" ])
-    [ 12; 16 ]
-
 let find name = List.find_opt (fun e -> String.equal e.name name) entries
 
 let make ~name ~assoc =

@@ -11,17 +11,8 @@ val entries : entry list
 val names : string list
 val find : string -> entry option
 
-val scaling_targets : (string * string * int) list
-(** Named associativity-scaling targets [(label, policy, assoc)] for the
-    quotient-learning benchmark: PLRU and New1 (the policies an assoc-8
-    budget cannot crack at L2/L3 widths) plus LRU / FIFO controls, at 12
-    and 16 ways. *)
-
 val make : name:string -> assoc:int -> (Policy.t, string) result
 val make_exn : name:string -> assoc:int -> Policy.t
-
-val permutations : 'a list -> 'a list list
-(** All permutations (identification helper; exponential). *)
 
 val relabel_lines :
   int -> int list -> Types.output Cq_automata.Mealy.t -> Types.output Cq_automata.Mealy.t

@@ -31,7 +31,7 @@ let retry ?(attempts = 5) ?policy ?(sleep = Unix.sleepf) ?(seed = 0) () =
 
 type t = {
   m : Mutex.t;
-  dial : (unit -> Unix.file_descr) option; (* None: wrapped fd, no redial *)
+  dial : unit -> Unix.file_descr;
   retry : retry option;
   mutable fd : Unix.file_descr option;
   mutable next_id : int;
@@ -58,15 +58,15 @@ let ignore_sigpipe () =
    another. *)
 let instance_counter = Atomic.make 0
 
-let make ?retry ~dial fd =
+let make ?retry ~dial () =
   ignore_sigpipe ();
   {
     m = Mutex.create ();
     dial;
     retry;
-    fd;
+    fd = None;
     next_id = 1;
-    was_connected = fd <> None;
+    was_connected = false;
     reconnects = 0;
     request_retries = 0;
     idem_seq = 0;
@@ -87,25 +87,6 @@ let dial_unix path () =
      raise e);
   fd
 
-let resolve host =
-  try Unix.inet_addr_of_string host
-  with Failure _ -> (
-    match Unix.gethostbyname host with
-    | { Unix.h_addr_list = [||]; _ } ->
-        protocol_error (Printf.sprintf "cannot resolve %S" host)
-    | h -> h.Unix.h_addr_list.(0)
-    | exception Not_found ->
-        protocol_error (Printf.sprintf "cannot resolve %S" host))
-
-let dial_tcp host port () =
-  let addr = resolve host in
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try Unix.connect fd (Unix.ADDR_INET (addr, port))
-   with e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     raise e);
-  fd
-
 (* Establish (or re-establish) the connection; call with [t.m] held.
    With retry, connect attempts back off with jitter; without, one
    attempt raises as it always did. *)
@@ -113,11 +94,6 @@ let ensure t =
   match t.fd with
   | Some fd -> fd
   | None -> (
-      let dial =
-        match t.dial with
-        | Some d -> d
-        | None -> protocol_error "connection closed (wrapped fd, no redial)"
-      in
       let connected fd =
         if t.was_connected then t.reconnects <- t.reconnects + 1;
         t.was_connected <- true;
@@ -125,13 +101,13 @@ let ensure t =
         fd
       in
       match t.retry with
-      | None -> connected (dial ())
+      | None -> connected (t.dial ())
       | Some r -> (
           match
             Cq_util.Backoff.retry ~sleep:r.sleep ~seed:r.seed ~policy:r.policy
               ~attempts:r.attempts ~init:None
               (fun ~attempt:_ _ ->
-                match dial () with
+                match t.dial () with
                 | fd -> `Done fd
                 | exception (Unix.Unix_error _ as e) -> `Retry (Some e))
           with
@@ -145,16 +121,8 @@ let drop t =
   | None -> ());
   t.fd <- None
 
-let connect_fd fd = make ~dial:None (Some fd)
-
 let connect_unix ?retry path =
-  let t = make ?retry ~dial:(Some (dial_unix path)) None in
-  Mutex.lock t.m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.m) (fun () -> ignore (ensure t));
-  t
-
-let connect_tcp ?retry host port =
-  let t = make ?retry ~dial:(Some (dial_tcp host port)) None in
+  let t = make ?retry ~dial:(dial_unix path) () in
   Mutex.lock t.m;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.m) (fun () -> ignore (ensure t));
   t
@@ -365,9 +333,6 @@ let learn_wait c ?timeout_s sid =
 
 let learn_cancel c sid =
   ignore (call c ~params:(Json.Obj [ ("session", Json.Int sid) ]) "learn.cancel")
-
-let attach c sid =
-  call c ~params:(Json.Obj [ ("session", Json.Int sid) ]) "session.attach"
 
 let status c sid =
   call c ~params:(Json.Obj [ ("session", Json.Int sid) ]) "learn.status"

@@ -39,11 +39,6 @@ exception Error of { kind : string; message : string }
     — e.g. the daemon closed the connection mid-reply. *)
 
 val connect_unix : ?retry:retry -> string -> t
-val connect_tcp : ?retry:retry -> string -> int -> t
-
-val connect_fd : Unix.file_descr -> t
-(** Wrap an already-connected descriptor.  No dialer: such a client
-    cannot reconnect, and a connection failure raises immediately. *)
 
 val close : t -> unit
 
@@ -102,10 +97,6 @@ val learn_wait : t -> ?timeout_s:float -> int -> Json.t
     timeout); returns the status document. *)
 
 val learn_cancel : t -> int -> unit
-
-val attach : t -> int -> Json.t
-(** Re-attach to an existing session (e.g. after a reconnect); returns
-    its status document. *)
 
 val status : t -> int -> Json.t
 

@@ -135,7 +135,3 @@ let event fields = Json.Obj (("event", Json.Bool true) :: fields)
 
 let send fd doc = write_frame fd (Json.to_string doc)
 
-let error_kind j =
-  match Json.member "error" j with
-  | Some err -> Json.mem_str "kind" err
-  | None -> None

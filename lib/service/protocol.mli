@@ -63,5 +63,3 @@ val event : (string * Json.t) list -> Json.t
 val send : Unix.file_descr -> Json.t -> unit
 (** [write_frame] of the serialized document. *)
 
-val error_kind : Json.t -> string option
-(** [Some kind] if the document is an error reply. *)

@@ -340,7 +340,6 @@ let failure_kind = function
   | Learn.Transient _ -> "transient"
   | Learn.Diverged _ -> "diverged"
   | Learn.Budget_exhausted _ -> "budget_exhausted"
-  | Learn.Worker_lost _ -> "worker_lost"
   | Learn.Invalid _ -> "invalid"
 
 let session_json s =
@@ -606,7 +605,7 @@ let run_learn t s =
   | Ok (R_done _) -> Cq_util.Breaker.success t.breaker
   | Ok (R_failed (failure, _, _)) -> (
       match failure with
-      | Learn.Transient _ | Learn.Worker_lost _ | Learn.Invalid _ ->
+      | Learn.Transient _ | Learn.Invalid _ ->
           Cq_util.Breaker.failure t.breaker
       | Learn.Budget_exhausted _ | Learn.Diverged _ ->
           Cq_util.Breaker.abandon t.breaker)

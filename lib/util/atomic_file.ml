@@ -121,7 +121,3 @@ let read_opt ~path =
   | content -> Some content
   | exception Sys_error _ -> None
 
-let read_exn ~path =
-  match read_opt ~path with
-  | Some content -> content
-  | None -> failwith (Printf.sprintf "Atomic_file.read_exn: cannot read %s" path)

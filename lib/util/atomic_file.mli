@@ -37,5 +37,3 @@ val read_opt : path:string -> string option
 (** Whole-file read; [None] when the file is missing or unreadable (a
     previous run was interrupted before producing it). *)
 
-val read_exn : path:string -> string
-(** As {!read_opt} but raises [Failure] when unreadable. *)

@@ -1,8 +1,7 @@
 (* One retry loop for the whole stack.
 
-   Three places used to hand-roll this: the Hardware supervisor's
-   transient-retry recursion, the Pool's sequential retry rounds, and
-   (new in the resilience layer) the service client's reconnect loop.
+   Two places used to hand-roll this: the Hardware supervisor's
+   transient-retry recursion and the service client's reconnect loop.
    Each had its own attempt bookkeeping and none agreed on delays.  This
    module owns the shape — bounded attempts, a delay policy with
    jittered-exponential growth, deterministic when seeded — and lets the
@@ -32,9 +31,9 @@ let policy ?(base = 0.05) ?(cap = 5.0) ?(multiplier = 2.0)
 
 let default = policy ()
 
-(* Zero-delay policy: retry immediately.  The Hardware supervisor and the
-   Pool's retry rounds run against a local simulator where waiting buys
-   nothing; they want the loop structure, not the sleeping. *)
+(* Zero-delay policy: retry immediately.  The Hardware supervisor runs
+   against a local simulator where waiting buys nothing; it wants the
+   loop structure, not the sleeping. *)
 let immediate = policy ~base:0.0 ~cap:0.0 ~jitter:No_jitter ()
 
 type t = {

@@ -1,11 +1,10 @@
 (** Bounded retry with jittered-exponential backoff.
 
-    One loop for the stack's three retry sites: the Hardware
-    supervisor's transient retries, the Pool's sequential retry rounds
-    (both use {!immediate} — retrying a local simulator gains nothing by
-    waiting), and the service client's reconnect loop (decorrelated
-    jitter, so a daemon restart doesn't synchronise every client into a
-    retry storm).  Delays come from a seeded PRNG and go through an
+    One loop for the stack's two retry sites: the Hardware supervisor's
+    transient retries (with {!immediate} — retrying a local simulator
+    gains nothing by waiting) and the service client's reconnect loop
+    (decorrelated jitter, so a daemon restart doesn't synchronise every
+    client into a retry storm).  Delays come from a seeded PRNG and go through an
     injectable [sleep], so tests assert the exact schedule with a
     recording clock. *)
 

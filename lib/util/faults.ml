@@ -31,13 +31,6 @@ type mode =
   | Prob of float
   | Reach of int
 
-let mode_to_string = function
-  | Nth k -> Printf.sprintf "nth=%d" k
-  | Every k -> Printf.sprintf "every=%d" k
-  | First k -> Printf.sprintf "first=%d" k
-  | Prob p -> Printf.sprintf "p=%g" p
-  | Reach k -> Printf.sprintf "reach=%d" k
-
 type site_state = {
   mode : mode;
   limit : int option;
@@ -82,8 +75,6 @@ let arm t ?limit ~site mode =
           hits = 0;
           fires = 0;
         })
-
-let disarm t ~site = locked t (fun () -> Hashtbl.remove t.sites site)
 
 let fire ?n t site =
   locked t (fun () ->

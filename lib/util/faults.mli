@@ -18,7 +18,6 @@
     - ["atomic_file.append_fsync"] — [EIO] at the append's fsync
     - ["frame.write.torn"] — a frame write emits a prefix then fails
     - ["frame.read.stall"] — a bounded stall before reading a payload
-    - ["pool.task"] — a pool worker's task raises mid-run
     - ["service.worker.kill"] — a daemon learn worker dies at a probe
     - ["hw.noise.burst"] — a noise burst injected at a backend probe *)
 
@@ -35,8 +34,6 @@ type mode =
       (** fire once, the first time the external measure [n] passed to
           {!fire} reaches k (hits without [~n] never fire) *)
 
-val mode_to_string : mode -> string
-
 type t
 
 val create : ?seed:int -> unit -> t
@@ -48,8 +45,6 @@ val arm : t -> ?limit:int -> site:string -> mode -> unit
 (** Arm (or re-arm, resetting counters) a site.  [limit] bounds the
     total number of fires.  Raises [Invalid_argument] on a non-positive
     count or a probability outside [0, 1]. *)
-
-val disarm : t -> site:string -> unit
 
 val fire : ?n:int -> t -> string -> bool
 (** Record a hit on [site]; [true] when the schedule says this hit

@@ -53,7 +53,6 @@ val to_int : t -> int option
 (** [Int n] and integral [Float]s both convert. *)
 
 val to_float : t -> float option
-val to_bool : t -> bool option
 val to_str : t -> string option
 val to_list : t -> t list option
 

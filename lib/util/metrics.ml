@@ -2,16 +2,15 @@
    histograms, addressed by name.
 
    This replaces the ad-hoc stats records that used to live in the cache
-   oracle, the membership oracle, the CacheQuery frontend/backend and the
-   domain pool: those records now hold registry-backed handles, so every
+   oracle, the membership oracle and the CacheQuery frontend/backend:
+   those records now hold registry-backed handles, so every
    legacy report field *is* a view over a named metric and one registry
    snapshot shows the whole pipeline's traffic at once.
 
-   Counters are [Atomic.t]-backed: pool workers increment shared counters
-   from several domains (context poisonings, salvage retries), and a plain
-   [mutable int] would silently lose updates under that race.  Gauges and
-   histograms are only ever touched from the coordinating domain, so they
-   stay plain mutable state.
+   Counters are [Atomic.t]-backed: the daemon's worker threads increment
+   shared counters, and a plain [mutable int] would lose updates to a
+   preempted read-modify-write.  Gauges and histograms stay plain
+   mutable state.
 
    Registration is idempotent by name: asking twice for the same counter
    returns the same handle (that is what lets several pipeline layers
@@ -119,13 +118,10 @@ let histogram ?(buckets = default_buckets) ?(base = 2.0) ?(start = 1.0) t name =
 let add c n = ignore (Atomic.fetch_and_add c.v n)
 let incr c = add c 1
 let value c = Atomic.get c.v
-let counter_name c = c.c_name
 
 (* --- gauges ----------------------------------------------------------- *)
 
 let set g x = g.g <- x
-let gauge_value g = g.g
-let gauge_name g = g.g_name
 
 (* --- histograms ------------------------------------------------------- *)
 
@@ -153,7 +149,6 @@ let observe h x =
 
 let hist_count h = h.h_count
 let hist_sum h = h.h_sum
-let hist_name h = h.h_name
 let bucket_counts h = Array.copy h.counts
 
 (* Upper bound of bucket [i]; the last bucket has none. *)

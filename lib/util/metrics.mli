@@ -2,15 +2,14 @@
     histograms, addressed by name.
 
     One registry can be shared across every pipeline layer (backend,
-    frontend, Polca, the learner, the domain pool): registration is
+    frontend, Polca, the learner, the service): registration is
     idempotent by name, so a layer asking for an already-registered
     metric receives the existing handle.  Asking for an existing name
     with a different metric kind — or a histogram with a different
     bucket shape — raises [Invalid_argument].
 
-    Counters are atomic (pool workers increment shared counters from
-    several domains); gauges and histograms are single-domain mutable
-    state. *)
+    Counters are atomic (the daemon's worker threads increment shared
+    counters); gauges and histograms are plain mutable state. *)
 
 type t
 (** A registry. *)
@@ -38,13 +37,10 @@ val histogram :
 val incr : counter -> unit
 val add : counter -> int -> unit
 val value : counter -> int
-val counter_name : counter -> string
 
 (** {2 Gauges} *)
 
 val set : gauge -> float -> unit
-val gauge_value : gauge -> float
-val gauge_name : gauge -> string
 
 (** {2 Histograms} *)
 
@@ -54,7 +50,6 @@ val observe : histogram -> float -> unit
 
 val hist_count : histogram -> int
 val hist_sum : histogram -> float
-val hist_name : histogram -> string
 
 val bucket_counts : histogram -> int array
 

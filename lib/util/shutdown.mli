@@ -2,15 +2,9 @@
     exports (trace, metrics) from being lost to an unhandled
     SIGINT/SIGTERM. *)
 
-val default_signals : int list
-(** [Sys.sigint; Sys.sigterm]. *)
-
-val exit_code_of_signal : int -> int
-(** The shell convention, 128 + system signal number: SIGINT → 130,
-    SIGTERM → 143, SIGHUP → 129; 128 for anything else. *)
-
 val exit_on_signals : ?signals:int list -> unit -> unit
-(** Install handlers that call [exit (exit_code_of_signal s)] — running
+(** Install handlers (for [signals], default SIGINT and SIGTERM) that
+    call [exit (128 + signal number)] — the shell convention — running
     every [at_exit] hook, so trace/metrics files are flushed — instead of
     the default disposition (die without unwinding).  One-shot CLIs use
     this. *)

@@ -22,7 +22,6 @@ let add t x =
 let count t = t.n
 let mean t = if t.n = 0 then nan else t.mean
 let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
-let stddev t = sqrt (variance t)
 let min_value t = if t.n = 0 then nan else t.min
 let max_value t = if t.n = 0 then nan else t.max
 

@@ -10,7 +10,6 @@ val mean : t -> float
 val variance : t -> float
 (** Sample variance (Bessel-corrected); [0.] for fewer than two samples. *)
 
-val stddev : t -> float
 val min_value : t -> float
 val max_value : t -> float
 val of_list : float list -> t

@@ -12,8 +12,8 @@
    The sink is global rather than threaded through every layer: spans are
    diagnostics, not results, and a per-layer handle would force every
    constructor in the pipeline to grow a parameter.  Recording takes a
-   mutex — pool workers trace from their own domains — and span depth is
-   tracked per domain (DLS), so nesting is correct under the domain pool.
+   mutex — the daemon's worker threads trace concurrently — and span
+   depth is tracked per domain (DLS).
 
    Timestamps come from [Clock.mono] (CLOCK_MONOTONIC, in microseconds),
    so a wall-clock step under NTP can neither reorder events nor stretch

@@ -5,8 +5,8 @@
     Tracing is globally off by default, and the disabled path is a strict
     no-op — one bool read, no allocation.  Call sites that build argument
     lists guard on {!enabled} first, so hot paths pay nothing without a
-    sink.  Recording is domain-safe (pool workers trace concurrently)
-    and span nesting depth is tracked per domain. *)
+    sink.  Recording is thread- and domain-safe, and span nesting depth
+    is tracked per domain. *)
 
 type kind = Span | Instant | Counter_sample
 

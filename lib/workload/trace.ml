@@ -45,6 +45,7 @@ let zipf ~n ~alpha ~len ~seed =
     blocks;
   }
 
+(* Uniform ids over [n] blocks: the recency-free baseline. *)
 let uniform ~n ~len ~seed =
   check_pos "n" n;
   check_pos "len" len;
@@ -68,6 +69,7 @@ let sequential ~n ~len =
     blocks;
   }
 
+(* Strided scan [(i * stride) mod n]: the regular-array pattern. *)
 let strided ~n ~stride ~len =
   check_pos "n" n;
   check_pos "stride" stride;
@@ -80,6 +82,9 @@ let strided ~n ~stride ~len =
     blocks;
   }
 
+(* The adversarial anti-LRU loop: a cyclic working set of [ws] blocks.
+   With [ws = assoc + 1], LRU misses on every access while OPT keeps
+   [ws - assoc] misses per lap. *)
 let anti_lru ~ws ~len =
   check_pos "ws" ws;
   check_pos "len" len;

@@ -15,26 +15,9 @@ type t = {
 
 (** {2 Generators} *)
 
-val zipf : n:int -> alpha:float -> len:int -> seed:int -> t
-(** Zipf-distributed ids over [n] blocks: block [b] drawn with
-    probability proportional to [1 /. (b+1) ** alpha].  The skewed-reuse
-    shape of SPEC-like workloads. *)
-
-val uniform : n:int -> len:int -> seed:int -> t
-(** Uniform ids over [n] blocks — the recency-free baseline. *)
-
 val sequential : n:int -> len:int -> t
 (** Cyclic scan [0, 1, ..., n-1, 0, ...]: a streaming workload.  With
     [n > assoc] it defeats every recency-based policy. *)
-
-val strided : n:int -> stride:int -> len:int -> t
-(** Strided scan [(i * stride) mod n]: the SPEC-like regular-array
-    pattern. *)
-
-val anti_lru : ws:int -> len:int -> t
-(** The adversarial anti-LRU loop: a cyclic working set of [ws] blocks.
-    With [ws = assoc + 1], LRU misses on every access while OPT keeps
-    [ws - assoc] misses per lap. *)
 
 (** {2 Spec grammar}
 

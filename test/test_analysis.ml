@@ -518,6 +518,45 @@ let test_lint_stray_artifact () =
     "rule is listed" true
     (List.mem_assoc "stray-artifact" L.rules)
 
+(* dead-export is cross-file: a lib interface value counts as live only
+   when some other module mentions it — references from a [refs] tree
+   (bench/, examples/, perfbench/ in the CLI) count, a comment or the
+   module's own implementation does not. *)
+let test_lint_dead_export () =
+  let mli =
+    "val used : int\n\
+     val from_bench : int\n\
+     val unused : int\n\
+     (* cq-lint: allow dead-export \xe2\x80\x94 kept for the REPL *)\n\
+     val allowed : int\n"
+  in
+  let sources =
+    [
+      ("lib/m/m.mli", mli);
+      ( "lib/m/m.ml",
+        "let used = 1\nlet from_bench = 2\nlet unused = used\nlet allowed = 3\n"
+      );
+      ("bin/main.ml", "let () = print_int M.used (* M.unused *)\n");
+    ]
+  in
+  let dead refs =
+    List.map
+      (fun f -> (f.L.file, f.L.line, f.L.excerpt))
+      (L.dead_exports ~refs sources)
+  in
+  Alcotest.(check (list (triple string int string)))
+    "only the unreferenced val"
+    [ ("lib/m/m.mli", 3, "val unused : int") ]
+    (dead [ ("bench/main.ml", "let x = M.from_bench\n") ]);
+  Alcotest.(check (list string))
+    "without the reference tree, the bench-only val is dead too"
+    [ "from_bench"; "unused" ]
+    (List.map
+       (fun (_, _, e) -> List.nth (String.split_on_char ' ' e) 1)
+       (dead []));
+  Alcotest.(check bool) "rule is listed" true
+    (List.mem_assoc "dead-export" L.rules)
+
 let suite =
   ( "analysis",
     [
@@ -554,6 +593,7 @@ let suite =
         test_lint_allow_requires_reason;
       Alcotest.test_case "lint: hot-loop regions" `Quick test_lint_hot_loop;
       Alcotest.test_case "lint: line numbers" `Quick test_lint_line_numbers;
+      Alcotest.test_case "lint: dead exports" `Quick test_lint_dead_export;
       Alcotest.test_case "lint: stray artifacts" `Quick
         test_lint_stray_artifact;
     ] )

@@ -104,22 +104,6 @@ let test_memoized_consistent () =
   Alcotest.(check (list cres)) "memo stable" r1 r2;
   Alcotest.(check int) "one memo hit" 1 (Cq_util.Metrics.value stats.O.memo_hits)
 
-let test_noisy_majority () =
-  let prng = Cq_util.Prng.create 7L in
-  let clean = O.of_policy (Cq_policy.Lru.make 2) in
-  let noisy = O.noisy ~prng ~p:0.15 (O.of_policy (Cq_policy.Lru.make 2)) in
-  let voted = O.majority ~reps:15 noisy in
-  let q = List.map B.of_index [ 0; 4; 1; 4; 0 ] in
-  Alcotest.(check (list cres)) "majority denoises" (clean.O.query q) (voted.O.query q)
-
-let test_majority_validation () =
-  Alcotest.check_raises "reps >= 1" (Invalid_argument "Oracle.majority: reps must be >= 1")
-    (fun () -> ignore (O.majority ~reps:0 (O.of_policy (Cq_policy.Lru.make 2))));
-  (* Even counts can tie, and any fixed tie-break silently biases the vote. *)
-  Alcotest.check_raises "even reps rejected"
-    (Invalid_argument "Oracle.majority: reps must be odd") (fun () ->
-      ignore (O.majority ~reps:4 (O.of_policy (Cq_policy.Lru.make 2))))
-
 (* --- qcheck --------------------------------------------------------------- *)
 
 let arb_blocks =
@@ -209,8 +193,6 @@ let suite =
       Alcotest.test_case "counting oracle" `Quick test_counting;
       Alcotest.test_case "memo batch dedup" `Quick test_memoized_batch_dedup;
       Alcotest.test_case "memoized oracle" `Quick test_memoized_consistent;
-      Alcotest.test_case "noisy + majority" `Quick test_noisy_majority;
-      Alcotest.test_case "majority validation" `Quick test_majority_validation;
       QCheck_alcotest.to_alcotest prop_cache_agrees_with_policy_machine;
       QCheck_alcotest.to_alcotest prop_memoized_transparent;
       QCheck_alcotest.to_alcotest prop_fresh_blocks_miss;

@@ -1,7 +1,7 @@
-(* Tests for the batched / parallel query engine: the prefix-sharing trie
-   executor, Polca's session mode, the worker-domain pool, the bounded
-   memo tables, and end-to-end engine equivalence — every fast path must
-   be observationally identical to sequential reset-and-replay. *)
+(* Tests for the batched query engine: the prefix-sharing trie executor,
+   Polca's session mode, the bounded memo tables, and end-to-end engine
+   equivalence — every fast path must be observationally identical to
+   sequential reset-and-replay. *)
 
 module B = Cq_cache.Block
 module CS = Cq_cache.Cache_set
@@ -93,110 +93,6 @@ let test_machine_checkpoint () =
   restore ();
   Alcotest.(check (list int)) "restore thunk is reusable" first (probe ())
 
-(* The pool must return results in item order, identical to sequential
-   execution, regardless of domain scheduling. *)
-let test_pool_matches_sequential () =
-  let pool = Cq_util.Pool.create ~size:3 ~factory:(fun () -> ref 0) () in
-  let items = List.init 100 Fun.id in
-  let results = Cq_util.Pool.map_list pool (fun c x -> incr c; x * x) items in
-  Alcotest.(check (list int))
-    "pool = sequential"
-    (List.map (fun x -> x * x) items)
-    results
-
-(* A task that fails deterministically exhausts every bounded retry and
-   surfaces as Worker_lost (the supervisor's taxonomy), carrying the
-   original exception's message. *)
-let test_pool_propagates_exceptions () =
-  let pool = Cq_util.Pool.create ~size:2 ~factory:(fun () -> ()) () in
-  match
-    Cq_util.Pool.map_list pool
-      (fun () x -> if x >= 3 then failwith "boom" else x)
-      (List.init 10 Fun.id)
-  with
-  | _ -> Alcotest.fail "expected the worker failure to propagate"
-  | exception Cq_util.Pool.Worker_lost msg ->
-      let contains s sub =
-        let n = String.length sub in
-        let found = ref false in
-        for i = 0 to String.length s - n do
-          if String.sub s i n = sub then found := true
-        done;
-        !found
-      in
-      Alcotest.(check bool) "carries the original failure" true
-        (contains msg "boom")
-
-(* A transient failure (one poisoned context) must not lose the batch:
-   completed results are salvaged, the failed task is retried on a rebuilt
-   context, and the restart is reported through the stats record. *)
-let test_pool_salvages_transient_failure () =
-  let stats = Cq_util.Pool.fresh_stats () in
-  let pool =
-    Cq_util.Pool.create ~size:2 ~stats ~factory:(fun () -> ref 0) ()
-  in
-  let failed_once = Atomic.make false in
-  let items = List.init 20 Fun.id in
-  let results =
-    Cq_util.Pool.map_list pool
-      (fun c x ->
-        incr c;
-        if x = 7 && not (Atomic.exchange failed_once true) then
-          failwith "transient glitch";
-        x * x)
-      items
-  in
-  Alcotest.(check (list int))
-    "all tasks completed despite the injected failure"
-    (List.map (fun x -> x * x) items)
-    results;
-  Alcotest.(check bool) "restart reported" true
-    (Cq_util.Metrics.value stats.Cq_util.Pool.worker_restarts >= 1);
-  Alcotest.(check bool) "retry reported" true
-    (Cq_util.Metrics.value stats.Cq_util.Pool.task_retries >= 1)
-
-(* Regression: a retried (salvaged) task must be counted once in
-   [tasks] — completions, not attempts.  The old accounting summed per
-   attempt, double-counting every salvaged slot. *)
-let test_pool_task_count_reconciled_once () =
-  let stats = Cq_util.Pool.fresh_stats () in
-  let pool =
-    Cq_util.Pool.create ~size:2 ~stats ~factory:(fun () -> ref 0) ()
-  in
-  let failed_once = Atomic.make false in
-  let items = List.init 20 Fun.id in
-  let results =
-    Cq_util.Pool.map_list pool
-      (fun c x ->
-        incr c;
-        if x = 7 && not (Atomic.exchange failed_once true) then
-          failwith "transient glitch";
-        x * x)
-      items
-  in
-  Alcotest.(check (list int))
-    "all tasks completed"
-    (List.map (fun x -> x * x) items)
-    results;
-  Alcotest.(check bool) "the failure actually retried" true
-    (Cq_util.Metrics.value stats.Cq_util.Pool.task_retries >= 1);
-  Alcotest.(check int) "tasks counted once each, not per attempt"
-    (List.length items)
-    (Cq_util.Metrics.value stats.Cq_util.Pool.tasks)
-
-(* Worker contexts are built once per slot and survive across map calls
-   (that is what keeps worker oracle caches warm between rounds). *)
-let test_pool_contexts_persist () =
-  let built = Atomic.make 0 in
-  let pool =
-    Cq_util.Pool.create ~size:2
-      ~factory:(fun () -> Atomic.incr built; ref 0)
-      ()
-  in
-  ignore (Cq_util.Pool.map_list pool (fun c x -> incr c; x) (List.init 8 Fun.id));
-  ignore (Cq_util.Pool.map_list pool (fun c x -> incr c; x) (List.init 8 Fun.id));
-  Alcotest.(check bool) "at most [size] contexts built" true (Atomic.get built <= 2)
-
 (* Bounded memo: overflow clears the table (and says so) without ever
    changing answers. *)
 let test_memo_overflow () =
@@ -213,7 +109,7 @@ let test_memo_overflow () =
       (oracle.O.query (q i) = plain.O.query (q i))
   done
 
-(* End to end: all three engines learn the same automaton, and the batched
+(* End to end: both engines learn the same automaton, and the batched
    engine actually saves accesses while doing it. *)
 let test_engines_agree () =
   let policy () = Zoo.make_exn ~name:"PLRU" ~assoc:4 in
@@ -222,23 +118,15 @@ let test_engines_agree () =
   in
   let seq = learn Cq_core.Learn.Sequential in
   let bat = learn Cq_core.Learn.Batched in
-  let par = learn (Cq_core.Learn.Parallel { domains = 2 }) in
   Alcotest.(check int) "batched states" seq.Cq_core.Learn.states
     bat.Cq_core.Learn.states;
-  Alcotest.(check int) "parallel states" seq.Cq_core.Learn.states
-    par.Cq_core.Learn.states;
   Alcotest.(check bool) "batched machine equivalent" true
     (Cq_automata.Mealy.equivalent seq.Cq_core.Learn.machine
        bat.Cq_core.Learn.machine);
-  Alcotest.(check bool) "parallel machine equivalent" true
-    (Cq_automata.Mealy.equivalent seq.Cq_core.Learn.machine
-       par.Cq_core.Learn.machine);
   Alcotest.(check bool) "batched engine saves accesses" true
     (bat.Cq_core.Learn.accesses_saved > 0);
   Alcotest.(check bool) "sequential engine saves nothing" true
-    (seq.Cq_core.Learn.accesses_saved = 0);
-  Alcotest.(check int) "parallel reports its domains" 2
-    par.Cq_core.Learn.domains
+    (seq.Cq_core.Learn.accesses_saved = 0)
 
 (* Acceptance for the noise-hardened layer: with voting enabled the
    frontend still exposes the batched/session path, and it must answer
@@ -277,15 +165,6 @@ let suite =
         test_session_matches_replay;
       Alcotest.test_case "machine checkpoint determinism" `Quick
         test_machine_checkpoint;
-      Alcotest.test_case "pool = sequential" `Quick test_pool_matches_sequential;
-      Alcotest.test_case "pool propagates exceptions" `Quick
-        test_pool_propagates_exceptions;
-      Alcotest.test_case "pool salvages transient failures" `Quick
-        test_pool_salvages_transient_failure;
-      Alcotest.test_case "pool counts retried tasks once" `Quick
-        test_pool_task_count_reconciled_once;
-      Alcotest.test_case "pool contexts persist" `Quick
-        test_pool_contexts_persist;
       Alcotest.test_case "bounded memo overflow" `Quick test_memo_overflow;
       Alcotest.test_case "engines agree" `Quick test_engines_agree;
       Alcotest.test_case "batched = sequential under noise" `Quick

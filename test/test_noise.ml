@@ -60,6 +60,47 @@ let test_haswell_l1_noise_matches_quiet () =
   Alcotest.(check bool) "timed loads include vote runs" true
     (noisy.Cq_core.Hardware.timed_loads > quiet.Cq_core.Hardware.timed_loads)
 
+(* The report's timed loads are the backend counter's delta over the
+   learn, whichever path issued them: Polca's session mode drives the
+   frontend's access primitive directly, bypassing the query paths that
+   used to do the counting.  The probe runs before every top-level
+   query, so its first reading is the counter at the start of the
+   learn. *)
+let test_report_counts_session_loads () =
+  let metrics = Cq_util.Metrics.create () in
+  let loads () =
+    Cq_util.Metrics.value
+      (Cq_util.Metrics.counter metrics "backend.timed_loads")
+  in
+  let at_start = ref None in
+  let probe _ = if !at_start = None then at_start := Some (loads ()) in
+  let run =
+    Cq_core.Hardware.learn_set ~check_hits:false ~quotient:true ~metrics
+      ~probe
+      (M.create ~noise:M.quiet_noise CM.haswell)
+      CM.L1
+  in
+  let r = report_of run in
+  let start = Option.get !at_start in
+  Alcotest.(check bool) "loads counted" true (r.Cq_core.Learn.timed_loads > 0);
+  Alcotest.(check int) "= backend.timed_loads delta over the learn"
+    (loads () - start) r.Cq_core.Learn.timed_loads
+
+(* Every report line is its own line, the noise lines included. *)
+let test_report_lines () =
+  let r =
+    Cq_core.Learn.learn_simulated ~identify:false
+      (Cq_policy.Zoo.make_exn ~name:"LRU" ~assoc:2)
+  in
+  let text =
+    Fmt.str "%a" Cq_core.Learn.pp_report
+      { r with Cq_core.Learn.timed_loads = 5; vote_runs = 3 }
+  in
+  Alcotest.(check bool) "timed loads on its own line" true
+    (contains ~sub:"\ntimed loads: 5\n" text);
+  Alcotest.(check bool) "vote re-runs on its own line" true
+    (contains ~sub:"\nvote re-runs: 3\n" text)
+
 (* Adaptive early stopping must beat a fixed repetition count on the same
    noisy target while learning the same machine (toy L1 keeps this
    quick). *)
@@ -264,6 +305,9 @@ let suite =
         test_haswell_l1_noise_matches_quiet;
       Alcotest.test_case "adaptive cheaper than fixed" `Quick
         test_adaptive_cheaper_than_fixed;
+      Alcotest.test_case "report counts session-mode loads" `Quick
+        test_report_counts_session_loads;
+      Alcotest.test_case "report lines" `Quick test_report_lines;
       Alcotest.test_case "transient flip absorbed" `Quick
         test_transient_flip_absorbed;
       Alcotest.test_case "structural nondeterminism fails" `Quick

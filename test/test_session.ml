@@ -529,7 +529,7 @@ let test_exit_codes () =
       (Learn.Transient "t", 10);
       (Learn.Diverged d, 11);
       (Learn.Budget_exhausted "b", 12);
-      (Learn.Worker_lost "w", 13);
+      (Learn.Invalid "i", 14);
     ]
 
 (* Deadline supervision converts a runaway run into Budget_exhausted with a
