@@ -164,6 +164,11 @@ let table4 ~full () =
      CacheQuery";
   Printf.printf "%-9s %-3s %5s | %-46s %9s | %6s %-5s %-10s\n%!" "CPU" "Lvl"
     "assoc" "ours" "time" "paper" "pol." "paper reset";
+  (* Rows whose state count or policy disagrees with the paper, or that
+     learned where the paper could not.  Reset sequences are not compared:
+     a flush in front of the paper's sequence (Haswell L1's [F+ @ @]) is
+     an equally valid reset. *)
+  let disagree = ref [] in
   List.iter
     (fun plan ->
       let paper_states =
@@ -200,12 +205,31 @@ let table4 ~full () =
           | Cq_core.Hardware.Failed { reason; _ } ->
               Printf.sprintf "- (%s)" reason
         in
+        let agrees =
+          match (run.Cq_core.Hardware.outcome, plan.paper.Paper_data.states) with
+          | Cq_core.Hardware.Learned { report; _ }, Some n ->
+              report.Cq_core.Learn.states = n
+              && List.mem plan.paper.Paper_data.policy
+                   report.Cq_core.Learn.identified
+          | (Cq_core.Hardware.Partial _ | Cq_core.Hardware.Failed _), None ->
+              true
+          | _ -> false
+        in
+        if not agrees then
+          disagree :=
+            (plan.paper.Paper_data.cpu ^ " " ^ plan.paper.Paper_data.level)
+            :: !disagree;
         Printf.printf "%-9s %-3s %5d | %-46s %8.1fs | %6s %-5s %-10s\n%!"
           plan.paper.Paper_data.cpu plan.paper.Paper_data.level
           run.Cq_core.Hardware.assoc ours dt paper_states
           plan.paper.Paper_data.policy plan.paper.Paper_data.reset
       end)
-    t4_plans
+    t4_plans;
+  match List.rev !disagree with
+  | [] -> ()
+  | rows ->
+      failwith
+        ("table4: rows disagree with the paper: " ^ String.concat ", " rows)
 
 (* ----------------------------------------------------------------------- *)
 (* Table 5: synthesizing explanations                                       *)

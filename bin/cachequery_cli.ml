@@ -106,6 +106,11 @@ let run_query session input =
           Failed
       | exception Cq_mbl.Expand.Expansion_error msg ->
           Printf.printf "expansion error: %s\n%!" msg;
+          Failed
+      | exception Invalid_argument msg ->
+          (* e.g. a reset sequence that does not expand to one query at
+             this level's associativity, found when the frontend is made *)
+          Printf.printf "error: %s\n%!" msg;
           Failed)
 
 let handle_command session line =
@@ -158,16 +163,29 @@ let handle_command session line =
       true
   | "reset" :: rest ->
       let spec = String.concat " " rest in
-      (match spec with
-      | "F+R" | "f+r" -> session.reset <- Cq_cachequery.Frontend.Flush_refill
-      | "none" -> session.reset <- Cq_cachequery.Frontend.No_reset
-      | _ -> (
-          match Cq_mbl.Parser.parse_result spec with
-          | Ok ast -> session.reset <- Cq_cachequery.Frontend.Sequence ast
-          | Error msg -> Printf.printf "parse error: %s\n%!" msg));
-      Option.iter
-        (fun fe -> Cq_cachequery.Frontend.set_reset fe session.reset)
-        session.frontend;
+      let parsed =
+        match spec with
+        | "F+R" | "f+r" -> Ok Cq_cachequery.Frontend.Flush_refill
+        | "none" -> Ok Cq_cachequery.Frontend.No_reset
+        | _ ->
+            Result.map
+              (fun ast -> Cq_cachequery.Frontend.Sequence ast)
+              (Cq_mbl.Parser.parse_result spec)
+      in
+      (* A live frontend expands the sequence now; one that fails leaves
+         the current reset in place. *)
+      (match parsed with
+      | Error msg -> Printf.printf "parse error: %s\n%!" msg
+      | Ok reset -> (
+          match
+            Option.iter
+              (fun fe -> Cq_cachequery.Frontend.set_reset fe reset)
+              session.frontend
+          with
+          | () -> session.reset <- reset
+          | exception
+              (Cq_mbl.Expand.Expansion_error msg | Invalid_argument msg) ->
+              Printf.printf "reset error: %s (reset unchanged)\n%!" msg));
       true
   | "check" :: rest when rest <> [] ->
       ignore (check_query session (String.concat " " rest));

@@ -54,7 +54,7 @@ type stats = {
       (* runs spent per voted access that entered the voting loop *)
 }
 
-let fresh_stats ?registry ?(prefix = "oracle") ?timed_loads () =
+let fresh_stats ?registry ?(prefix = "oracle") ?timed_loads ?vote_runs () =
   let r =
     match registry with Some r -> r | None -> Cq_util.Metrics.create ()
   in
@@ -69,7 +69,7 @@ let fresh_stats ?registry ?(prefix = "oracle") ?timed_loads () =
     memo_overflows = c "memo_overflows";
     timed_loads =
       (match timed_loads with Some l -> l | None -> c "timed_loads");
-    vote_runs = c "vote_runs";
+    vote_runs = (match vote_runs with Some v -> v | None -> c "vote_runs");
     transient_flips = c "transient_flips";
     retry_attempts = c "retry_attempts";
     batch_depth =

@@ -59,14 +59,17 @@ val fresh_stats :
   ?registry:Cq_util.Metrics.t ->
   ?prefix:string ->
   ?timed_loads:Cq_util.Metrics.counter ->
+  ?vote_runs:Cq_util.Metrics.counter ->
   unit ->
   stats
 (** Stats whose fields are registered as ["<prefix>.<field>"] (default
     prefix ["oracle"]) in [registry] (default: a fresh private registry).
     Two stats records sharing a registry must use distinct prefixes.
-    [timed_loads] shares an existing counter instead of registering one:
-    a device layer passes its backend's, so loads are counted in one
-    place whatever path issued them. *)
+    [timed_loads] and [vote_runs] share existing counters instead of
+    registering their own: a device layer passes its backend's load
+    counter, and a learn over a device passes the device's two counters,
+    so loads and votes are counted in one place whatever path issued
+    them. *)
 
 val sequential_batch :
   (Block.t list -> Cache_set.result list) ->

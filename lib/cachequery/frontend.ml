@@ -40,6 +40,7 @@ type t = {
   backend : Backend.t;
   assoc : int; (* effective associativity of the target level *)
   mutable reset : reset;
+  mutable reset_query : Cq_mbl.Expand.query option; (* [reset], expanded *)
   mutable voting : voting;
   mutable memo_enabled : bool;
   max_memo_entries : int option; (* clear-on-overflow bound *)
@@ -49,6 +50,20 @@ type t = {
   stats : Cq_cache.Oracle.stats;
   metrics : Cq_util.Metrics.t option; (* for the static-analysis counters *)
 }
+
+(* The query a reset runs after its flush, if any: expanded once, when the
+   reset is configured, not on each of the tens of thousands of resets of
+   a learn. *)
+let expand_reset ~assoc reset =
+  let single ast =
+    match Cq_mbl.Expand.expand ~assoc ast with
+    | [ q ] -> Some q
+    | _ -> invalid_arg "Frontend: reset sequence must expand to a single query"
+  in
+  match reset with
+  | No_reset -> None
+  | Flush_refill -> single Cq_mbl.Ast.At
+  | Sequence ast | Flush_then ast -> single ast
 
 let create ?(reset = Flush_refill) ?repetitions ?voting ?max_memo_entries
     ?metrics backend =
@@ -65,10 +80,12 @@ let create ?(reset = Flush_refill) ?repetitions ?voting ?max_memo_entries
   | _ -> ());
   let machine = Backend.machine backend in
   let target = Backend.target backend in
+  let assoc = Cq_hwsim.Machine.effective_assoc machine target.Backend.level in
   {
     backend;
-    assoc = Cq_hwsim.Machine.effective_assoc machine target.Backend.level;
+    assoc;
     reset;
+    reset_query = expand_reset ~assoc reset;
     voting;
     memo_enabled = true;
     max_memo_entries;
@@ -84,7 +101,9 @@ let create ?(reset = Flush_refill) ?repetitions ?voting ?max_memo_entries
 let backend t = t.backend
 let assoc t = t.assoc
 let stats t = t.stats
-let set_reset t reset = t.reset <- reset
+let set_reset t reset =
+  t.reset_query <- expand_reset ~assoc:t.assoc reset;
+  t.reset <- reset
 
 let set_voting t v =
   validate_voting v;
@@ -125,11 +144,6 @@ let expand t input =
   let ast = Cq_analysis.Mbl_check.simplify ~assoc:t.assoc ast in
   Cq_mbl.Expand.expand ~assoc:t.assoc ast
 
-let run_reset_ast t ast =
-  match Cq_mbl.Expand.expand ~assoc:t.assoc ast with
-  | [ q ] -> ignore (Backend.run_query t.backend q)
-  | _ -> invalid_arg "Frontend: reset sequence must expand to a single query"
-
 let apply_reset t =
   Cq_util.Trace.with_span ~cat:"frontend" "frontend.reset" @@ fun () ->
   (* A reset boundary is the only safe point to honour a drift-triggered
@@ -138,17 +152,10 @@ let apply_reset t =
      resets cannot clean up after a sweep, so the request stays pending. *)
   (match t.reset with
   | Flush_refill | Flush_then _ ->
-      ignore (Backend.maybe_recalibrate t.backend : bool)
+      ignore (Backend.maybe_recalibrate t.backend : bool);
+      Backend.flush_all_known t.backend
   | No_reset | Sequence _ -> ());
-  match t.reset with
-  | No_reset -> ()
-  | Flush_refill ->
-      Backend.flush_all_known t.backend;
-      run_reset_ast t Cq_mbl.Ast.At
-  | Sequence ast -> run_reset_ast t ast
-  | Flush_then ast ->
-      Backend.flush_all_known t.backend;
-      run_reset_ast t ast
+  Option.iter (fun q -> ignore (Backend.run_query t.backend q)) t.reset_query
 
 (* Execute one expanded query: reset, run, and majority-vote over whole-
    query re-executions.  Returns the voted outcomes and the number of runs

@@ -52,6 +52,8 @@ val stats : t -> Cq_cache.Oracle.stats
     included. *)
 
 val set_reset : t -> reset -> unit
+(** The sequence is expanded here (and in {!create}), once: both raise
+    [Invalid_argument] if it does not expand to a single query. *)
 
 val set_voting : t -> voting -> unit
 val voting : t -> voting

@@ -185,18 +185,6 @@ let learn_core ?(equivalence = default_equivalence)
     Cq_util.Metrics.histogram ~buckets:32 ~start:1e-6 registry
       "learn.snapshot_export_seconds"
   and snapshot_replay_h = snapshot_replay_histogram registry in
-  (* [device_stats]: the device layer's own stats record (the CacheQuery
-     frontend's), whose voting/timed-load counters are invisible to the
-     wrappers below; its deltas over the learning run are the report's
-     [timed_loads] and [vote_runs]. *)
-  let dev_snapshot () =
-    match device_stats with
-    | None -> (0, 0)
-    | Some d ->
-        ( Cq_util.Metrics.value d.Cq_cache.Oracle.timed_loads,
-          Cq_util.Metrics.value d.Cq_cache.Oracle.vote_runs )
-  in
-  let dev_loads0, dev_votes0 = dev_snapshot () in
   let t0 = Cq_util.Clock.mono () in
   (* Resume: load the snapshot up front so a damaged file fails fast,
      before any hardware traffic — unless the caller already loaded it. *)
@@ -211,7 +199,19 @@ let learn_core ?(equivalence = default_equivalence)
     | Sequential -> Cq_cache.Oracle.sequential cache
     | Batched -> cache
   in
-  let cache_stats = Cq_cache.Oracle.fresh_stats ~registry () in
+  (* [device_stats]: the device layer's own stats record (the CacheQuery
+     frontend's).  Timed loads and votes are counted there, never by the
+     wrappers below, so the learn-side stats share those two counters
+     rather than register idle copies; their deltas over the learning run
+     are the report's [timed_loads] and [vote_runs]. *)
+  let cache_stats =
+    Cq_cache.Oracle.fresh_stats ~registry
+      ?timed_loads:(Option.map (fun d -> d.Cq_cache.Oracle.timed_loads) device_stats)
+      ?vote_runs:(Option.map (fun d -> d.Cq_cache.Oracle.vote_runs) device_stats)
+      ()
+  in
+  let dev_loads0 = Cq_util.Metrics.value cache_stats.Cq_cache.Oracle.timed_loads
+  and dev_votes0 = Cq_util.Metrics.value cache_stats.Cq_cache.Oracle.vote_runs in
   let cache = Cq_cache.Oracle.counting cache_stats cache in
   let cache =
     if memoize then
@@ -276,7 +276,10 @@ let learn_core ?(equivalence = default_equivalence)
         Cq_util.Trace.with_span ~cat:"learn" "learn.snapshot.write"
         @@ fun () ->
         let queries = hw_queries () in
-        let entries = handle.Cq_learner.Moracle.drain () in
+        (* The drain is session work like the base's export: both are
+           timed into [snapshot_export_h]. *)
+        let entries, drain_s = Cq_util.Clock.time handle.Cq_learner.Moracle.drain in
+        Cq_util.Metrics.observe snapshot_export_h drain_s;
         let base =
           lazy
             (let m =
@@ -454,8 +457,8 @@ let learn_core ?(equivalence = default_equivalence)
       identified =
         (if identify then Cq_policy.Zoo.identify result.machine else []);
       quotient = result.Cq_learner.Lstar.quotient;
-      timed_loads = fst (dev_snapshot ()) - dev_loads0;
-      vote_runs = snd (dev_snapshot ()) - dev_votes0;
+      timed_loads = v cache_stats.Cq_cache.Oracle.timed_loads - dev_loads0;
+      vote_runs = v cache_stats.Cq_cache.Oracle.vote_runs - dev_votes0;
       transient_flips =
         v cache_stats.Cq_cache.Oracle.transient_flips
         + v mstats.Cq_learner.Moracle.conflicts;

@@ -26,10 +26,13 @@
      fsync + rename), which also drops any log the file carried.
    - Each record is the payload length (4 bytes) and its bitwise
      complement (4 bytes), the payload's MD5, and a [Marshal]ed
-     {!record}: the trie mutations since the previous write, in order,
-     and the hardware query count at its write.  Records are appended
-     with {!Cq_util.Atomic_file.append} and applied on load, in order,
-     with [insert_force] semantics.
+     {!record}: the part of the trie the mutations since the previous
+     write touched, and the hardware query count at its write.  Records
+     are appended with {!Cq_util.Atomic_file.append} and applied on load,
+     in order, each overwriting what it overlaps.
+
+   Knowledge is flat arrays (a node's parent, input and output), so
+   exporting, marshalling and digesting it is linear in the trie's nodes.
 
    A crash mid-append leaves a torn tail: a damaged last record, which
    [load] drops (its answers are re-queried on resume).  A damaged record
@@ -39,7 +42,7 @@
 exception Corrupt of string
 
 let magic = "CQSNAP"
-let version = 2
+let version = 3
 
 (* magic + version byte + 16-byte MD5 digest + 8-byte payload length *)
 let header_len = String.length magic + 1 + 16 + 8
@@ -80,8 +83,13 @@ let traced_write ~bytes write =
       "session.save" write
   else write ()
 
+(* Snapshots hold no cycles and no sharing worth keeping (knowledge is
+   flat arrays), so [No_sharing] skips the marshaller's table of visited
+   blocks — half its time on a large base. *)
+let marshal v = Marshal.to_string v [ Marshal.No_sharing ]
+
 let encode snap =
-  let payload = Marshal.to_string snap [] in
+  let payload = marshal snap in
   let buf = Buffer.create (header_len + String.length payload) in
   Buffer.add_string buf magic;
   Buffer.add_char buf (Char.chr version);
@@ -99,7 +107,7 @@ let write_base ~path snap =
 let save ~path snap = ignore (write_base ~path snap : int)
 
 let encode_record r =
-  let payload = Marshal.to_string r [] in
+  let payload = marshal r in
   let len = String.length payload in
   let buf = Buffer.create (record_header_len + len) in
   Buffer.add_int32_le buf (Int32.of_int len);

@@ -14,8 +14,8 @@
     File layout: a base ({!save}: magic, version byte, MD5 digest and
     length of a [Marshal] payload) written atomically, followed by
     length-prefixed, checksummed records ({!append}), each carrying the
-    trie mutations since the previous write and the hardware query count
-    at that point.  A crash mid-append tears at most the last record,
+    part of the trie the mutations since the previous write touched and
+    the hardware query count at that point.  A crash mid-append tears at most the last record,
     which {!load} drops; readers never observe a torn record. *)
 
 exception Corrupt of string
@@ -65,15 +65,16 @@ val write_base : path:string -> 'o snapshot -> int
 val append :
   path:string -> queries:int -> 'o Cq_learner.Moracle.knowledge -> int
 (** Append one log record to the base at [path] and fsync it: the trie
-    mutations since the previous write, in order, and the hardware query
-    count [queries] that {!load} reports once the record is the last one.
+    changes since the previous write (a journal's [drain]) and the
+    hardware query count [queries] that {!load} reports once the record
+    is the last one.
     Returns the bytes written.  Failures raise
     {!Cq_util.Atomic_file.Write_error} with the file truncated back to
     its previous length. *)
 
 val load : path:string -> 'o snapshot
 (** Read and verify a snapshot: the base, then each record in order,
-    applied with [insert_force] semantics; [meta.queries] and
+    each overwriting what it overlaps; [meta.queries] and
     [meta.created] come from the last good record.  A damaged last record
     is a torn tail and is dropped (its answers are re-queried on resume).
     @raise Corrupt on any other damage (see {!exception-Corrupt}). *)

@@ -29,18 +29,22 @@ val spec : t -> Cpu_model.level_spec
 
 val kind : t -> slice:int -> set:int -> set_kind
 
-val find : t -> slice:int -> set:int -> line:int -> int option
-(** The way holding [line], if cached. *)
+val invalid : int
+(** [-1]: the "no line" / "no way" value of {!find} and {!fill}. *)
+
+val find : t -> slice:int -> set:int -> line:int -> int
+(** The way holding [line], or {!invalid} if it is not cached.  Allocates
+    nothing. *)
 
 val hit : t -> slice:int -> set:int -> way:int -> unit
 (** Touch the replacement state (both instances, in follower sets) for a
     hit on [way]. *)
 
-val fill : t -> slice:int -> set:int -> line:int -> use_b:bool -> int option
+val fill : t -> slice:int -> set:int -> line:int -> use_b:bool -> int
 (** Install [line], filling an invalid way if one exists, otherwise
     evicting the policy's victim; [use_b] selects the secondary policy's
     victim in follower sets (driven by the machine's PSEL counter).
-    Returns the evicted line, if any, so the machine can maintain
+    Returns the evicted line, or {!invalid}, so the machine can maintain
     inclusivity. *)
 
 val invalidate : t -> slice:int -> set:int -> line:int -> unit
@@ -55,7 +59,12 @@ val checkpoint : t -> unit -> unit
 (** Checkpoint the whole level (tag content, policy instances, counters,
     PRNG position); the returned thunk restores it, dropping sets
     allocated after the checkpoint (they reappear lazily, pristine —
-    exactly the state they had when the checkpoint was taken). *)
+    exactly the state they had when the checkpoint was taken).
+
+    Both are O(1) whatever the number of allocated sets: the sets live in
+    a persistent map and a set is copied on its first write after a
+    checkpoint, so no write reaches a captured map.  Restore thunks may run in any order and any
+    number of times; each one returns the level to its own checkpoint. *)
 
 (** {1 Introspection (tests, diagnostics)} *)
 

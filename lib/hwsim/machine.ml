@@ -56,6 +56,7 @@ type t = {
   mutable loads : int;
   mutable last_line : int; (* for the adjacent-line prefetcher *)
   mutable burst_remaining : int; (* loads left in the active noise burst *)
+  slice_bits : int; (* log2 of the L3 slice count *)
 }
 
 let psel_max = 1023
@@ -75,6 +76,9 @@ let create ?(seed = 0xC0FFEEL) ?(noise = quiet_noise) model =
     loads = 0;
     last_line = -1;
     burst_remaining = 0;
+    slice_bits =
+      int_of_float
+        (Float.round (Float.log2 (float_of_int model.Cpu_model.l3.slices)));
   }
 
 let model t = t.model
@@ -103,24 +107,26 @@ let parity64 x =
   x land 1
 
 let slice_of_addr t addr =
-  let spec = t.model.Cpu_model.l3 in
-  if spec.slices = 1 then 0
-  else
-    let bits = int_of_float (Float.round (Float.log2 (float_of_int spec.slices))) in
-    let s = ref 0 in
-    for j = 0 to bits - 1 do
-      let mask = t.model.Cpu_model.slice_masks.(j) in
-      s := !s lor (parity64 (addr land mask) lsl j)
-    done;
-    !s
+  let s = ref 0 in
+  for j = 0 to t.slice_bits - 1 do
+    let mask = t.model.Cpu_model.slice_masks.(j) in
+    s := !s lor (parity64 (addr land mask) lsl j)
+  done;
+  !s
+
+let set_of_line cache line =
+  line land ((Cache_level.spec cache).Cpu_model.sets_per_slice - 1)
+
+(* The L3 slice a line maps to. *)
+let slice_of_line t line = slice_of_addr t (line * t.model.Cpu_model.line_size)
 
 (* (slice, set) a physical address maps to at a given level. *)
 let map_addr t level addr =
-  let spec = Cpu_model.spec t.model level in
   let line = line_of_addr t addr in
+  let set = set_of_line (level_cache t level) line in
   match level with
-  | Cpu_model.L1 | Cpu_model.L2 -> (0, line land (spec.sets_per_slice - 1))
-  | Cpu_model.L3 -> (slice_of_addr t addr, line land (spec.sets_per_slice - 1))
+  | Cpu_model.L1 | Cpu_model.L2 -> (0, set)
+  | Cpu_model.L3 -> (slice_of_addr t addr, set)
 
 (* Enumerate distinct physical addresses congruent with the given (slice,
    set) at [level], optionally filtered.  Addresses are line-aligned; the
@@ -177,73 +183,86 @@ let record_l3_miss t ~slice ~set =
 
 let follower_uses_b t = t.psel >= psel_threshold
 
-(* --- The load path ----------------------------------------------------- *)
+(* --- The load path -----------------------------------------------------
 
+   Slices and sets are computed from the line and levels answer with
+   [Cache_level.invalid] rather than options, so finding a line's way
+   allocates nothing. *)
+
+(* Install [line] at [level]. *)
 let fill_level t level ~line =
-  let cache = level_cache t level in
-  let addr = line * t.model.Cpu_model.line_size in
-  let slice, set = map_addr t level addr in
-  let use_b =
-    match level with Cpu_model.L3 -> follower_uses_b t | _ -> false
-  in
-  if level = Cpu_model.L3 then record_l3_miss t ~slice ~set;
-  let evicted = Cache_level.fill cache ~slice ~set ~line ~use_b in
-  (* Inclusive L3: evicting a line from L3 back-invalidates it everywhere. *)
-  (match (level, evicted) with
-  | Cpu_model.L3, Some ev ->
-      let ev_addr = ev * t.model.Cpu_model.line_size in
-      List.iter
-        (fun l ->
-          let sl, st = map_addr t l ev_addr in
-          Cache_level.invalidate (level_cache t l) ~slice:sl ~set:st ~line:ev)
-        [ Cpu_model.L1; Cpu_model.L2 ]
-  | _ -> ());
-  evicted
+  match level with
+  | Cpu_model.L1 | Cpu_model.L2 ->
+      let cache = level_cache t level in
+      ignore
+        (Cache_level.fill cache ~slice:0 ~set:(set_of_line cache line) ~line
+           ~use_b:false
+          : int)
+  | Cpu_model.L3 ->
+      let slice = slice_of_line t line and set = set_of_line t.l3 line in
+      let use_b = follower_uses_b t in
+      record_l3_miss t ~slice ~set;
+      let evicted = Cache_level.fill t.l3 ~slice ~set ~line ~use_b in
+      (* Inclusive L3: evicting a line from L3 back-invalidates it everywhere. *)
+      if evicted <> Cache_level.invalid then begin
+        Cache_level.invalidate t.l1 ~slice:0 ~set:(set_of_line t.l1 evicted)
+          ~line:evicted;
+        Cache_level.invalidate t.l2 ~slice:0 ~set:(set_of_line t.l2 evicted)
+          ~line:evicted
+      end
 
-let probe_level t level ~line =
-  let addr = line * t.model.Cpu_model.line_size in
-  let slice, set = map_addr t level addr in
-  (Cache_level.find (level_cache t level) ~slice ~set ~line, slice, set)
+(* Whether [line] is cached at the L2 / L3. *)
+let in_l2 t line =
+  Cache_level.find t.l2 ~slice:0 ~set:(set_of_line t.l2 line) ~line
+  <> Cache_level.invalid
+
+let in_l3 t line =
+  Cache_level.find t.l3 ~slice:(slice_of_line t line)
+    ~set:(set_of_line t.l3 line) ~line
+  <> Cache_level.invalid
 
 (* Load without timing: returns the level that served the access. *)
 let load_raw t addr =
   t.loads <- t.loads + 1;
   let line = line_of_addr t addr in
   let served =
-    match probe_level t Cpu_model.L1 ~line with
-    | Some way, slice, set ->
-        Cache_level.hit t.l1 ~slice ~set ~way;
-        `L1
-    | None, _, _ -> (
-        match probe_level t Cpu_model.L2 ~line with
-        | Some way, slice, set ->
-            Cache_level.hit t.l2 ~slice ~set ~way;
-            ignore (fill_level t Cpu_model.L1 ~line);
-            `L2
-        | None, _, _ -> (
-            match probe_level t Cpu_model.L3 ~line with
-            | Some way, slice, set ->
-                Cache_level.hit t.l3 ~slice ~set ~way;
-                ignore (fill_level t Cpu_model.L2 ~line);
-                ignore (fill_level t Cpu_model.L1 ~line);
-                `L3
-            | None, _, _ ->
-                ignore (fill_level t Cpu_model.L3 ~line);
-                ignore (fill_level t Cpu_model.L2 ~line);
-                ignore (fill_level t Cpu_model.L1 ~line);
-                `Memory))
+    let set1 = set_of_line t.l1 line in
+    let way = Cache_level.find t.l1 ~slice:0 ~set:set1 ~line in
+    if way <> Cache_level.invalid then begin
+      Cache_level.hit t.l1 ~slice:0 ~set:set1 ~way;
+      `L1
+    end
+    else
+      let set2 = set_of_line t.l2 line in
+      let way = Cache_level.find t.l2 ~slice:0 ~set:set2 ~line in
+      if way <> Cache_level.invalid then begin
+        Cache_level.hit t.l2 ~slice:0 ~set:set2 ~way;
+        fill_level t Cpu_model.L1 ~line;
+        `L2
+      end
+      else
+        let slice3 = slice_of_line t line and set3 = set_of_line t.l3 line in
+        let way = Cache_level.find t.l3 ~slice:slice3 ~set:set3 ~line in
+        if way <> Cache_level.invalid then begin
+          Cache_level.hit t.l3 ~slice:slice3 ~set:set3 ~way;
+          fill_level t Cpu_model.L2 ~line;
+          fill_level t Cpu_model.L1 ~line;
+          `L3
+        end
+        else begin
+          fill_level t Cpu_model.L3 ~line;
+          fill_level t Cpu_model.L2 ~line;
+          fill_level t Cpu_model.L1 ~line;
+          `Memory
+        end
   in
   (* Adjacent-line prefetcher: on an L2-or-beyond access, the buddy line of
      the 128-byte pair is pulled into L2.  Disabled by CacheQuery. *)
   (if t.prefetchers && served <> `L1 then
      let buddy = line lxor 1 in
-     let buddy_addr = buddy * t.model.Cpu_model.line_size in
-     let in_l2, _, _ = probe_level t Cpu_model.L2 ~line:buddy in
-     if in_l2 = None then begin
-       let in_l3, _, _ = probe_level t Cpu_model.L3 ~line:buddy in
-       if in_l3 = None then ignore (fill_level t Cpu_model.L3 ~line:buddy);
-       ignore (fill_level t Cpu_model.L2 ~line:buddy);
-       ignore buddy_addr
+     if not (in_l2 t buddy) then begin
+       if not (in_l3 t buddy) then fill_level t Cpu_model.L3 ~line:buddy;
+       fill_level t Cpu_model.L2 ~line:buddy
      end);
   t.last_line <- line;
   served
@@ -304,7 +323,10 @@ let load t addr =
    noise stream where it is, so re-executing the same access draws an
    *independent* measurement — exactly what re-measuring a disputed load
    on silicon does.  The voting layer uses this; batch executors keep the
-   default so batched and sequential runs replay identical noise. *)
+   default so batched and sequential runs replay identical noise.
+
+   Each level checkpoint is O(1) (its sets are copy-on-write), so this is
+   a handful of captured values and the restore a handful of writes. *)
 let checkpoint ?(rewind_noise = true) t =
   let l1 = t.l1 and l2 = t.l2 and l3 = t.l3 in
   let restore_l1 = Cache_level.checkpoint l1 in
@@ -330,11 +352,10 @@ let checkpoint ?(rewind_noise = true) t =
 
 let clflush t addr =
   let line = line_of_addr t addr in
-  List.iter
-    (fun level ->
-      let slice, set = map_addr t level addr in
-      Cache_level.invalidate (level_cache t level) ~slice ~set ~line)
-    Cpu_model.all_levels
+  Cache_level.invalidate t.l1 ~slice:0 ~set:(set_of_line t.l1 line) ~line;
+  Cache_level.invalidate t.l2 ~slice:0 ~set:(set_of_line t.l2 line) ~line;
+  Cache_level.invalidate t.l3 ~slice:(slice_of_addr t addr)
+    ~set:(set_of_line t.l3 line) ~line
 
 let wbinvd t =
   List.iter

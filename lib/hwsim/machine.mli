@@ -91,7 +91,13 @@ val checkpoint : ?rewind_noise:bool -> t -> unit -> unit
     but leaves the noise stream where it is, so re-executing the same
     access draws an {e independent} measurement — exactly what
     re-measuring a disputed load on silicon does (the voting layer uses
-    this). *)
+    this).
+
+    Taking a checkpoint and restoring one are both O(1), whatever the
+    number of sets the machine has touched: cache sets are persistent and
+    copied on their first write after a checkpoint.  Restore thunks may
+    run in any order and any number of times; each returns the machine to
+    its own checkpoint. *)
 
 val clflush : t -> int -> unit
 (** Evict the address's line from every level. *)

@@ -82,106 +82,205 @@ let counting stats t =
    prefix are a prefix of the outputs), so a trie lets us answer any query
    whose whole path is known, and to extend partial knowledge cheaply. *)
 module Trie = struct
-  type 'o node = {
-    mutable out : 'o option; (* output on the edge leading here *)
-    children : (int, 'o node) Hashtbl.t;
+  (* A node is an id into an arena of columns: node [k] hangs off node
+     [parent.(k)] (-1: the root) on input [input.(k)], carries the output
+     [out.(k)] of that edge, and finds its children in [kids.(k)] (input
+     to id).  Ids grow with creation, so a parent precedes its children,
+     and a dump of the trie is three array copies — no walk over the
+     nodes.  [mark.(k)] is scratch for [subtrie]: the pass that last took
+     node [k] ([mark lsr 30]) and its index in that pass's dump (the low
+     30 bits). *)
+  type 'o t = {
+    root : (int, int) Hashtbl.t; (* the root's children *)
+    mutable n : int;
+    mutable parent : int array;
+    mutable input : int array;
+    mutable out : 'o array; (* [||] until the first node *)
+    mutable kids : (int, int) Hashtbl.t array;
+    mutable mark : int array;
+    mutable pass : int;
   }
 
-  let create () = { out = None; children = Hashtbl.create 4 }
+  (* The children of every childless node: shared, never written, so a
+     leaf costs no table of its own. *)
+  let leaf : (int, int) Hashtbl.t = Hashtbl.create 1
 
-  let rec lookup node = function
-    | [] -> Some []
-    | i :: rest -> (
-        match Hashtbl.find_opt node.children i with
-        | None -> None
-        | Some child -> (
-            match child.out with
-            | None -> None
-            | Some o -> (
-                match lookup child rest with
-                | None -> None
-                | Some os -> Some (o :: os))))
+  let create () =
+    {
+      root = Hashtbl.create 16;
+      n = 0;
+      parent = [||];
+      input = [||];
+      out = [||];
+      kids = [||];
+      mark = [||];
+      pass = 0;
+    }
 
-  let insert node word outputs =
-    let rec go node word outputs =
+  let child t k i =
+    Hashtbl.find_opt (if k < 0 then t.root else t.kids.(k)) i
+
+  (* A new node below [p] on input [i], with output [o]. *)
+  let add t p i o =
+    let k = t.n in
+    if k = Array.length t.out then begin
+      let grow a fill =
+        let b = Array.make (max 64 (2 * k)) fill in
+        Array.blit a 0 b 0 k;
+        b
+      in
+      t.parent <- grow t.parent 0;
+      t.input <- grow t.input 0;
+      t.out <- grow t.out o;
+      t.kids <- grow t.kids leaf;
+      t.mark <- grow t.mark 0
+    end;
+    t.parent.(k) <- p;
+    t.input.(k) <- i;
+    t.out.(k) <- o;
+    t.kids.(k) <- leaf;
+    t.n <- k + 1;
+    let siblings =
+      if p < 0 then t.root
+      else if t.kids.(p) == leaf then begin
+        let h = Hashtbl.create 4 in
+        t.kids.(p) <- h;
+        h
+      end
+      else t.kids.(p)
+    in
+    Hashtbl.add siblings i k; (* cq-lint: allow hashtbl-add: callers checked [child] *)
+    k
+
+  let lookup t word =
+    let rec go k = function
+      | [] -> Some []
+      | i :: rest -> (
+          match child t k i with
+          | None -> None
+          | Some c -> (
+              match go c rest with
+              | None -> None
+              | Some os -> Some (t.out.(c) :: os)))
+    in
+    go (-1) word
+
+  (* [insert] and [insert_force] return the id of the word's last node
+     (-1, the root, for the empty word). *)
+  let insert t word outputs =
+    let rec go k word outputs =
       match (word, outputs) with
-      | [], [] -> ()
-      | i :: wrest, o :: orest ->
-          let child =
-            match Hashtbl.find_opt node.children i with
-            | Some c -> c
-            | None ->
-                let c = create () in
-                Hashtbl.add node.children i c; (* cq-lint: allow hashtbl-add: find_opt miss *)
-                c
-          in
-          (match child.out with
-          | None -> child.out <- Some o
-          | Some o' ->
-              if o' <> o then
+      | [], [] -> k
+      | i :: wrest, o :: orest -> (
+          match child t k i with
+          | None -> go (add t k i o) wrest orest
+          | Some c ->
+              if t.out.(c) <> o then
                 raise
                   (Inconsistent
                      "Moracle: inconsistent outputs for the same input word \
-                      (the system under learning is nondeterministic)"));
-          go child wrest orest
+                      (the system under learning is nondeterministic)");
+              go c wrest orest)
       | _ -> invalid_arg "Moracle.Trie.insert: length mismatch"
     in
-    go node word outputs
+    go (-1) word outputs
 
   (* Overwrite the outputs along [word] unconditionally — used when
      arbitration decided a previously cached answer was the corrupt one. *)
-  let insert_force node word outputs =
-    let rec go node word outputs =
+  let insert_force t word outputs =
+    let rec go k word outputs =
       match (word, outputs) with
-      | [], [] -> ()
-      | i :: wrest, o :: orest ->
-          let child =
-            match Hashtbl.find_opt node.children i with
-            | Some c -> c
-            | None ->
-                let c = create () in
-                Hashtbl.add node.children i c; (* cq-lint: allow hashtbl-add: find_opt miss *)
-                c
-          in
-          child.out <- Some o;
-          go child wrest orest
+      | [], [] -> k
+      | i :: wrest, o :: orest -> (
+          match child t k i with
+          | None -> go (add t k i o) wrest orest
+          | Some c ->
+              t.out.(c) <- o;
+              go c wrest orest)
       | _ -> invalid_arg "Moracle.Trie.insert_force: length mismatch"
     in
-    go node word outputs
+    go (-1) word outputs
 
-  (* Maximal known paths: the trie is prefix-closed (every non-root node
-     carries an output), so the root-to-leaf words reconstruct the entire
-     trie under [insert_force].  This is the session-snapshot dump. *)
-  let export root =
-    let acc = ref [] in
-    let n = ref 0 in
-    let rec go node rev_word rev_out =
-      if Hashtbl.length node.children = 0 then begin
-        if rev_word <> [] then begin
-          acc := (List.rev rev_word, List.rev rev_out) :: !acc;
-          incr n
-        end
+  (* The session-snapshot dump: nodes in id order, each hanging off an
+     earlier one ([parents.(k) < k], -1 for the root) on [inputs.(k)]
+     with [outputs.(k)]. *)
+  type 'o dump = { parents : int array; inputs : int array; outputs : 'o array }
+
+  (* The whole trie: the arena, cut to its [n] nodes. *)
+  let export t =
+    {
+      parents = Array.sub t.parent 0 t.n;
+      inputs = Array.sub t.input 0 t.n;
+      outputs = Array.sub t.out 0 t.n;
+    }
+
+  (* The part of the trie on the root paths of the nodes [ids], with its
+     current outputs — the trie built by replaying, in order, every
+     mutation that ended at one of those nodes.  A node is taken after
+     its parent, so parents keep preceding children; a walk stops at the
+     first node this pass already took.  No hashing: the arena's [mark]
+     column remembers what was taken. *)
+  let subtrie t ids =
+    t.pass <- t.pass + 1;
+    let low = (1 lsl 30) - 1 in
+    let taken = ref [] and m = ref 0 in
+    let rec take k =
+      if k >= 0 && t.mark.(k) lsr 30 <> t.pass then begin
+        take t.parent.(k);
+        t.mark.(k) <- (t.pass lsl 30) lor !m;
+        incr m;
+        taken := k :: !taken
       end
-      else
-        Hashtbl.iter
-          (fun i child ->
-            match child.out with
-            | Some o -> go child (i :: rev_word) (o :: rev_out)
-            | None -> () (* unreachable for tries built by insert *))
-          node.children
     in
-    go root [] [];
-    !acc
+    List.iter take ids;
+    let local k = if k < 0 then -1 else t.mark.(k) land low in
+    match !taken with
+    | [] -> { parents = [||]; inputs = [||]; outputs = [||] }
+    | last :: _ as taken ->
+        let parents = Array.make !m 0 and inputs = Array.make !m 0 in
+        let outputs = Array.make !m t.out.(last) in
+        List.iter
+          (fun k ->
+            let j = local k in
+            parents.(j) <- local t.parent.(k);
+            inputs.(j) <- t.input.(k);
+            outputs.(j) <- t.out.(k))
+          taken;
+        { parents; inputs; outputs }
+
+  (* Overlay a dump on the trie: every node it holds takes its output —
+     the same trie as [insert_force] of each of its maximal paths.
+     Returns the ids of the nodes it wrote. *)
+  let graft t d =
+    let ids = Array.make (Array.length d.parents) (-1) in
+    Array.iteri
+      (fun k p ->
+        let parent = if p < 0 then -1 else ids.(p) in
+        let i = d.inputs.(k) and o = d.outputs.(k) in
+        ids.(k) <-
+          (match child t parent i with
+          | Some c ->
+              t.out.(c) <- o;
+              c
+          | None -> add t parent i o))
+      d.parents;
+    Array.to_list ids
+
+  (* Number of maximal paths: the nodes no other node hangs off. *)
+  let leaves d =
+    let inner = Array.make (Array.length d.parents) false in
+    Array.iter (fun p -> if p >= 0 then inner.(p) <- true) d.parents;
+    Array.fold_left (fun n b -> if b then n else n + 1) 0 inner
 end
 
-(* The portable form of a prefix-trie's contents: (word, outputs) paths
-   applied in order with [insert_force] semantics — the maximal paths of
-   an export, or the mutations drained from a journal.  Abstract in the
-   interface; sessions Marshal it into snapshots and log records and feed
-   it back through [preload] on resume. *)
-type 'o knowledge = (int list * 'o list) list
+(* The portable form of a prefix-trie's contents: dumps applied in order,
+   each overwriting what it overlaps — an export's whole trie, or the part
+   a journal's mutations touched.  Abstract in the interface; sessions
+   Marshal it into snapshots and log records and feed it back through
+   [preload] on resume. *)
+type 'o knowledge = 'o Trie.dump list
 
-let knowledge_size k = List.length k
+let knowledge_size k = List.fold_left (fun n d -> n + Trie.leaves d) 0 k
 let knowledge_concat = List.concat
 
 type 'o handle = {
@@ -194,24 +293,21 @@ type 'o handle = {
 let cached_session ?stats ?(conflict_retries = 0) ?(journal = false) t =
   if conflict_retries < 0 then
     invalid_arg "Moracle.cached: conflict_retries must be >= 0";
-  let root = Trie.create () in
-  (* The journal: every trie mutation since the last [drain], newest
-     first.  A failed [Trie.insert] mutates nothing (a conflict is found
+  let trie = Trie.create () in
+  (* The journal: the last node of every trie mutation since the last
+     [drain].  A failed [Trie.insert] mutates nothing (a conflict is found
      on the already-known part of the path, before any node is added), so
      only successful inserts are recorded. *)
-  let log = ref [] in
-  let insert w outputs =
-    Trie.insert root w outputs;
-    if journal then log := (w, outputs) :: !log
-  in
-  let insert_force w outputs =
-    Trie.insert_force root w outputs;
-    if journal then log := (w, outputs) :: !log
-  in
+  let touched = ref [] in
+  let note id = if journal then touched := id :: !touched in
+  let insert w outputs = note (Trie.insert trie w outputs) in
+  let insert_force w outputs = note (Trie.insert_force trie w outputs) in
   let drain () =
-    let entries = List.rev !log in
-    log := [];
-    entries
+    match !touched with
+    | [] -> []
+    | ids ->
+        touched := [];
+        [ Trie.subtrie trie ids ]
   in
   let note_hit () =
     match stats with Some s -> Cq_util.Metrics.incr s.cache_hits | None -> ()
@@ -266,24 +362,28 @@ let cached_session ?stats ?(conflict_retries = 0) ?(journal = false) t =
       else settle (k + 1) (Some outputs)
     in
     let outputs = settle 0 None in
-    (match Trie.lookup root w with
+    (match Trie.lookup trie w with
     | Some old when old <> outputs -> note_conflict ()
     | _ -> ());
     insert_force w outputs;
     outputs
   in
   (* [preload]: trust the snapshot unconditionally — it was digested at
-     write time, and on resume the trie is empty anyway.  [insert_force]
-     keeps a later entry authoritative if paths overlap. *)
+     write time, and on resume the trie is empty anyway.  A later dump
+     overwrites the nodes it shares with an earlier one. *)
   let preload knowledge =
-    List.iter (fun (w, outputs) -> insert_force w outputs) knowledge
+    List.iter
+      (fun d ->
+        let ids = Trie.graft trie d in
+        if journal then touched := List.rev_append ids !touched)
+      knowledge
   in
-  let export () = Trie.export root in
+  let export () = [ Trie.export trie ] in
   ( {
       t with
       query =
       (fun w ->
-        match Trie.lookup root w with
+        match Trie.lookup trie w with
         | Some outputs ->
             note_hit ();
             outputs
@@ -303,7 +403,7 @@ let cached_session ?stats ?(conflict_retries = 0) ?(journal = false) t =
         let order = ref [] in
         List.iter
           (fun w ->
-            if Trie.lookup root w = None then begin
+            if Trie.lookup trie w = None then begin
               let key = Cq_util.Deep.pack w in
               if not (Hashtbl.mem missing key) then begin
                 Hashtbl.replace missing key ();
@@ -323,7 +423,7 @@ let cached_session ?stats ?(conflict_retries = 0) ?(journal = false) t =
              todo answers);
         List.map
           (fun w ->
-            match Trie.lookup root w with
+            match Trie.lookup trie w with
             | Some outputs ->
                 if not (Hashtbl.mem missing (Cq_util.Deep.pack w)) then
                   note_hit ();

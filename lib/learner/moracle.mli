@@ -61,16 +61,17 @@ val cached : ?stats:stats -> ?conflict_retries:int -> 'o t -> 'o t
     raise {!Inconsistent} — the system looks genuinely nondeterministic. *)
 
 type 'o knowledge
-(** A portable, ordered list of (word, outputs) paths that rebuilds
-    prefix-trie contents when applied in order, each path overwriting what
-    it overlaps: an export's maximal known paths, or a journal's
-    mutations.  Marshal-safe: sessions persist it in snapshots and log
+(** Portable prefix-trie contents, applied in order, each part
+    overwriting what it overlaps: an export's nodes (flat arrays of
+    parent, input and output, one entry per node), or a journal's
+    (word, outputs) mutations.  Marshal-safe: sessions persist it in snapshots and log
     records and feed it back through [preload] on resume, after which
     every previously answered query is served locally — the foundation of
     crash-resumable learning. *)
 
 val knowledge_size : 'o knowledge -> int
-(** Number of paths in the dump. *)
+(** Number of paths in the dump: an export's maximal paths plus a
+    journal's mutations. *)
 
 val knowledge_concat : 'o knowledge list -> 'o knowledge
 (** The dumps applied one after the other (a base, then log records). *)
@@ -87,9 +88,11 @@ type 'o handle = {
   preload : 'o knowledge -> unit;
       (** seed the trie from a dump (overwrites overlapping paths) *)
   drain : unit -> 'o knowledge;
-      (** the trie mutations since the previous [drain], in order — every
-          successful insert and every overwrite (arbitration, [refresh],
-          [preload]); always empty without [~journal:true] *)
+      (** the part of the trie the mutations since the previous [drain]
+          touched — every successful insert and every overwrite
+          (arbitration, [refresh], [preload]) — with its current outputs;
+          applied after the previous dumps it rebuilds the trie.  Always
+          empty without [~journal:true] *)
 }
 
 val cached_session :
@@ -99,9 +102,10 @@ val cached_session :
   'o t ->
   'o t * 'o handle
 (** As {!cached}, plus a handle that repairs entries ([refresh]) and
-    exposes the trie for session snapshot / resume.  [journal] (default false) records every
-    trie mutation for [drain], so a session can append the answers it
-    learned since its last write instead of re-exporting the trie. *)
+    exposes the trie for session snapshot / resume.  [journal] (default false) records where
+    every trie mutation ended for [drain], so a session can append the
+    answers it learned since its last write instead of re-exporting the
+    trie. *)
 
 val of_mealy : 'o Cq_automata.Mealy.t -> 'o t
 (** Oracle backed by an explicit machine (ground truth in tests). *)

@@ -31,6 +31,12 @@ let checkpoint (Instance i) =
   let s = i.state in
   fun () -> i.state <- s
 
+(* An independent instance in the same control state (states are immutable
+   values, so sharing one is safe). *)
+let copy (Instance i) =
+  Instance
+    { policy = i.policy; init = i.init; state = i.state; step_fn = i.step_fn }
+
 (* Convenience wrappers used by the cache-set logic. *)
 let touch t line = ignore (step t (Types.Line line))
 

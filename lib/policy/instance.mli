@@ -17,6 +17,9 @@ val checkpoint : t -> unit -> unit
 (** Capture the current control state; the returned thunk restores it.
     Checkpoints nest. *)
 
+val copy : t -> t
+(** An independent instance in the same control state. *)
+
 val touch : t -> int -> unit
 (** [step] with [Line i], discarding the (⊥) output. *)
 

@@ -219,6 +219,37 @@ let test_toy_l3_leader () =
       Alcotest.fail (Fmt.str "%a" Cq_core.Learn.pp_failure failure)
   | Cq_core.Hardware.Failed { reason; _ } -> Alcotest.fail reason
 
+(* The REPL survives a [reset] whose sequence does not expand to a single
+   query: it reports the error and keeps the reset it had. *)
+let test_repl_keeps_reset_on_bad_sequence () =
+  let exe = "../bin/cachequery_cli.exe" in
+  let out = Filename.temp_file "cq_repl" ".out" in
+  let script = "@ X _?\nreset @ X _?\ninfo\nquit\n" in
+  let stdin_r, stdin_w = Unix.pipe () in
+  let fd_out = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let pid =
+    Unix.create_process exe
+      [| exe; "--cpu"; "skylake"; "--level"; "L2"; "--set"; "17" |]
+      stdin_r fd_out Unix.stderr
+  in
+  Unix.close stdin_r;
+  Unix.close fd_out;
+  ignore (Unix.write_substring stdin_w script 0 (String.length script));
+  Unix.close stdin_w;
+  let _, status = Unix.waitpid [] pid in
+  let text = In_channel.with_open_bin out In_channel.input_all in
+  Sys.remove out;
+  let has sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length text && (String.sub text i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  Alcotest.(check bool) "REPL exits 0" true (status = Unix.WEXITED 0);
+  Alcotest.(check bool) "error reported" true (has "reset error:");
+  Alcotest.(check bool) "reset unchanged" true (has "reset F+R\n")
+
 let suite =
   ( "cachequery",
     [
@@ -232,6 +263,8 @@ let suite =
       Alcotest.test_case "repetition denoising" `Quick test_repetitions_denoise;
       Alcotest.test_case "reset sequences" `Quick test_reset_sequences;
       Alcotest.test_case "reset to string" `Quick test_reset_to_string;
+      Alcotest.test_case "REPL keeps its reset on a bad sequence" `Quick
+        test_repl_keeps_reset_on_bad_sequence;
       Alcotest.test_case "toy pipeline: L1" `Quick test_toy_full_pipeline;
       Alcotest.test_case "toy pipeline: L2 New1" `Quick test_toy_l2_new1;
       Alcotest.test_case "toy pipeline: L3 leader New2" `Quick test_toy_l3_leader;

@@ -86,6 +86,33 @@ let test_report_counts_session_loads () =
   Alcotest.(check int) "= backend.timed_loads delta over the learn"
     (loads () - start) r.Cq_core.Learn.timed_loads
 
+(* A learn over the device exports one count of timed loads and one of
+   vote re-runs, under whatever names: every [*.timed_loads] series equals
+   the backend's counter and every [*.vote_runs] series the frontend's —
+   no learn-side copy that nothing increments sits at 0 beside them. *)
+let test_exported_device_counters_agree () =
+  let metrics = Cq_util.Metrics.create () in
+  ignore
+    (Cq_core.Hardware.learn_set ~check_hits:false ~quotient:true ~metrics
+       (M.create ~noise:M.quiet_noise CM.haswell)
+       CM.L1);
+  let value name =
+    Cq_util.Metrics.value (Cq_util.Metrics.counter metrics name)
+  in
+  let loads = value "backend.timed_loads" in
+  Alcotest.(check bool) "loads counted" true (loads > 0);
+  List.iter
+    (fun (name, v) ->
+      match v with
+      | Cq_util.Metrics.Counter_value n
+        when Filename.check_suffix name ".timed_loads" ->
+          Alcotest.(check int) name loads n
+      | Cq_util.Metrics.Counter_value n
+        when Filename.check_suffix name ".vote_runs" ->
+          Alcotest.(check int) name (value "frontend.vote_runs") n
+      | _ -> ())
+    (Cq_util.Metrics.snapshot metrics)
+
 (* Every report line is its own line, the noise lines included. *)
 let test_report_lines () =
   let r =
@@ -307,6 +334,8 @@ let suite =
         test_adaptive_cheaper_than_fixed;
       Alcotest.test_case "report counts session-mode loads" `Quick
         test_report_counts_session_loads;
+      Alcotest.test_case "exported device counters agree" `Quick
+        test_exported_device_counters_agree;
       Alcotest.test_case "report lines" `Quick test_report_lines;
       Alcotest.test_case "transient flip absorbed" `Quick
         test_transient_flip_absorbed;

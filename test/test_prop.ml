@@ -7,7 +7,8 @@
    - the mutable instance wrapper ([Instance.step]),
    - the explicit Mealy automaton ([Policy.to_mealy]),
    - the cache-set transition system ([Cache_set], hit/miss level),
-   - the hardware simulator's set model ([Cq_hwsim.Cache_level]), and
+   - the hardware simulator's set model ([Cq_hwsim.Cache_level]),
+   - the hardware simulator's checkpoints against a fresh replay, and
    - Polca over a simulated cache ([Polca.run], the Algorithm 1
      abstraction round-trip: policy word -> block trace -> policy word),
    plus, for a few small policies, the automaton actually learned by
@@ -180,12 +181,16 @@ let hwsim_level_run policy ~fill_touches_policy lines =
     Cq_hwsim.Cache_level.create ~prng:(Prng.of_int 7) Cq_hwsim.Cpu_model.L1 spec
   in
   let step line =
-    match Cq_hwsim.Cache_level.find level ~slice:0 ~set:0 ~line with
-    | Some way ->
-        Cq_hwsim.Cache_level.hit level ~slice:0 ~set:0 ~way;
-        `Hit
-    | None ->
-        `Fill (Cq_hwsim.Cache_level.fill level ~slice:0 ~set:0 ~line ~use_b:false)
+    let way = Cq_hwsim.Cache_level.find level ~slice:0 ~set:0 ~line in
+    if way <> Cq_hwsim.Cache_level.invalid then begin
+      Cq_hwsim.Cache_level.hit level ~slice:0 ~set:0 ~way;
+      `Hit
+    end
+    else
+      let evicted =
+        Cq_hwsim.Cache_level.fill level ~slice:0 ~set:0 ~line ~use_b:false
+      in
+      `Fill (if evicted = Cq_hwsim.Cache_level.invalid then None else Some evicted)
   in
   map_in_order step lines
 
@@ -301,6 +306,164 @@ let test_quotient_learns_truth () =
       ("New1", 3); ("New2", 3);
     ]
 
+(* --- hwsim checkpoints against a fresh replay ---------------------------
+
+   Random programs of loads, clflushes, wbinvds, CAT repartitions,
+   checkpoints and restores of any checkpoint taken so far (in any order,
+   any number of times) run on one machine.  A second machine of the same
+   seed replays only the timeline that survives the restores, rebuilt from
+   scratch after each one: every latency and the tags of every set the
+   program can reach must agree.  The address pool covers an L3 leader-A,
+   a leader-B and a follower set, with twice as many lines as ways, so the
+   program exercises evictions, inclusive back-invalidation, the PSEL
+   counter and (on Haswell) the noisy leader-B PRNG.
+
+   Under noise (jitter, outliers and frequent bursts) every checkpoint
+   rewinds it, so the replay draws the same noise.  Quiet programs also
+   use [rewind_noise:false], which only leaves the noise stream (and the
+   seeds of later CAT levels, which no CAT model draws from) where it
+   is. *)
+
+module M = Cq_hwsim.Machine
+module CM = Cq_hwsim.Cpu_model
+
+type hw_op = Load of int | Clflush of int | Wbinvd | Cat of int | Reset_cat
+
+let hw_apply m = function
+  | Load a -> Some (M.load m a)
+  | Clflush a -> M.clflush m a; None
+  | Wbinvd -> M.wbinvd m; None
+  | Cat w -> M.set_cat_ways m w; None
+  | Reset_cat -> M.reset_cat m; None
+
+let pp_hw_op = function
+  | Load a -> Printf.sprintf "load %#x" a
+  | Clflush a -> Printf.sprintf "clflush %#x" a
+  | Wbinvd -> "wbinvd"
+  | Cat w -> Printf.sprintf "cat %d" w
+  | Reset_cat -> "reset_cat"
+
+(* One leader-A, one leader-B and one follower set of the model's L3. *)
+let l3_duel_sets (model : CM.t) =
+  match model.CM.l3.CM.policy with
+  | CM.Fixed _ -> []
+  | CM.Adaptive a ->
+      let find p =
+        let rec go set = if p ~slice:0 ~set then set else go (set + 1) in
+        go 0
+      in
+      [
+        find a.leader_a;
+        find a.leader_b;
+        find (fun ~slice ~set ->
+            not (a.leader_a ~slice ~set || a.leader_b ~slice ~set));
+      ]
+
+(* CAT way counts every L3 policy accepts: powers of two (PLRU), >= 2
+   (New2). *)
+let rec log2 n = if n < 2 then 0 else 1 + log2 (n / 2)
+
+let test_hwsim_checkpoints_match_replay () =
+  List.iter
+    (fun (model : CM.t) ->
+      let prng = prng_for "hwsim-checkpoint" model.CM.name in
+      let scout = M.create model in
+      let l3_assoc = model.CM.l3.CM.assoc in
+      let pool =
+        Array.of_list
+          (List.concat_map
+             (fun set ->
+               M.congruent_addresses scout CM.L3 ~slice:0 ~set (2 * l3_assoc))
+             (l3_duel_sets model))
+      in
+      let watched =
+        List.sort_uniq compare
+          (List.concat_map
+             (fun a ->
+               List.map
+                 (fun level ->
+                   let slice, set = M.map_addr scout level a in
+                   (level, slice, set))
+                 CM.all_levels)
+             (Array.to_list pool))
+      in
+      for program = 1 to iters do
+        let seed = Int64.of_int (Prng.int prng 1_000_000) in
+        let noisy = Prng.bool prng 0.5 in
+        let noise =
+          if noisy then { M.burst_noise with burst_prob = 0.02 }
+          else M.quiet_noise
+        in
+        let prefetchers = Prng.bool prng 0.5 in
+        let fresh () =
+          let m = M.create ~seed ~noise model in
+          M.set_prefetchers m prefetchers;
+          m
+        in
+        let m = fresh () in
+        let reference = ref (fresh ()) in
+        let timeline = ref [] (* surviving ops, newest first *) in
+        let checkpoints = ref [||] in
+        let fail step what =
+          Alcotest.fail
+            (Printf.sprintf
+               "%s program %d (seed %Ld, noisy %b, prefetchers %b), step %d: \
+                %s; surviving timeline [%s]"
+               model.CM.name program seed noisy prefetchers step what
+               (String.concat "; " (List.rev_map pp_hw_op !timeline)))
+        in
+        let compare_sets step =
+          List.iter
+            (fun (level, slice, set) ->
+              if M.peek_set m level ~slice ~set
+                 <> M.peek_set !reference level ~slice ~set
+              then
+                fail step
+                  (Printf.sprintf "%s set (%d, %d) differs"
+                     (CM.level_to_string level) slice set))
+            watched
+        in
+        let addr () = pool.(Prng.int prng (Array.length pool)) in
+        for step = 1 to 40 + Prng.int prng 200 do
+          let roll = Prng.int prng 100 in
+          let op =
+            if roll < 70 then Some (Load (addr ()))
+            else if roll < 78 then Some (Clflush (addr ()))
+            else if roll < 79 then Some Wbinvd
+            else if roll < 82 && model.CM.supports_cat then
+              Some
+                (if Prng.bool prng 0.5 then Reset_cat
+                 else Cat (2 lsl Prng.int prng (log2 l3_assoc)))
+            else None
+          in
+          (match op with
+          | Some op ->
+              let got = hw_apply m op and want = hw_apply !reference op in
+              if got <> want then
+                fail step
+                  (Printf.sprintf "%s: latency %s, replay %s" (pp_hw_op op)
+                     (Option.fold ~none:"-" ~some:string_of_int got)
+                     (Option.fold ~none:"-" ~some:string_of_int want));
+              timeline := op :: !timeline
+          | None when roll < 91 || Array.length !checkpoints = 0 ->
+              let rewind_noise = noisy || Prng.bool prng 0.5 in
+              checkpoints :=
+                Array.append !checkpoints
+                  [| (M.checkpoint ~rewind_noise m, !timeline) |]
+          | None ->
+              let restore, survivors =
+                !checkpoints.(Prng.int prng (Array.length !checkpoints))
+              in
+              restore ();
+              timeline := survivors;
+              let r = fresh () in
+              List.iter (fun op -> ignore (hw_apply r op)) (List.rev survivors);
+              reference := r);
+          compare_sets step
+        done
+      done)
+    [ CM.haswell; CM.skylake; CM.toy ]
+
 let suite =
   ( "prop",
     [
@@ -310,6 +473,8 @@ let suite =
         test_cache_set_matches_reference;
       Alcotest.test_case "hwsim Cache_level matches the reference model" `Quick
         test_hwsim_level_matches_reference;
+      Alcotest.test_case "hwsim checkpoints match a fresh replay" `Quick
+        test_hwsim_checkpoints_match_replay;
       Alcotest.test_case "Polca round-trip is the identity" `Quick
         test_polca_roundtrip_identity;
       Alcotest.test_case "learned automata agree on random words" `Quick

@@ -389,6 +389,51 @@ let test_journal_off_by_default () =
   Alcotest.(check int) "no journal without ~journal:true" 0
     (Moracle.knowledge_size (handle.Moracle.drain ()))
 
+(* Any interleaving of inserts, overwrites ([refresh] of a word whose
+   answer moved), self-preloads and writes: the last base export plus the
+   records drained after it rebuild the writer's trie — every word the
+   writer learned is answered identically, and the rebuilt trie has the
+   writer's maximal paths. *)
+let prop_log_rebuilds_trie =
+  let word = QCheck.Gen.(list_size (int_range 0 5) (int_bound 3)) in
+  let step = QCheck.Gen.(pair (int_bound 4) word) in
+  QCheck.Test.make ~count:300 ~name:"log: base + drained records rebuild the trie"
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 40) step))
+    (fun steps ->
+      let offset = ref 0 in
+      let cached, handle = journaled offset in
+      let base = ref (handle.Moracle.export ()) and records = ref [] in
+      let words = ref [] in
+      List.iter
+        (fun (kind, w) ->
+          match kind with
+          | 0 -> (
+              match cached.Moracle.query w with
+              | _ -> words := w :: !words
+              | exception Moracle.Inconsistent _ -> ())
+          | 1 ->
+              incr offset;
+              ignore (handle.Moracle.refresh w);
+              words := w :: !words
+          | 2 ->
+              ignore (handle.Moracle.drain ());
+              base := handle.Moracle.export ();
+              records := []
+          | 3 -> handle.Moracle.preload (handle.Moracle.export ())
+          | _ -> records := handle.Moracle.drain () :: !records)
+        steps;
+      records := handle.Moracle.drain () :: !records;
+      let reloaded, rhandle =
+        Moracle.cached_session (Moracle.make ~n_inputs:4 (fun _ -> raise Not_found))
+      in
+      rhandle.Moracle.preload
+        (Moracle.knowledge_concat (!base :: List.rev !records));
+      Moracle.knowledge_size (rhandle.Moracle.export ())
+      = Moracle.knowledge_size (handle.Moracle.export ())
+      && List.for_all
+           (fun w -> reloaded.Moracle.query w = cached.Moracle.query w)
+           !words)
+
 (* A killed PLRU-4 learn snapshotting every 25 queries, with its write
    counters: (bases, appends). *)
 let plru4 () = Cq_policy.Zoo.make_exn ~name:"PLRU" ~assoc:4
@@ -573,6 +618,7 @@ let suite =
         test_log_replays_overwrites;
       Alcotest.test_case "log: no journal without a snapshot policy" `Quick
         test_journal_off_by_default;
+      QCheck_alcotest.to_alcotest prop_log_rebuilds_trie;
       Alcotest.test_case "kill inside the log + resume (simulated)" `Quick
         test_kill_in_log_resume;
       Alcotest.test_case "torn tail + resume + re-resume (simulated)" `Quick
