@@ -46,13 +46,14 @@ let float_literal fmt x =
    the same float, so a rounded bench figure prints as written. *)
 let wire_float = float_literal (Printf.sprintf "%.17g")
 
-let file_float =
-  float_literal (fun x ->
-      let s = Printf.sprintf "%.15g" x in
-      if float_of_string s = x then s
-      else
-        let s = Printf.sprintf "%.16g" x in
-        if float_of_string s = x then s else Printf.sprintf "%.17g" x)
+let shortest_float x =
+  let s = Printf.sprintf "%.15g" x in
+  if float_of_string s = x then s
+  else
+    let s = Printf.sprintf "%.16g" x in
+    if float_of_string s = x then s else Printf.sprintf "%.17g" x
+
+let file_float = float_literal shortest_float
 
 let add_scalar float buf = function
   | Null -> Buffer.add_string buf "null"

@@ -40,6 +40,12 @@ val to_string_pretty : t -> string
     print with the first of [%.15g], [%.16g] and [%.17g] that reads back
     as the same value. *)
 
+val shortest_float : float -> string
+(** The fewest significant digits that read back as the same float
+    (the first of [%.15g], [%.16g], [%.17g] that round-trips; any float
+    whose [%g] form round-trips keeps that form): what files print for
+    finite floats, and how trace specs spell their parameters. *)
+
 val pp : Format.formatter -> t -> unit
 
 (** {1 Accessors}

@@ -28,6 +28,18 @@ val bool : t -> float -> bool
 val gaussian : t -> mu:float -> sigma:float -> float
 (** One draw from a normal distribution (Box–Muller). *)
 
+val sample_cdf : t -> float array -> len:int -> int array
+(** [sample_cdf t cdf ~len] draws [len] indices by inversion of the
+    cumulative weights [cdf] (non-decreasing, finite, non-empty).  Draw
+    [j] is exactly what a binary search over {!float} returns: the first
+    [i] with [cdf.(i) >= float t *. cdf.(n-1)], clamped to [n-1] — same
+    values, same stream position afterwards.  A guide table of
+    [min (16 n) 4096] buckets, rebuilt per call and dropped on return,
+    puts each draw within a step or two of its answer, and an exact
+    backward/forward walk finishes it.  Allocates only the table and the
+    result.  Raises [Invalid_argument] on an empty [cdf] or a negative
+    [len]. *)
+
 val split : t -> t
 (** Derive an independent generator (for parallel subsystems). *)
 

@@ -13,7 +13,8 @@ let replay ~assoc ?(cold = false) blocks =
   let len = Array.length blocks in
   (* next_use.(j): index of the next access to blocks.(j) after j. *)
   let next_use = Array.make (max len 1) never in
-  let last_seen = Array.make (Replay.universe ~assoc ~cold blocks) never in
+  let universe = Replay.universe ~assoc ~cold blocks in
+  let last_seen = Array.make universe never in
   for j = len - 1 downto 0 do
     let b = blocks.(j) in
     next_use.(j) <- last_seen.(b);
@@ -33,6 +34,7 @@ let replay ~assoc ?(cold = false) blocks =
     way_next.(!best) <- next_use.(j);
     !best
   in
-  Replay.run ~assoc ~cold { Replay.touch; fill = touch; evict } blocks
+  Replay.run ~universe ~assoc ~cold { Replay.touch; fill = touch; evict }
+    blocks
 
 let hit_rate ~assoc ?cold blocks = Replay.hit_rate (replay ~assoc ?cold blocks)

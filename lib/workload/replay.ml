@@ -16,21 +16,31 @@ let hit_rate o =
   let n = o.hits + o.misses in
   if n = 0 then 0.0 else float_of_int o.hits /. float_of_int n
 
+(* cq-lint: hot-loop — [universe] scans every access of every replay
+   (the daemon's replay verb runs it twice per request), and [run] below
+   is one iteration per trace access; the throughput gate in
+   bench -- workload holds the compiled stepper on that loop to >= 1M
+   accesses/sec, so per-access allocation is a bug. *)
+
+(* One pass: the running maximum sizes the table, and or-ing every id
+   into [sign] leaves it negative iff some id is. *)
 let universe ~assoc ~cold blocks =
   if assoc < 1 then invalid_arg "Replay: associativity must be positive";
   let top = ref (if cold then -1 else assoc - 1) in
-  Array.iter
-    (fun b ->
-      if b < 0 then invalid_arg "Replay: negative block id";
-      if b > !top then top := b)
-    blocks;
+  let sign = ref 0 in
+  for j = 0 to Array.length blocks - 1 do
+    let b = Array.unsafe_get blocks j in
+    sign := !sign lor b;
+    if b > !top then top := b
+  done;
+  if !sign < 0 then invalid_arg "Replay: negative block id";
   !top + 1
 
 (* Resident tag per way (-1 = invalid) and the O(1) reverse map
    block -> way (-1 when absent).  A warm set holds blocks 0 .. assoc-1
    in ways 0 .. assoc-1, exactly [Cache_set.create]. *)
-let init_set ~assoc ~cold blocks =
-  let way_of = Array.make (universe ~assoc ~cold blocks) (-1) in
+let init_set ~assoc ~cold ~universe =
+  let way_of = Array.make universe (-1) in
   let tags = Array.make assoc (-1) in
   if not cold then
     for w = 0 to assoc - 1 do
@@ -45,21 +55,22 @@ type stepper = {
   evict : int -> int;
 }
 
-(* cq-lint: hot-loop — one iteration per trace access; the throughput
-   gate in bench -- workload holds the compiled stepper on this loop to
-   >= 1M accesses/sec, so per-access allocation is a bug. *)
-
 (* Ways are never invalidated, so the invalid ways of a cold set are
-   always the suffix [filled .. assoc-1]: the lowest one is [filled]. *)
-let run ~assoc ~cold st blocks =
-  let tags, way_of = init_set ~assoc ~cold blocks in
+   always the suffix [filled .. assoc-1]: the lowest one is [filled].
+   The one bounds check on [way_of] per access keeps a caller-supplied
+   [universe] that is too small a typed failure. *)
+let run ?universe:u ~assoc ~cold st blocks =
+  let universe =
+    match u with Some u -> u | None -> universe ~assoc ~cold blocks
+  in
+  let tags, way_of = init_set ~assoc ~cold ~universe in
   let filled = ref (if cold then 0 else assoc) in
   let hits = ref 0 in
   let n = Array.length blocks in
   let stream = Bytes.make n '\000' in
   for j = 0 to n - 1 do
     let b = Array.unsafe_get blocks j in
-    let w = Array.unsafe_get way_of b in
+    let w = way_of.(b) in
     if w >= 0 then begin
       st.touch j w;
       incr hits;
@@ -163,7 +174,9 @@ let compiled ?(cold = false) ?attr c blocks =
 let machine ?(cold = false) m blocks =
   let assoc = Mealy.n_inputs m - 1 in
   if assoc < 1 then invalid_arg "Replay.machine: machine has no Evct input";
-  let tags, way_of = init_set ~assoc ~cold blocks in
+  let tags, way_of =
+    init_set ~assoc ~cold ~universe:(universe ~assoc ~cold blocks)
+  in
   let state = ref (Mealy.init m) in
   let step i =
     let s', out = Mealy.step m !state i in

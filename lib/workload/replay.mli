@@ -38,10 +38,13 @@ type stepper = {
     victim.  The loop owns the tags, the block-to-way map and the
     stream; the stepper owns the replacement state. *)
 
-val run : assoc:int -> cold:bool -> stepper -> int array -> outcome
+val run :
+  ?universe:int -> assoc:int -> cold:bool -> stepper -> int array -> outcome
 (** [run ~assoc ~cold st blocks] replays [blocks] through one set of
     [assoc] ways governed by [st].  Raises [Invalid_argument] on a
-    non-positive [assoc] or a negative block id. *)
+    non-positive [assoc] or a negative block id.  A caller that already
+    holds [universe ~assoc ~cold blocks] passes it as [~universe] to
+    skip the rescan; a block id outside it raises [Invalid_argument]. *)
 
 val universe : assoc:int -> cold:bool -> int array -> int
 (** One more than the largest block id resident initially or accessed:

@@ -13,36 +13,31 @@ type t = {
 
 let check_pos name v = if v <= 0 then invalid_arg ("Trace: " ^ name ^ " must be positive")
 
-(* Zipf via a precomputed CDF and binary search: weight of block b is
+(* Zipf by inversion of a precomputed CDF: weight of block b is
    1/(b+1)^alpha, so low ids are hot — the skewed-reuse shape of SPEC-like
-   workloads. *)
+   workloads.  [Prng.sample_cdf] returns exactly what a binary search over
+   [Prng.float] would, so a spec keeps its blocks across sampler changes.
+   The spec prints alpha with the shortest digits that read back as the
+   same float, so [of_spec t.spec] rebuilds [t]. *)
 let zipf ~n ~alpha ~len ~seed =
   check_pos "n" n;
   check_pos "len" len;
-  if alpha < 0.0 then invalid_arg "Trace.zipf: alpha must be non-negative";
+  if not (Float.is_finite alpha && alpha >= 0.0) then
+    invalid_arg "Trace.zipf: alpha must be finite and non-negative";
   let cdf = Array.make n 0.0 in
   let total = ref 0.0 in
   for b = 0 to n - 1 do
     total := !total +. (1.0 /. (float_of_int (b + 1) ** alpha));
     cdf.(b) <- !total
   done;
-  let prng = Prng.of_int seed in
-  let sample () =
-    let u = Prng.float prng *. !total in
-    (* first index with cdf.(i) >= u *)
-    let lo = ref 0 and hi = ref (n - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if cdf.(mid) >= u then hi := mid else lo := mid + 1
-    done;
-    !lo
-  in
-  let blocks = Array.init len (fun _ -> sample ()) in
   {
     label = Printf.sprintf "zipf(n=%d,a=%.2f)" n alpha;
-    spec = Printf.sprintf "zipf:n=%d,alpha=%g,len=%d,seed=%d" n alpha len seed;
+    spec =
+      Printf.sprintf "zipf:n=%d,alpha=%s,len=%d,seed=%d" n
+        (Cq_util.Json.shortest_float alpha)
+        len seed;
     universe = n;
-    blocks;
+    blocks = Prng.sample_cdf (Prng.of_int seed) cdf ~len;
   }
 
 (* Uniform ids over [n] blocks: the recency-free baseline. *)
@@ -168,6 +163,9 @@ let of_spec ?assoc spec =
             | None -> Error (Printf.sprintf "%s=%S is not a number" key v))
       in
       let ( let* ) = Result.bind in
+      (* A generator rejects an out-of-range value (n=0, alpha=nan) with
+         Invalid_argument: surface it as the typed error. *)
+      let generate f = try Ok (f ()) with Invalid_argument msg -> Error msg in
       match name with
       | "zipf" ->
           let* () = known [ "n"; "alpha"; "len"; "seed" ] in
@@ -175,30 +173,30 @@ let of_spec ?assoc spec =
           let* alpha = float_key "alpha" 1.2 in
           let* len = int_key "len" 10_000 in
           let* seed = int_key "seed" 1 in
-          Ok (zipf ~n ~alpha ~len ~seed)
+          generate (fun () -> zipf ~n ~alpha ~len ~seed)
       | "uniform" ->
           let* () = known [ "n"; "len"; "seed" ] in
           let* n = int_key "n" 64 in
           let* len = int_key "len" 10_000 in
           let* seed = int_key "seed" 1 in
-          Ok (uniform ~n ~len ~seed)
+          generate (fun () -> uniform ~n ~len ~seed)
       | "seq" ->
           let* () = known [ "n"; "len" ] in
           let* n = int_key "n" 16 in
           let* len = int_key "len" 10_000 in
-          Ok (sequential ~n ~len)
+          generate (fun () -> sequential ~n ~len)
       | "stride" ->
           let* () = known [ "n"; "stride"; "len" ] in
           let* n = int_key "n" 64 in
           let* stride = int_key "stride" 3 in
           let* len = int_key "len" 10_000 in
-          Ok (strided ~n ~stride ~len)
+          generate (fun () -> strided ~n ~stride ~len)
       | "anti" ->
           let* () = known [ "ws"; "len" ] in
           let default_ws = match assoc with Some a -> a + 1 | None -> 9 in
           let* ws = int_key "ws" default_ws in
           let* len = int_key "len" 10_000 in
-          Ok (anti_lru ~ws ~len)
+          generate (fun () -> anti_lru ~ws ~len)
       | _ ->
           Error
             (Printf.sprintf "unknown trace kind %S (%s)" name spec_syntax))

@@ -36,7 +36,9 @@ val sequential : n:int -> len:int -> t
     the target associativity (else [9]). *)
 
 val of_spec : ?assoc:int -> string -> (t, string) result
-(** Parse and generate.  [Error] carries a human-readable diagnostic. *)
+(** Parse and generate.  [Error] carries a human-readable diagnostic,
+    for a malformed spec and for an out-of-range value alike (a
+    non-positive size, a negative or non-finite [alpha]). *)
 
 val of_spec_exn : ?assoc:int -> string -> t
 

@@ -11,6 +11,8 @@
    - the hardware simulator's checkpoints against a fresh replay, and
    - Polca over a simulated cache ([Polca.run], the Algorithm 1
      abstraction round-trip: policy word -> block trace -> policy word),
+   - the zipf trace generator's guide-table sampler against the binary
+     search over [Prng.float] it replaced,
    plus, for a few small policies, the automaton actually learned by
    [Learn.run_simulated].
 
@@ -464,6 +466,61 @@ let test_hwsim_checkpoints_match_replay () =
       done)
     [ CM.haswell; CM.skylake; CM.toy ]
 
+(* --- Zipf sampler vs the binary search it replaced ---------------------
+
+   [Prng.sample_cdf] must return exactly what the original generator did:
+   per draw, the first index whose cumulative weight reaches
+   [Prng.float *. total], found by binary search.  That search is kept
+   here as the reference, and [Trace.of_spec] output is compared against
+   it over wide and narrow universes, flat to degenerate skews (alpha 50
+   and 400 underflow most weights to zero, leaving long plateaus in the
+   CDF) and lengths up to 20k.  The spec goes through its printed form,
+   so every case also checks that the canonical alpha reads back. *)
+
+let reference_zipf ~n ~alpha ~len ~seed =
+  let cdf = Array.make n 0.0 in
+  let total = ref 0.0 in
+  for b = 0 to n - 1 do
+    total := !total +. (1.0 /. (float_of_int (b + 1) ** alpha));
+    cdf.(b) <- !total
+  done;
+  let prng = Prng.of_int seed in
+  Array.init len (fun _ ->
+      let u = Prng.float prng *. !total in
+      let lo = ref 0 and hi = ref (n - 1) in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if cdf.(mid) >= u then hi := mid else lo := mid + 1
+      done;
+      !lo)
+
+let test_zipf_sampler_matches_binary_search () =
+  let prng = Prng.of_int (Hashtbl.hash "zipf-sampler") in
+  for _ = 1 to iters do
+    let n =
+      if Prng.bool prng 0.5 then 1 + Prng.int prng 64
+      else 1 + Prng.int prng 5000
+    in
+    let alpha =
+      match Prng.int prng 6 with
+      | 0 -> 0.0
+      | 1 -> 1.2
+      | 2 -> 50.0
+      | 3 -> 400.0
+      | _ -> 3.0 *. Prng.float prng
+    in
+    let len = 1 + Prng.int prng 20_000 in
+    let seed = Prng.int prng 1_000_000_000 - 500_000_000 in
+    let spec =
+      Printf.sprintf "zipf:n=%d,alpha=%s,len=%d,seed=%d" n
+        (Cq_util.Json.shortest_float alpha)
+        len seed
+    in
+    let t = Cq_workload.Trace.of_spec_exn spec in
+    if t.Cq_workload.Trace.blocks <> reference_zipf ~n ~alpha ~len ~seed then
+      Alcotest.fail (spec ^ ": blocks differ from the binary-search reference")
+  done
+
 let suite =
   ( "prop",
     [
@@ -479,6 +536,8 @@ let suite =
         test_polca_roundtrip_identity;
       Alcotest.test_case "learned automata agree on random words" `Quick
         test_learned_automaton_agrees;
+      Alcotest.test_case "zipf sampler matches the binary search" `Quick
+        test_zipf_sampler_matches_binary_search;
       Alcotest.test_case "quotient learning recovers ground truth (full zoo)"
         `Slow test_quotient_learns_truth;
     ] )

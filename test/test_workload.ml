@@ -246,11 +246,24 @@ let test_spec_round_trip () =
     [
       "zipf";
       "zipf:n=16,alpha=0.8,len=512,seed=5";
+      (* %g cut these alphas to six digits, respecifying another trace. *)
+      "zipf:n=64,alpha=1.23456789,len=100000,seed=3";
+      "zipf:n=64,alpha=1.0000004,len=100000,seed=3";
       "uniform:n=10,len=256,seed=9";
       "seq:n=6,len=100";
       "stride:n=32,stride=5,len=333";
       "anti";
       "anti:ws=3,len=64";
+    ];
+  (* Alphas that print short keep their short form. *)
+  List.iter
+    (fun (spec, canonical) ->
+      Alcotest.(check string) ("canonical spec of " ^ spec) canonical
+        (Trace.of_spec_exn spec).Trace.spec)
+    [
+      ("zipf", "zipf:n=64,alpha=1.2,len=10000,seed=1");
+      ("zipf:n=16,alpha=.80,len=512,seed=5", "zipf:n=16,alpha=0.8,len=512,seed=5");
+      ("zipf:n=8,alpha=400,len=64,seed=2", "zipf:n=8,alpha=400,len=64,seed=2");
     ]
 
 let test_spec_errors () =
@@ -260,7 +273,33 @@ let test_spec_errors () =
   Alcotest.(check bool) "unknown kind" true (is_error "markov:n=4");
   Alcotest.(check bool) "bad integer" true (is_error "zipf:n=abc");
   Alcotest.(check bool) "unknown key" true (is_error "seq:n=4,alpha=2");
-  Alcotest.(check bool) "missing value" true (is_error "uniform:n")
+  Alcotest.(check bool) "missing value" true (is_error "uniform:n");
+  (* NaN slipped past [alpha < 0.] and yielded all block n-1; infinity
+     yielded all block 0.  Out-of-range values are typed errors too. *)
+  List.iter
+    (fun spec -> Alcotest.(check bool) spec true (is_error spec))
+    [
+      "zipf:n=8,alpha=nan";
+      "zipf:n=8,alpha=inf";
+      "zipf:n=8,alpha=-inf";
+      "zipf:n=8,alpha=-0.5";
+      "zipf:n=0";
+      "uniform:len=0";
+      "stride:stride=-1";
+    ]
+
+(* The sampler draws into one result array: 100k draws must not allocate
+   per draw (the binary search over boxed Prng.float took 8 words each,
+   800k in all). *)
+let test_zipf_allocation () =
+  let spec = "zipf:n=64,len=100000,seed=1" in
+  ignore (Trace.of_spec_exn spec);
+  let before = Gc.minor_words () in
+  let t = Trace.of_spec_exn spec in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "length" 100_000 (Array.length t.Trace.blocks);
+  if words >= 10_000. then
+    Alcotest.failf "%s allocated %.0f minor words (limit 10000)" spec words
 
 let test_anti_defaults_to_assoc_plus_one () =
   let t = Trace.of_spec_exn ~assoc:4 "anti:len=10" in
@@ -362,10 +401,13 @@ let test_service_replay () =
   Alcotest.(check string) "source after learn" "learned" (str_field doc2 "source");
   Alcotest.(check int) "learned hits identical" local.Replay.hits
     (int_field doc2 "hits");
-  match Client.replay c ~spec:"bogus:n=1" sid with
-  | exception Client.Error { kind = "bad_request"; _ } -> ()
-  | exception e -> raise e
-  | _ -> Alcotest.fail "bad spec accepted"
+  List.iter
+    (fun spec ->
+      match Client.replay c ~spec sid with
+      | exception Client.Error { kind = "bad_request"; _ } -> ()
+      | exception e -> raise e
+      | _ -> Alcotest.fail ("bad spec accepted: " ^ spec))
+    [ "bogus:n=1"; "zipf:n=8,alpha=nan"; "zipf:n=8,alpha=inf" ]
 
 let suite =
   ( "workload",
@@ -387,6 +429,8 @@ let suite =
         test_opt_beats_lru_on_anti_trace;
       Alcotest.test_case "spec round-trip" `Quick test_spec_round_trip;
       Alcotest.test_case "spec errors" `Quick test_spec_errors;
+      Alcotest.test_case "zipf generation allocates per trace, not per draw"
+        `Quick test_zipf_allocation;
       Alcotest.test_case "anti ws defaults to assoc+1" `Quick
         test_anti_defaults_to_assoc_plus_one;
       Alcotest.test_case "attribution invariants" `Quick
