@@ -162,8 +162,13 @@ let table4 ~full () =
   header
     "Table 4: learning policies from (simulated) hardware caches via \
      CacheQuery";
-  Printf.printf "%-9s %-3s %5s | %-46s %9s | %6s %-5s %-10s\n%!" "CPU" "Lvl"
-    "assoc" "ours" "time" "paper" "pol." "paper reset";
+  (* Per row: wall time, the learn's membership queries and symbols, the
+     whole workflow's timed loads (calibration and reset discovery
+     included), and the learned machine's canonical digest (its first 8
+     hex digits). *)
+  Printf.printf "%-9s %-3s %5s | %-46s %9s %7s %8s %9s %-8s | %6s %-5s %-10s\n%!"
+    "CPU" "Lvl" "assoc" "ours" "time" "queries" "symbols" "loads" "digest"
+    "paper" "pol." "paper reset";
   (* Rows whose state count or policy disagrees with the paper, or that
      learned where the paper could not.  Reset sequences are not compared:
      a flush in front of the paper's sequence (Haswell L1's [F+ @ @]) is
@@ -177,10 +182,12 @@ let table4 ~full () =
         | None -> "-"
       in
       if plan.expensive && not full then
-        Printf.printf "%-9s %-3s %5d | %-46s %9s | %6s %-5s %-10s\n%!"
+        Printf.printf
+          "%-9s %-3s %5d | %-46s %9s %7s %8s %9s %-8s | %6s %-5s %-10s\n%!"
           plan.paper.Paper_data.cpu plan.paper.Paper_data.level
           plan.paper.Paper_data.assoc "(skipped: expensive, use --full)" "-"
-          paper_states plan.paper.Paper_data.policy plan.paper.Paper_data.reset
+          "-" "-" "-" "-" paper_states plan.paper.Paper_data.policy
+          plan.paper.Paper_data.reset
       else begin
         let machine =
           Cq_hwsim.Machine.create ~noise:Cq_hwsim.Machine.quiet_noise plan.model
@@ -219,9 +226,23 @@ let table4 ~full () =
           disagree :=
             (plan.paper.Paper_data.cpu ^ " " ^ plan.paper.Paper_data.level)
             :: !disagree;
-        Printf.printf "%-9s %-3s %5d | %-46s %8.1fs | %6s %-5s %-10s\n%!"
+        let queries, symbols, digest =
+          match run.Cq_core.Hardware.outcome with
+          | Cq_core.Hardware.Learned { report; _ } ->
+              ( string_of_int report.Cq_core.Learn.member_queries,
+                string_of_int report.Cq_core.Learn.member_symbols,
+                String.sub
+                  (Cq_policy.Policy.machine_digest report.Cq_core.Learn.machine)
+                  0 8 )
+          | Cq_core.Hardware.Partial { member_queries; _ } ->
+              (string_of_int member_queries, "-", "-")
+          | Cq_core.Hardware.Failed _ -> ("-", "-", "-")
+        in
+        Printf.printf
+          "%-9s %-3s %5d | %-46s %8.1fs %7s %8s %9d %-8s | %6s %-5s %-10s\n%!"
           plan.paper.Paper_data.cpu plan.paper.Paper_data.level
-          run.Cq_core.Hardware.assoc ours dt paper_states
+          run.Cq_core.Hardware.assoc ours dt queries symbols
+          run.Cq_core.Hardware.timed_loads digest paper_states
           plan.paper.Paper_data.policy plan.paper.Paper_data.reset
       end)
     t4_plans;
@@ -583,9 +604,13 @@ let engine () =
         let states (r : Cq_core.Learn.report) = r.Cq_core.Learn.states in
         let machine (r : Cq_core.Learn.report) = r.Cq_core.Learn.machine in
         let seconds (r : Cq_core.Learn.report) = r.Cq_core.Learn.seconds in
+        (* The engines differ in device traffic only: the same machine
+           from the same membership queries. *)
         let agree =
           states seq = states bat
           && Cq_automata.Mealy.equivalent (machine seq) (machine bat)
+          && seq.Cq_core.Learn.member_queries = bat.Cq_core.Learn.member_queries
+          && seq.Cq_core.Learn.member_symbols = bat.Cq_core.Learn.member_symbols
         in
         let speedup r = seconds seq /. Float.max 1e-9 (seconds r) in
         let saved_pct =
@@ -644,7 +669,15 @@ let engine () =
                   rows) );
          ]));
   if not overhead_identical then
-    failwith "engine bench: tracing changed the pipeline's query counts"
+    failwith "engine bench: tracing changed the pipeline's query counts";
+  match List.filter (fun (_, _, _, _, agree) -> not agree) rows with
+  | [] -> ()
+  | bad ->
+      failwith
+        ("engine bench: the engines disagree (automaton or membership \
+          queries) on "
+        ^ String.concat ", "
+            (List.map (fun (name, assoc, _, _, _) -> Printf.sprintf "%s-%d" name assoc) bad))
 
 (* ----------------------------------------------------------------------- *)
 (* Noise: learning under measurement noise                                   *)

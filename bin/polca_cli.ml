@@ -57,14 +57,13 @@ let run_analysis ?policy ~name machine =
           exit 1)
     policy
 
-let learn_simulated policy assoc depth validate quotient analyze dot snapshot
+let learn_simulated policy assoc equivalence validate quotient analyze dot snapshot
     snapshot_every resume deadline query_budget metrics =
   match Cq_policy.Zoo.make ~name:policy ~assoc with
   | Error msg -> `Error (false, msg)
   | Ok p -> (
       match
-        Cq_core.Learn.run_simulated
-          ~equivalence:(Cq_core.Learn.W_method depth)
+        Cq_core.Learn.run_simulated ~equivalence
           ~validate ~quotient ~metrics
           ?snapshot:(snapshot_policy_of snapshot snapshot_every)
           ?resume
@@ -91,7 +90,7 @@ let learn_simulated policy assoc depth validate quotient analyze dot snapshot
               report.Cq_core.Learn.machine;
           `Ok ())
 
-let learn_hardware cpu level set slice cat depth noise validate quotient
+let learn_hardware cpu level set slice cat equivalence noise validate quotient
     analyze dot snapshot snapshot_every resume deadline query_budget metrics =
   match Cq_hwsim.Cpu_model.by_name cpu with
   | None -> `Error (false, Printf.sprintf "unknown CPU %S" cpu)
@@ -103,8 +102,7 @@ let learn_hardware cpu level set slice cat depth noise validate quotient
       let machine = Cq_hwsim.Machine.create ~noise:noise_cfg model in
       let run =
         Cq_core.Hardware.learn_set machine level ~slice ~set ?cat_ways:cat
-          ~equivalence:(Cq_core.Learn.W_method depth)
-          ~check_hits:false ~validate ~quotient
+          ~equivalence ~check_hits:false ~validate ~quotient
           ~repetitions:(if noise then 5 else 1)
           ~metrics
           ?snapshot:(snapshot_policy_of snapshot snapshot_every)
@@ -155,6 +153,16 @@ let policy_arg =
 
 let assoc_arg = Arg.(value & opt int 4 & info [ "assoc" ] ~doc:"Associativity (simulated cache).")
 let depth_arg = Arg.(value & opt int 1 & info [ "depth" ] ~doc:"Conformance-test depth k.")
+
+let suite_arg =
+  Arg.(
+    value
+    & opt (enum [ ("wp", `Wp); ("w", `W) ]) `Wp
+    & info [ "equivalence" ] ~docv:"SUITE"
+        ~doc:
+          "Conformance suite: $(b,wp) (the default, the paper's Wp method) \
+           or $(b,w) (the W method, for the suite ablation).  Both are \
+           (|H|+k)-complete at depth k.")
 let cpu_arg = Arg.(value & opt string "skylake" & info [ "cpu" ] ~doc:"Simulated CPU for hardware mode.")
 
 let level_arg =
@@ -275,18 +283,23 @@ let metrics_arg =
           "Write the run's metrics registry (counters and histograms across \
            the whole pipeline) to $(docv) as JSON.")
 
-let main policy assoc cpu level set slice cat depth noise check quotient
-    analyze dot snapshot snapshot_every resume deadline query_budget trace
-    metrics_path =
+let main policy assoc cpu level set slice cat depth suite noise check
+    quotient analyze dot snapshot snapshot_every resume deadline query_budget
+    trace metrics_path =
   let registry = Cq_util.Metrics.create () in
+  let equivalence =
+    match suite with
+    | `Wp -> Cq_core.Learn.Wp_method depth
+    | `W -> Cq_core.Learn.W_method depth
+  in
   setup_observability trace metrics_path registry;
   try
     match policy with
     | Some name ->
-        learn_simulated name assoc depth check quotient analyze dot snapshot
+        learn_simulated name assoc equivalence check quotient analyze dot snapshot
           snapshot_every resume deadline query_budget registry
     | None ->
-        learn_hardware cpu level set slice cat depth noise check quotient
+        learn_hardware cpu level set slice cat equivalence noise check quotient
           analyze dot snapshot snapshot_every resume deadline query_budget
           registry
   with Cq_core.Session.Corrupt msg -> `Error (false, msg)
@@ -298,7 +311,7 @@ let cmd =
     Term.(
       ret
         (const main $ policy_arg $ assoc_arg $ cpu_arg $ level_arg $ set_arg
-       $ slice_arg $ cat_arg $ depth_arg $ noise_arg $ check_arg
+       $ slice_arg $ cat_arg $ depth_arg $ suite_arg $ noise_arg $ check_arg
        $ quotient_arg $ analyze_arg $ dot_arg
        $ snapshot_arg $ snapshot_every_arg $ resume_arg $ deadline_arg
        $ query_budget_arg $ trace_arg $ metrics_arg))

@@ -390,6 +390,16 @@ let learn_core ?(equivalence = default_equivalence)
           let r = oracle.Cq_learner.Moracle.query_batch ws in
           maybe_snapshot ();
           r);
+      (* A chunk may keep the device busy for a while: check the budgets
+         before it, unless it is the empty prefetch that only drops held
+         answers. *)
+      prefetch =
+        (fun ws ->
+          match ws () with
+          | Seq.Nil -> oracle.Cq_learner.Moracle.prefetch Seq.empty
+          | Seq.Cons _ as first ->
+              guard ();
+              oracle.Cq_learner.Moracle.prefetch (fun () -> first));
     }
   in
   (* The latest hypothesis' rep/alias decomposition, published by the

@@ -33,8 +33,13 @@ val create :
     by the single access extending the trace, and the [findEvicted] fan-out
     becomes a checkpoint/restore scan at the trace tip — a word of length L
     costs O(L + scans) device accesses instead of the O(L²) of per-probe
-    replay.  Without [ops], the fan-out alone is sent as one [query_batch].
-    Disable to restore per-probe reset-and-replay (the sequential engine).
+    replay.  Several words ({!moracle}'s [query_batch] and [prefetch]) run
+    over their word trie: one reset per session, each shared prefix
+    executed once.  A session is capped at 256 trie nodes, or 16 once the
+    device has had to re-measure an access (a reset is where a drifting
+    device recalibrates).  Without [ops], the fan-out alone is sent as one
+    [query_batch].  Disable to restore per-probe reset-and-replay (the
+    sequential engine).
 
     [retries] (default 0) bounds a retry loop around {!Non_deterministic}:
     the offending word is re-executed from reset up to [retries] extra
@@ -60,7 +65,18 @@ val run : t -> int list -> Cq_policy.Types.output list
     input alphabet (0..n-1 = Ln(i), n = Evct). *)
 
 val moracle : t -> Cq_policy.Types.output Cq_learner.Moracle.t
-(** The membership oracle consumed by the learner. *)
+(** The membership oracle consumed by the learner.  Its [query_batch] runs
+    the words as trie sessions; its [prefetch] does the same ahead of
+    time and holds each answer until [query] consumes it (once).  The next
+    prefetch replaces the held answers, and a retry drops them.  Prefetches
+    are run only on a device whose reset issues timed loads (as counted in
+    [stats]): on a software cache a reset costs less than the
+    speculation's bookkeeping.  A node
+    that fails with {!Non_deterministic} fails the words through it; that
+    is one [backoff], and each of those words counts it as its first
+    attempt (a held failure survives that backoff), so a word that keeps
+    failing raises exactly what {!run} raises for it.  A word is counted
+    in [retry_attempts] when it is re-run. *)
 
 val member : t -> (Cq_policy.Types.input * Cq_policy.Types.output) list -> bool
 (** Theorem 3.1: trace membership in the policy semantics ⟦P⟧. *)

@@ -100,11 +100,39 @@ let w_method_suite ~depth h =
 let run_test (oracle : 'o Moracle.t) compiled word =
   not (Cq_automata.Mealy.agrees compiled word (oracle.Moracle.query word))
 
-let w_method ?(depth = 1) (oracle : 'o Moracle.t) : 'o t =
- fun h ->
-  let suite = w_method_suite ~depth h in
+(* The first suite word on which the oracle and [h] disagree.  The suite
+   is walked in chunks: each chunk is announced to the oracle
+   ([Moracle.prefetch]), then its words are queried one at a time, in
+   order, stopping at the first counterexample — so the queries, and
+   everything counted on them, are exactly those of a word-at-a-time
+   walk, while the device may run a whole chunk in one session.  Chunks
+   start small, since a wrong hypothesis usually fails early, and double
+   with every passing chunk.  The schedule depends on nothing but the
+   suite, so traced, untraced and resumed runs issue the same chunks.  A
+   chunk's words are generated twice, for the announcement and for the
+   walk, rather than held. *)
+let find (oracle : 'o Moracle.t) h suite =
   let c = Cq_automata.Mealy.compile h in
-  Seq.find (fun word -> run_test oracle c word) suite
+  let rec walk n suite =
+    if n = 0 then `Next suite
+    else
+      match Seq.uncons suite with
+      | None -> `Found None
+      | Some (w, rest) ->
+          if run_test oracle c w then `Found (Some w) else walk (n - 1) rest
+  in
+  let rec go size suite =
+    oracle.Moracle.prefetch (Seq.take size suite);
+    match walk size suite with
+    | `Found cex -> cex
+    | `Next rest -> go (min 1024 (2 * size)) rest
+  in
+  Fun.protect
+    ~finally:(fun () -> oracle.Moracle.prefetch Seq.empty)
+    (fun () -> go 16 suite)
+
+let w_method ?(depth = 1) (oracle : 'o Moracle.t) : 'o t =
+ fun h -> find oracle h (w_method_suite ~depth h)
 
 
 (* The Wp-method [Fujiwara et al. 1991], the suite the paper actually uses
@@ -327,11 +355,8 @@ let wp_quotient ?(depth = 1) ~is_rep ~sweep (oracle : 'o Moracle.t) : 'o t =
     Cq_automata.Mealy.n_states h * Cq_automata.Mealy.n_inputs h <= 512
   in
   let focused = wp_quotient_suite ~depth ~is_rep ~sweep h in
-  let suite =
-    if small then Seq.append focused (wp_method_suite ~depth h) else focused
-  in
-  let c = Cq_automata.Mealy.compile h in
-  Seq.find (fun word -> run_test oracle c word) suite
+  find oracle h
+    (if small then Seq.append focused (wp_method_suite ~depth h) else focused)
 
 (* Random walks: [max_tests] random words of length up to [max_len]. *)
 let random_walk ~prng ?(max_tests = 10_000) ?(max_len = 30)
@@ -352,10 +377,7 @@ let random_walk ~prng ?(max_tests = 10_000) ?(max_len = 30)
 let perfect (truth : 'o Cq_automata.Mealy.t) : 'o t =
  fun h -> Cq_automata.Mealy.find_counterexample truth h
 let wp_method ?(depth = 1) (oracle : 'o Moracle.t) : 'o t =
- fun h ->
-  let suite = wp_method_suite ~depth h in
-  let c = Cq_automata.Mealy.compile h in
-  Seq.find (fun word -> run_test oracle c word) suite
+ fun h -> find oracle h (wp_method_suite ~depth h)
 
 (* Total number of input symbols in a suite — the cost metric for the
    W-vs-Wp ablation. *)

@@ -8,7 +8,14 @@
 
 type 'o t = 'o Cq_automata.Mealy.t -> int list option
 (** An equivalence oracle maps a hypothesis to a counterexample word, or
-    [None] when no disagreement is found. *)
+    [None] when no disagreement is found.
+
+    The suite-based oracles ({!w_method}, {!wp_method}, {!wp_quotient})
+    query their suite one word at a time, in order, up to the first
+    counterexample, and announce it to the oracle in chunks first
+    ({!Moracle.t.prefetch}): 16 words, doubling with every passing chunk
+    up to 1024.  The queries are those of a plain word-by-word walk; the
+    chunks only let the system measure ahead. *)
 
 val characterization_set : 'o Cq_automata.Mealy.t -> int list list
 (** A set of input words separating every pair of states of a minimal

@@ -14,17 +14,20 @@ type 'o t = {
   n_inputs : int;
   query : int list -> 'o list;
   query_batch : int list list -> 'o list list;
+  prefetch : int list Seq.t -> unit;
 }
 
 exception Inconsistent of string
 
-(* Smart constructor: derives the sequential [query_batch] fallback. *)
-let make ?query_batch ~n_inputs query =
+(* Smart constructor: derives the sequential [query_batch] fallback; an
+   oracle without speculation ignores [prefetch]. *)
+let make ?query_batch ?(prefetch = ignore) ~n_inputs query =
   {
     n_inputs;
     query;
     query_batch =
       (match query_batch with Some qb -> qb | None -> List.map query);
+    prefetch;
   }
 
 (* Registry-backed accounting: fields are named counters in a
@@ -57,15 +60,28 @@ let fresh_stats ?registry ?(prefix = "member") () =
         (prefix ^ ".latency_seconds");
   }
 
+(* A prefetch is no membership query: it passes through uncounted, and
+   its time is added to the latency of the query after it, so the latency
+   histogram keeps covering all the time spent below this layer with one
+   sample per query (or batch). *)
 let counting stats t =
+  let ahead = ref 0. in
+  let observe seconds =
+    Cq_util.Metrics.observe stats.latency (seconds +. !ahead);
+    ahead := 0.
+  in
   {
     t with
+    prefetch =
+      (fun ws ->
+        let (), seconds = Cq_util.Clock.time (fun () -> t.prefetch ws) in
+        ahead := !ahead +. seconds);
     query =
       (fun w ->
         Cq_util.Metrics.incr stats.queries;
         Cq_util.Metrics.add stats.symbols (List.length w);
         let r, seconds = Cq_util.Clock.time (fun () -> t.query w) in
-        Cq_util.Metrics.observe stats.latency seconds;
+        observe seconds;
         r);
     query_batch =
       (fun ws ->
@@ -74,7 +90,7 @@ let counting stats t =
         Cq_util.Metrics.add stats.symbols
           (List.fold_left (fun a w -> a + List.length w) 0 ws);
         let r, seconds = Cq_util.Clock.time (fun () -> t.query_batch ws) in
-        Cq_util.Metrics.observe stats.latency seconds;
+        observe seconds;
         r);
   }
 
@@ -151,6 +167,11 @@ module Trie = struct
     in
     Hashtbl.add siblings i k; (* cq-lint: allow hashtbl-add: callers checked [child] *)
     k
+
+  let rec mem t k = function
+    | [] -> true
+    | i :: rest -> (
+        match child t k i with None -> false | Some c -> mem t c rest)
 
   let lookup t word =
     let rec go k = function
@@ -319,6 +340,13 @@ let cached_session ?stats ?(conflict_retries = 0) ?(journal = false) t =
     if List.length outputs <> List.length w then
       failwith "Moracle: output word length mismatch"
   in
+  (* Arbitration and [refresh] distrust an answer already given, so they
+     must measure afresh: an empty prefetch drops whatever speculative
+     answers the system still holds before the word goes to it. *)
+  let fresh_query w =
+    t.prefetch Seq.empty;
+    t.query w
+  in
   (* [outputs] for [w] conflicted with a cached prefix.  One of the two
      executions carried a transient measurement flip; arbitrate by
      re-executing.  A fresh run that agrees with the trie exonerates the
@@ -335,7 +363,7 @@ let cached_session ?stats ?(conflict_retries = 0) ?(journal = false) t =
              (Printf.sprintf "%s (persisted through %d re-executions)" msg
                 conflict_retries))
       else begin
-        let outputs = t.query w in
+        let outputs = fresh_query w in
         check_length w outputs;
         match insert w outputs with
         | () -> outputs
@@ -356,7 +384,7 @@ let cached_session ?stats ?(conflict_retries = 0) ?(journal = false) t =
      measurement flip) repairs the cache and gets a trustworthy answer. *)
   let refresh w =
     let rec settle k prev =
-      let outputs = t.query w in
+      let outputs = fresh_query w in
       check_length w outputs;
       if prev = Some outputs || k >= conflict_retries then outputs
       else settle (k + 1) (Some outputs)
@@ -379,8 +407,12 @@ let cached_session ?stats ?(conflict_retries = 0) ?(journal = false) t =
       knowledge
   in
   let export () = [ Trie.export trie ] in
+  (* Speculation only for the words the trie cannot answer yet; nothing
+     it measures enters the trie until a query consumes it. *)
+  let prefetch ws = t.prefetch (Seq.filter (fun w -> not (Trie.mem trie (-1) w)) ws) in
   ( {
       t with
+      prefetch;
       query =
       (fun w ->
         match Trie.lookup trie w with

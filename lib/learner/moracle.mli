@@ -10,6 +10,15 @@ type 'o t = {
   n_inputs : int;
   query : int list -> 'o list;
   query_batch : int list list -> 'o list list;
+  prefetch : int list Seq.t -> unit;
+      (** speculation: the words are likely to be queried next, one at a
+          time, so the system may measure them together now and hold the
+          answers until each is queried (once).  The sequence is generated
+          as the system consumes it, so a long announcement is never held
+          whole.  A prefetch never raises and answers nothing; it replaces
+          the previous one, and an empty prefetch drops whatever is still
+          held.  The conformance suites ({!Equivalence}) prefetch each
+          chunk they are about to test. *)
 }
 
 exception Inconsistent of string
@@ -19,11 +28,13 @@ exception Inconsistent of string
 
 val make :
   ?query_batch:(int list list -> 'o list list) ->
+  ?prefetch:(int list Seq.t -> unit) ->
   n_inputs:int ->
   (int list -> 'o list) ->
   'o t
 (** Build an oracle; without [query_batch] a sequential fallback
-    ([List.map query]) is derived, so plain oracles keep working. *)
+    ([List.map query]) is derived, so plain oracles keep working, and
+    without [prefetch] speculation is ignored. *)
 
 type stats = {
   queries : Cq_util.Metrics.counter;
@@ -47,6 +58,9 @@ val fresh_stats : ?registry:Cq_util.Metrics.t -> ?prefix:string -> unit -> stats
     in [registry] (default: a fresh private registry). *)
 
 val counting : stats -> 'o t -> 'o t
+(** Count the queries and symbols reaching [t].  A prefetch is not
+    counted; its time is added to the [latency] sample of the query (or
+    batch) after it. *)
 
 val cached : ?stats:stats -> ?conflict_retries:int -> 'o t -> 'o t
 (** Prefix-tree cache: a query whose whole path is known is answered
@@ -58,7 +72,13 @@ val cached : ?stats:stats -> ?conflict_retries:int -> 'o t -> 'o t
     exonerates it (the conflicting run carried a transient measurement
     flip); two fresh runs agreeing with each other outvote the single
     cached execution, whose entry is overwritten.  Conflicts that persist
-    raise {!Inconsistent} — the system looks genuinely nondeterministic. *)
+    raise {!Inconsistent} — the system looks genuinely nondeterministic.
+
+    A prefetch forwards only the words the trie cannot answer.  Its
+    answers reach the trie only through the queries that consume them,
+    so they never show in an export or a journal; arbitration
+    re-executions and [refresh] drop the held answers first and always
+    measure afresh. *)
 
 type 'o knowledge
 (** Portable prefix-trie contents, applied in order, each part

@@ -186,6 +186,82 @@ let test_transient_flip_absorbed () =
   | _ -> Alcotest.fail "expected Non_deterministic"
   | exception Polca.Non_deterministic _ -> ()
 
+(* A prefetch whose session meets a transient flip: the failing word
+   holds its failure, counts the session as its first attempt and is
+   re-run once when queried — one retry, one backoff, one flip absorbed —
+   while the other held answers are still consumed without a device run.
+   The device's resets issue a timed load each, as a real reset does, so
+   speculation is on. *)
+let test_prefetch_flip_one_retry () =
+  let policy = Cq_policy.Lru.make 2 in
+  let base = O.of_policy policy in
+  let ops = Option.get base.O.ops in
+  let stats = O.fresh_stats () in
+  let resets = ref 0 and armed = ref false in
+  let flipping =
+    {
+      base with
+      O.ops =
+        Some
+          {
+            ops with
+            Cq_cache.Batch.reset =
+              (fun () ->
+                incr resets;
+                Cq_util.Metrics.incr stats.O.timed_loads;
+                ops.Cq_cache.Batch.reset ());
+            access =
+              (fun b ->
+                let r = ops.Cq_cache.Batch.access b in
+                if not !armed then r
+                else begin
+                  armed := false;
+                  if Cq_cache.Cache_set.result_is_hit r then Cq_cache.Cache_set.Miss
+                  else Cq_cache.Cache_set.Hit
+                end);
+          };
+    }
+  in
+  let backoffs = ref [] in
+  let polca =
+    Polca.create ~retries:2 ~stats
+      ~backoff:(fun k -> backoffs := k :: !backoffs)
+      flipping
+  in
+  let truth = Cq_policy.Policy.to_mealy policy in
+  let m = Polca.moracle polca in
+  (* Speculation starts once a reset has been seen to issue timed loads. *)
+  ignore (m.Cq_learner.Moracle.query [ 2; 2 ]);
+  let words = [ [ 0; 1 ]; [ 2; 0 ]; [ 1 ] ] in
+  resets := 0;
+  (* the first access of the prefetch session reads wrong *)
+  armed := true;
+  m.Cq_learner.Moracle.prefetch (List.to_seq words);
+  List.iter
+    (fun w ->
+      Alcotest.(check bool) "true answer" true
+        (m.Cq_learner.Moracle.query w = Cq_automata.Mealy.run truth w))
+    words;
+  Alcotest.(check int) "resets: the session and one retry" 2 !resets;
+  Alcotest.(check (list int)) "one backoff, before attempt 1" [ 1 ] !backoffs;
+  Alcotest.(check int) "retry attempts" 1
+    (Cq_util.Metrics.value stats.O.retry_attempts);
+  Alcotest.(check int) "transient flips" 1
+    (Cq_util.Metrics.value stats.O.transient_flips)
+
+(* On a software cache a reset is an array copy and speculation is off:
+   a prefetch must not generate a word of its announcement, and the
+   counting layer keeps one latency sample per query. *)
+let test_prefetch_ignored_on_software () =
+  let polca = Polca.create (O.of_policy (Cq_policy.Lru.make 2)) in
+  let stats = Cq_learner.Moracle.fresh_stats () in
+  let m = Cq_learner.Moracle.counting stats (Polca.moracle polca) in
+  ignore (m.Cq_learner.Moracle.query [ 2 ]);
+  m.Cq_learner.Moracle.prefetch (fun () -> Alcotest.fail "announcement generated");
+  ignore (m.Cq_learner.Moracle.query [ 0 ]);
+  Alcotest.(check int) "one latency sample per query" 2
+    (Cq_util.Metrics.hist_count stats.Cq_learner.Moracle.latency)
+
 let test_structural_nondeterminism_still_fails () =
   (* A broken reset (modelled as an oracle lying about the initial
      content) fails on every re-execution: retries must not mask it, and
@@ -339,6 +415,10 @@ let suite =
       Alcotest.test_case "report lines" `Quick test_report_lines;
       Alcotest.test_case "transient flip absorbed" `Quick
         test_transient_flip_absorbed;
+      Alcotest.test_case "prefetch flip costs one retry" `Quick
+        test_prefetch_flip_one_retry;
+      Alcotest.test_case "prefetch ignored on a software cache" `Quick
+        test_prefetch_ignored_on_software;
       Alcotest.test_case "structural nondeterminism fails" `Quick
         test_structural_nondeterminism_still_fails;
       Alcotest.test_case "drift fires recalibration" `Quick

@@ -11,6 +11,8 @@
    - the hardware simulator's checkpoints against a fresh replay, and
    - Polca over a simulated cache ([Polca.run], the Algorithm 1
      abstraction round-trip: policy word -> block trace -> policy word),
+   - Polca's trie sessions over word batches against per-word runs, on
+     the simulated zoo and a quiet Haswell L1,
    - the zipf trace generator's guide-table sampler against the binary
      search over [Prng.float] it replaced,
    plus, for a few small policies, the automaton actually learned by
@@ -241,6 +243,112 @@ let test_polca_roundtrip_identity () =
           (Cq_core.Polca.run polca word)
       done)
     (zoo_policies ())
+
+(* --- Trie sessions against per-word runs -------------------------------
+
+   A batch of words run as one live trie session — Polca's [query_batch],
+   and a prefetch that [query] then consumes — must answer every word as
+   running it alone does ([Polca.run]): on the simulated zoo at assoc 2–8,
+   and through the CacheQuery stack on a quiet Haswell L1 (the device
+   whose resets cost timed loads, where prefetches are run).  Batches carry
+   shared prefixes, duplicates and words that are prefixes of others, as
+   conformance chunks do.  Under an unsound oracle the first failing word
+   raises exactly what [Polca.run] raises for it. *)
+
+let random_batch prng ~n_symbols =
+  let base =
+    List.init (1 + Prng.int prng 12) (fun _ -> random_word prng ~n_symbols)
+  in
+  List.concat_map
+    (fun w ->
+      match Prng.int prng 4 with
+      | 0 -> [ w; List.filteri (fun i _ -> i < Prng.int prng (List.length w)) w ]
+      | 1 -> [ w; w @ random_word prng ~n_symbols ]
+      | 2 -> [ w; w ]
+      | _ -> [ w ])
+    base
+
+(* [Ok answers], or the message of the first Non_deterministic. *)
+let outcome f =
+  match f () with
+  | answers -> Ok answers
+  | exception Cq_core.Polca.Non_deterministic msg -> Error msg
+
+let check_sessions ~what polca words =
+  let per_word = outcome (fun () -> List.map (Cq_core.Polca.run polca) words) in
+  let m = Cq_core.Polca.moracle polca in
+  let fail how =
+    Alcotest.fail
+      (Printf.sprintf "%s: %s differs from per-word runs on [%s]" what how
+         (String.concat "; " (List.map pp_word words)))
+  in
+  if outcome (fun () -> m.Cq_learner.Moracle.query_batch words) <> per_word then
+    fail "query_batch";
+  if
+    outcome (fun () ->
+        m.Cq_learner.Moracle.prefetch (List.to_seq words);
+        List.map m.Cq_learner.Moracle.query words)
+    <> per_word
+  then fail "prefetch + query"
+
+let test_trie_sessions_match_runs () =
+  List.iter
+    (fun (e : Cq_policy.Zoo.entry) ->
+      for assoc = 2 to 8 do
+        if e.Cq_policy.Zoo.valid_assoc assoc then begin
+          let name = e.Cq_policy.Zoo.name in
+          let policy = e.Cq_policy.Zoo.make assoc in
+          let prng = prng_for "trie-session" (Printf.sprintf "%s-%d" name assoc) in
+          let sound = Cq_cache.Oracle.of_policy policy in
+          (* A broken reset: the oracle claims lines the cache never held. *)
+          let unsound =
+            {
+              sound with
+              Cq_cache.Oracle.initial_content =
+                Array.init assoc (fun i -> Cq_cache.Block.of_index (100 + i));
+            }
+          in
+          for _ = 1 to max 1 (iters / 20) do
+            let words = random_batch prng ~n_symbols:(T.n_inputs ~assoc) in
+            let what = Printf.sprintf "%s-%d" name assoc in
+            check_sessions ~what (Cq_core.Polca.create sound) words;
+            check_sessions ~what:(what ^ " (unsound)")
+              (Cq_core.Polca.create ~retries:1 unsound)
+              words
+          done
+        end
+      done)
+    Cq_policy.Zoo.entries;
+  let machine =
+    Cq_hwsim.Machine.create ~noise:Cq_hwsim.Machine.quiet_noise
+      Cq_hwsim.Cpu_model.haswell
+  in
+  let backend =
+    Cq_cachequery.Backend.create machine
+      { Cq_cachequery.Backend.level = Cq_hwsim.Cpu_model.L1; slice = 0; set = 0 }
+  in
+  ignore (Cq_cachequery.Backend.calibrate backend);
+  let frontend =
+    Cq_cachequery.Frontend.create
+      ~reset:
+        (Cq_cachequery.Frontend.Flush_then
+           (Cq_mbl.Ast.Seq [ Cq_mbl.Ast.At; Cq_mbl.Ast.At ]))
+      backend
+  in
+  (* With the frontend's stats, Polca sees the reset's timed loads, which
+     is what turns speculation on. *)
+  let polca =
+    Cq_core.Polca.create
+      ~stats:(Cq_cachequery.Frontend.stats frontend)
+      (Cq_cachequery.Frontend.oracle frontend)
+  in
+  let prng = prng_for "trie-session" "haswell-L1" in
+  for _ = 1 to max 1 (iters / 10) do
+    let words =
+      random_batch prng ~n_symbols:(Cq_core.Polca.n_inputs polca)
+    in
+    check_sessions ~what:"Haswell L1" polca words
+  done
 
 (* --- The learned automaton -------------------------------------------- *)
 
@@ -534,6 +642,8 @@ let suite =
         test_hwsim_checkpoints_match_replay;
       Alcotest.test_case "Polca round-trip is the identity" `Quick
         test_polca_roundtrip_identity;
+      Alcotest.test_case "trie sessions answer as per-word runs" `Quick
+        test_trie_sessions_match_runs;
       Alcotest.test_case "learned automata agree on random words" `Quick
         test_learned_automaton_agrees;
       Alcotest.test_case "zipf sampler matches the binary search" `Quick

@@ -248,6 +248,54 @@ let test_kill_resume_hardware () =
                 (Printf.sprintf "trial %d: resume failed: %s" trial reason)))
     [ 1; 2 ]
 
+(* --- Quotient learn: budget stop + resume ---------------------------------- *)
+
+(* A quotient learn of Haswell L1 stopped by its query budget and resumed
+   from the snapshot ends with the uninterrupted run's automaton, and the
+   two legs together issue exactly its membership queries.  Answers the
+   device measured speculatively for the conformance suite
+   (Moracle.prefetch) must never reach the snapshot: a resumed run would
+   then answer them from the trie, and the two legs would undercount. *)
+let test_quotient_budget_resume () =
+  let learn ?snapshot ?query_budget ?resume () =
+    Cq_core.Hardware.learn_set ~check_hits:false ~quotient:true ?snapshot
+      ?query_budget ?resume
+      (Cq_hwsim.Machine.create ~noise:Cq_hwsim.Machine.quiet_noise
+         Cq_hwsim.Cpu_model.haswell)
+      Cq_hwsim.Cpu_model.L1
+  in
+  let learned (run : Cq_core.Hardware.run) =
+    match run.Cq_core.Hardware.outcome with
+    | Cq_core.Hardware.Learned { report; _ } -> report
+    | o -> Alcotest.fail (Fmt.str "not learned: %a" Cq_core.Hardware.pp_outcome o)
+  in
+  let baseline = learned (learn ()) in
+  let total = baseline.Learn.member_queries in
+  with_temp (fun path ->
+      let budget = total / 2 in
+      let crash_run =
+        learn
+          ~snapshot:(Learn.snapshot_policy ~every_queries:25 path)
+          ~query_budget:budget ()
+      in
+      let crashed =
+        match crash_run.Cq_core.Hardware.outcome with
+        | Cq_core.Hardware.Partial
+            { failure = Learn.Budget_exhausted _; member_queries; _ } ->
+            member_queries
+        | o ->
+            Alcotest.fail
+              (Fmt.str "budget %d (of %d): %a" budget total
+                 Cq_core.Hardware.pp_outcome o)
+      in
+      let resumed = learned (learn ~resume:path ()) in
+      Alcotest.(check bool)
+        "same canonical automaton" true
+        (Cq_automata.Mealy.isomorphic baseline.Learn.machine
+           resumed.Learn.machine);
+      Alcotest.(check int) "member queries add up" total
+        (crashed + resumed.Learn.member_queries))
+
 (* --- Append-only log --------------------------------------------------------- *)
 
 let file_size path = (Unix.stat path).Unix.st_size
@@ -608,6 +656,8 @@ let suite =
         test_probe_crash_resume_simulated;
       Alcotest.test_case "kill + resume (Haswell L1)" `Quick
         test_kill_resume_hardware;
+      Alcotest.test_case "quotient budget stop + resume (Haswell L1)" `Quick
+        test_quotient_budget_resume;
       Alcotest.test_case "log: meta.queries from the last record" `Quick
         test_log_meta_from_last_record;
       Alcotest.test_case "log: torn final record is dropped" `Quick
