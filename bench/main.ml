@@ -74,24 +74,40 @@ let table2 ~full () =
   header
     "Table 2: learning policies from software-simulated caches (Polca + L*, \
      Wp-method depth 1)";
-  Printf.printf "%-10s %5s | %8s %16s | %8s %14s\n%!" "Policy" "Assoc"
-    "states" "time" "paper" "paper time";
+  Printf.printf "%-10s %5s | %8s %16s %8s %9s | %8s %14s\n%!" "Policy" "Assoc"
+    "states" "time" "queries" "symbols" "paper" "paper time";
+  (* Rows whose state count differs from the paper's, or whose machine is
+     not trace-equivalent to the policy. *)
+  let disagree = ref [] in
   let budget = if full then 1100 else 300 in
   List.iter
     (fun (name, assoc, paper_states, paper_time) ->
       if paper_states > budget then
-        Printf.printf "%-10s %5d | %8s %16s | %8d %14s  (skipped: > %d states%s)\n%!"
-          name assoc "-" "-" paper_states paper_time budget
+        Printf.printf
+          "%-10s %5d | %8s %16s %8s %9s | %8d %14s  (skipped: > %d states%s)\n%!"
+          name assoc "-" "-" "-" "-" paper_states paper_time budget
           (if full then "" else ", use --full")
       else
         let policy = Cq_policy.Zoo.make_exn ~name ~assoc in
         let report = Cq_core.Learn.learn_simulated ~identify:false policy in
-        let ok = if report.Cq_core.Learn.states = paper_states then "" else "  <-- MISMATCH" in
-        Printf.printf "%-10s %5d | %8d %16s | %8d %14s%s\n%!" name assoc
-          report.Cq_core.Learn.states
+        let agrees =
+          report.Cq_core.Learn.states = paper_states
+          && Cq_core.Learn.verify_against report policy
+        in
+        if not agrees then
+          disagree := Printf.sprintf "%s-%d" name assoc :: !disagree;
+        Printf.printf "%-10s %5d | %8d %16s %8d %9d | %8d %14s%s\n%!" name
+          assoc report.Cq_core.Learn.states
           (Cq_util.Clock.to_string report.Cq_core.Learn.seconds)
-          paper_states paper_time ok)
-    Paper_data.table2
+          report.Cq_core.Learn.member_queries
+          report.Cq_core.Learn.member_symbols paper_states paper_time
+          (if agrees then "" else "  <-- MISMATCH"))
+    Paper_data.table2;
+  match List.rev !disagree with
+  | [] -> ()
+  | rows ->
+      failwith
+        ("table2: rows disagree with the paper: " ^ String.concat ", " rows)
 
 (* ----------------------------------------------------------------------- *)
 (* Table 3: processor specifications (static; printed for reference)        *)
@@ -196,7 +212,6 @@ let table4 ~full () =
         let run =
           Cq_core.Hardware.learn_set machine plan.level ?cat_ways:plan.cat_ways
             ~set:plan.set ~slice:plan.slice ~max_states:plan.max_states
-            ~check_hits:false
         in
         let dt = Cq_util.Clock.mono () -. t0 in
         let ours =
@@ -354,8 +369,13 @@ let cost () =
   let learn () =
     (* Sequential engine: this experiment measures the frontend's query
        memo (cold vs warm), which session-mode execution bypasses. *)
-    Cq_core.Learn.learn_from_cache ~engine:Cq_core.Learn.Sequential
-      ~memoize:false ~identify:false ~check_hits:false oracle
+    match
+      Cq_core.Learn.run ~engine:Cq_core.Learn.Sequential ~memoize:false
+        ~identify:false ~check_hits:false oracle
+    with
+    | Cq_core.Learn.Complete report -> report
+    | Cq_core.Learn.Partial { failure; _ } ->
+        failwith (Fmt.str "cost: %a" Cq_core.Learn.pp_failure failure)
   in
   let cold = learn () in
   let warm = learn () in
@@ -721,7 +741,7 @@ let noise ~full () =
         let quiet_machine = M.create ~noise:M.quiet_noise model in
         let t0 = Cq_util.Clock.mono () in
         let quiet =
-          Cq_core.Hardware.learn_set ~check_hits:false quiet_machine level
+          Cq_core.Hardware.learn_set quiet_machine level
         in
         let quiet_dt = Cq_util.Clock.mono () -. t0 in
         let quiet_report =
@@ -744,8 +764,7 @@ let noise ~full () =
               let machine = M.create ~noise:noise_cfg model in
               let t0 = Cq_util.Clock.mono () in
               let run =
-                Cq_core.Hardware.learn_set ~check_hits:false ~voting ~retries
-                  machine level
+                Cq_core.Hardware.learn_set ~voting ~retries machine level
               in
               let dt = Cq_util.Clock.mono () -. t0 in
               let row =
@@ -863,8 +882,8 @@ let recovery () =
     in
     let t0 = Cq_util.Clock.mono () in
     let run =
-      Cq_core.Hardware.learn_set ~check_hits:false ?metrics ?snapshot ?resume
-        ?query_budget machine Cq_hwsim.Cpu_model.L1
+      Cq_core.Hardware.learn_set ?metrics ?snapshot ?resume ?query_budget
+        machine Cq_hwsim.Cpu_model.L1
     in
     (run, Cq_util.Clock.mono () -. t0)
   in
@@ -1483,11 +1502,9 @@ let assoc_bench ~full ~smoke () =
          else [])
   in
   let learn ~quotient ?deadline policy =
-    let outcome =
-      Cq_core.Learn.run_simulated ~identify:false ~quotient
-        ~deadline:(Cq_util.Clock.deadline_of deadline) policy
-    in
-    outcome
+    Cq_core.Learn.run ~identify:false ~quotient
+      ~deadline:(Cq_util.Clock.deadline_of deadline)
+      (Cq_cache.Oracle.of_policy policy)
   in
   Printf.printf "%-8s %5s | %10s %8s | %10s %8s | %8s %9s %5s\n%!" "Policy"
     "assoc" "direct q" "time" "quot q" "time" "collapse" "st/reps" "same";

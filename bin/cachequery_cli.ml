@@ -48,7 +48,8 @@ let frontend session =
         threshold;
       let fe =
         Cq_cachequery.Frontend.create ~reset:session.reset
-          ~repetitions:session.reps ~metrics:session.metrics backend
+          ~voting:(Cq_cachequery.Frontend.Fixed session.reps)
+          ~metrics:session.metrics backend
       in
       session.frontend <- Some fe;
       fe

@@ -63,12 +63,11 @@ let learn_simulated policy assoc equivalence validate quotient analyze dot snaps
   | Error msg -> `Error (false, msg)
   | Ok p -> (
       match
-        Cq_core.Learn.run_simulated ~equivalence
-          ~validate ~quotient ~metrics
+        Cq_core.Learn.run ~equivalence ~validate ~quotient ~metrics
           ?snapshot:(snapshot_policy_of snapshot snapshot_every)
           ?resume
           ~deadline:(Cq_util.Clock.deadline_of deadline)
-          ?query_budget p
+          ?query_budget (Cq_cache.Oracle.of_policy p)
       with
       | Cq_core.Learn.Partial { failure; snapshot = snap; _ } ->
           Option.iter (fun s -> Fmt.epr "polca: snapshot at %s@." s) snap;
@@ -102,8 +101,8 @@ let learn_hardware cpu level set slice cat equivalence noise validate quotient
       let machine = Cq_hwsim.Machine.create ~noise:noise_cfg model in
       let run =
         Cq_core.Hardware.learn_set machine level ~slice ~set ?cat_ways:cat
-          ~equivalence ~check_hits:false ~validate ~quotient
-          ~repetitions:(if noise then 5 else 1)
+          ~equivalence ~validate ~quotient
+          ~voting:(Cq_cachequery.Frontend.Fixed (if noise then 5 else 1))
           ~metrics
           ?snapshot:(snapshot_policy_of snapshot snapshot_every)
           ?resume ?deadline ?query_budget
@@ -162,7 +161,8 @@ let suite_arg =
         ~doc:
           "Conformance suite: $(b,wp) (the default, the paper's Wp method) \
            or $(b,w) (the W method, for the suite ablation).  Both are \
-           (|H|+k)-complete at depth k.")
+           (|H|+k)-complete at depth k.  With $(b,--quotient) the suite \
+           is always the focused Wp suite, so $(b,w) is rejected there.")
 let cpu_arg = Arg.(value & opt string "skylake" & info [ "cpu" ] ~doc:"Simulated CPU for hardware mode.")
 
 let level_arg =
@@ -292,17 +292,23 @@ let main policy assoc cpu level set slice cat depth suite noise check
     | `Wp -> Cq_core.Learn.Wp_method depth
     | `W -> Cq_core.Learn.W_method depth
   in
-  setup_observability trace metrics_path registry;
-  try
-    match policy with
-    | Some name ->
-        learn_simulated name assoc equivalence check quotient analyze dot snapshot
-          snapshot_every resume deadline query_budget registry
-    | None ->
-        learn_hardware cpu level set slice cat equivalence noise check quotient
-          analyze dot snapshot snapshot_every resume deadline query_budget
-          registry
-  with Cq_core.Session.Corrupt msg -> `Error (false, msg)
+  if quotient && suite = `W then
+    (* Quotient conformance is always the focused Wp suite: the W
+       ablation cannot run under it. *)
+    `Error (true, "--equivalence w cannot be combined with --quotient")
+  else begin
+    setup_observability trace metrics_path registry;
+    try
+      match policy with
+      | Some name ->
+          learn_simulated name assoc equivalence check quotient analyze dot
+            snapshot snapshot_every resume deadline query_budget registry
+      | None ->
+          learn_hardware cpu level set slice cat equivalence noise check
+            quotient analyze dot snapshot snapshot_every resume deadline
+            query_budget registry
+    with Cq_core.Session.Corrupt msg -> `Error (false, msg)
+  end
 
 let cmd =
   let doc = "learn cache replacement policies (Polca + LearnLib-style L*)" in

@@ -20,8 +20,7 @@ let () =
   Fmt.pr "Learning the L1 policy of set 12 from timing measurements...@.";
   let run =
     Cq_core.Hardware.learn_set machine Cq_hwsim.Cpu_model.L1 ~set:12
-      ~repetitions:5 (* majority vote against the noise *)
-      ~check_hits:false
+      ~voting:(Cq_cachequery.Frontend.Fixed 5) (* majority vote against the noise *)
   in
   Fmt.pr "outcome: %a@." Cq_core.Hardware.pp_outcome run.Cq_core.Hardware.outcome;
   match run.Cq_core.Hardware.outcome with

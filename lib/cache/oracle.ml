@@ -41,7 +41,6 @@ type stats = {
   batches : Cq_util.Metrics.counter; (* query_batch calls *)
   batched_queries : Cq_util.Metrics.counter; (* queries carried by batches *)
   accesses_saved : Cq_util.Metrics.counter; (* avoided by prefix sharing *)
-  memo_overflows : Cq_util.Metrics.counter; (* bounded memo table clears *)
   (* Noise-layer accounting: *)
   timed_loads : Cq_util.Metrics.counter; (* physical timed loads (hardware) *)
   vote_runs : Cq_util.Metrics.counter; (* extra runs spent on voting *)
@@ -66,7 +65,6 @@ let fresh_stats ?registry ?(prefix = "oracle") ?timed_loads ?vote_runs () =
     batches = c "batches";
     batched_queries = c "batched_queries";
     accesses_saved = c "accesses_saved";
-    memo_overflows = c "memo_overflows";
     timed_loads =
       (match timed_loads with Some l -> l | None -> c "timed_loads");
     vote_runs = (match vote_runs with Some v -> v | None -> c "vote_runs");
@@ -141,34 +139,15 @@ let counting stats t =
 
 (* Memoization table over whole queries — the role LevelDB plays in the
    CacheQuery frontend.  Sound because queries always start from the reset
-   state, so equal block sequences yield equal results.  [max_entries]
-   bounds the table with clear-on-overflow semantics (recorded in
-   [stats.memo_overflows]) so unbounded learning runs cannot grow the memo
-   without limit. *)
-let memoized ?stats ?max_entries t =
+   state, so equal block sequences yield equal results. *)
+let memoized ?stats t =
   (* Keys are block traces with long shared prefixes: pack them with a deep
      hash or the table degenerates into one bucket. *)
   let table : (Block.t list Cq_util.Deep.t, Cache_set.result list) Hashtbl.t =
     Hashtbl.create 4096
   in
-  (match max_entries with
-  | Some n when n < 1 -> invalid_arg "Oracle.memoized: max_entries must be >= 1"
-  | _ -> ());
   let note_memo_hit () =
     match stats with Some s -> Cq_util.Metrics.incr s.memo_hits | None -> ()
-  in
-  let store key r =
-    (match max_entries with
-    | Some n when Hashtbl.length table >= n ->
-        Hashtbl.reset table;
-        (match stats with
-        | Some s -> Cq_util.Metrics.incr s.memo_overflows
-        | None -> ())
-    | _ -> ());
-    (* [replace], not [add]: re-storing a key (a query recomputed after an
-       overflow reset, or re-executed through the batch path) must not
-       stack a second binding under the first. *)
-    Hashtbl.replace table key r
   in
   {
     t with
@@ -181,7 +160,7 @@ let memoized ?stats ?max_entries t =
             r
         | None ->
             let r = t.query blocks in
-            store key r;
+            Hashtbl.replace table key r;
             r);
     query_batch =
       (fun batch ->
@@ -202,18 +181,14 @@ let memoized ?stats ?max_entries t =
         (if todo <> [] then
            let answers = t.query_batch todo in
            List.iter2
-             (fun q r -> store (Cq_util.Deep.pack q) r)
+             (fun q r -> Hashtbl.replace table (Cq_util.Deep.pack q) r)
              todo answers);
+        (* Every key is now in the table: it was there, or it was missing
+           and just stored. *)
         List.map
           (fun (key, _) ->
-            match Hashtbl.find_opt table key with
-            | Some r ->
-                if not (Hashtbl.mem missing key) then note_memo_hit ();
-                r
-            | None ->
-                (* The table was cleared by an overflow while this batch
-                   was being filled: fall back to a direct query. *)
-                t.query (Cq_util.Deep.unpack key))
+            if not (Hashtbl.mem missing key) then note_memo_hit ();
+            Hashtbl.find table key)
           keyed);
   }
 

@@ -36,7 +36,6 @@ type stats = {
   accesses_saved : Cq_util.Metrics.counter;
       (** block accesses avoided by prefix sharing, relative to naive
           per-query replay of the same batches *)
-  memo_overflows : Cq_util.Metrics.counter;  (** bounded memo table clears *)
   timed_loads : Cq_util.Metrics.counter;
       (** physical timed loads issued (hardware backends; counts every
           repetition, unlike the logical [block_accesses]) *)
@@ -89,12 +88,9 @@ val counting : stats -> t -> t
     logical (per-query) cost even for batches; the prefix-sharing win is
     recorded separately in [accesses_saved]. *)
 
-val memoized : ?stats:stats -> ?max_entries:int -> t -> t
+val memoized : ?stats:stats -> t -> t
 (** Memoize whole queries (the role LevelDB plays in the paper's frontend).
-    Sound because every query starts from the reset state.  [max_entries]
-    bounds the table: on overflow it is cleared (recorded in
-    [stats.memo_overflows]) so long learning runs cannot grow the memo
-    without limit. *)
+    Sound because every query starts from the reset state. *)
 
 val noisy : prng:Cq_util.Prng.t -> p:float -> t -> t
 (** Flip each individual outcome with probability [p] (fault injection). *)

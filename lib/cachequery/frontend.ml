@@ -43,7 +43,6 @@ type t = {
   mutable reset_query : Cq_mbl.Expand.query option; (* [reset], expanded *)
   mutable voting : voting;
   mutable memo_enabled : bool;
-  max_memo_entries : int option; (* clear-on-overflow bound *)
   memo :
     (Cq_cache.Block.t list Cq_util.Deep.t, Cq_cache.Cache_set.result list)
     Hashtbl.t;
@@ -65,19 +64,8 @@ let expand_reset ~assoc reset =
   | Flush_refill -> single Cq_mbl.Ast.At
   | Sequence ast | Flush_then ast -> single ast
 
-let create ?(reset = Flush_refill) ?repetitions ?voting ?max_memo_entries
-    ?metrics backend =
-  let voting =
-    match (voting, repetitions) with
-    | Some v, _ -> v
-    | None, Some n -> Fixed n
-    | None, None -> Fixed 1
-  in
+let create ?(reset = Flush_refill) ?(voting = Fixed 1) ?metrics backend =
   validate_voting voting;
-  (match max_memo_entries with
-  | Some n when n < 1 ->
-      invalid_arg "Frontend.create: max_memo_entries must be >= 1"
-  | _ -> ());
   let machine = Backend.machine backend in
   let target = Backend.target backend in
   let assoc = Cq_hwsim.Machine.effective_assoc machine target.Backend.level in
@@ -88,7 +76,6 @@ let create ?(reset = Flush_refill) ?repetitions ?voting ?max_memo_entries
     reset_query = expand_reset ~assoc reset;
     voting;
     memo_enabled = true;
-    max_memo_entries;
     memo = Hashtbl.create 8192;
     (* The frontend is the pipeline's *device* layer; distinct prefix so
        it can share a registry with the learn-level oracle wrappers. *)
@@ -118,16 +105,10 @@ let clear_memo t = Hashtbl.reset t.memo
 let memo_size t = Hashtbl.length t.memo
 
 (* Store a memo binding.  [Hashtbl.replace], not [add]: re-inserting the
-   same key (races between the batch path and the sequential fallback, or
-   re-population after an overflow clear) must not pile up duplicate
-   bindings that distort [Hashtbl.length] and shadow on removal. *)
-let memo_store t key r =
-  (match t.max_memo_entries with
-  | Some n when Hashtbl.length t.memo >= n && not (Hashtbl.mem t.memo key) ->
-      Hashtbl.reset t.memo;
-      Cq_util.Metrics.incr t.stats.Cq_cache.Oracle.memo_overflows
-  | _ -> ());
-  Hashtbl.replace t.memo key r
+   same key (races between the batch path and the sequential fallback)
+   must not pile up duplicate bindings that distort [Hashtbl.length] and
+   shadow on removal. *)
+let memo_store t key r = Hashtbl.replace t.memo key r
 
 (* Statically analyse an MBL expression against the target's
    associativity, without expanding or executing anything. *)

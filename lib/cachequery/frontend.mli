@@ -25,18 +25,13 @@ type t
 
 val create :
   ?reset:reset ->
-  ?repetitions:int ->
   ?voting:voting ->
-  ?max_memo_entries:int ->
   ?metrics:Cq_util.Metrics.t ->
   Backend.t ->
   t
-(** [voting] takes precedence over [repetitions] (which is shorthand for
-    [Fixed n]).  [max_memo_entries] bounds the query memo with
-    clear-on-overflow semantics (clears recorded in
-    [stats.memo_overflows]).  [metrics] receives the frontend's counters
-    and histograms under the ["frontend."] prefix; default is a private
-    registry readable through {!stats}. *)
+(** [voting] defaults to [Fixed 1] (no voting).  [metrics] receives the
+    frontend's counters and histograms under the ["frontend."] prefix;
+    default is a private registry readable through {!stats}. *)
 
 val backend : t -> Backend.t
 

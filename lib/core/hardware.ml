@@ -63,15 +63,14 @@ let escalate_voting = function
   | Cq_cachequery.Frontend.Adaptive { max } ->
       Cq_cachequery.Frontend.Adaptive { max = min 15 (max + 2) }
 
-let level_to_string = function
-  | Cq_hwsim.Cpu_model.L1 -> "L1"
-  | Cq_hwsim.Cpu_model.L2 -> "L2"
-  | Cq_hwsim.Cpu_model.L3 -> "L3"
+(* Fresh attempts the supervisor grants a learn that failed [Transient] or
+   [Invalid]. *)
+let supervise_retries = 2
 
-let learn_set ?(seed = 42) ?cat_ways ?(slice = 0) ?(set = 0) ?(repetitions = 1)
-    ?voting ?(retries = 3) ?equivalence ?check_hits ?(max_states = 100_000)
+let learn_set ?(seed = 42) ?cat_ways ?(slice = 0) ?(set = 0) ?voting
+    ?(retries = 3) ?equivalence ?(check_hits = false) ?(max_states = 100_000)
     ?validate ?quotient ?(reset_trials = 24) ?metrics ?snapshot ?resume ?deadline
-    ?query_budget ?probe ?(supervise_retries = 2) machine level =
+    ?query_budget ?probe machine level =
   Cq_util.Trace.with_span ~cat:"hardware" "hardware.learn_set" @@ fun () ->
   (* One registry spans the whole stack: backend, frontend and the
      learning loop all register their series here, so the "backend." /
@@ -110,7 +109,7 @@ let learn_set ?(seed = 42) ?cat_ways ?(slice = 0) ?(set = 0) ?(repetitions = 1)
         t
   in
   let frontend =
-    Cq_cachequery.Frontend.create ~repetitions ?voting ~metrics backend
+    Cq_cachequery.Frontend.create ?voting ~metrics backend
   in
   let assoc = Cq_cachequery.Frontend.assoc frontend in
   let prng = Cq_util.Prng.of_int seed in
@@ -129,7 +128,7 @@ let learn_set ?(seed = 42) ?cat_ways ?(slice = 0) ?(set = 0) ?(repetitions = 1)
   in
   let label =
     Printf.sprintf "%s %s slice %d set %d" model.Cq_hwsim.Cpu_model.name
-      (level_to_string level) slice set
+      (Cq_hwsim.Cpu_model.level_to_string level) slice set
   in
   let snapshot_meta () =
     Session.make_meta ~label ~seed
@@ -196,7 +195,7 @@ let learn_set ?(seed = 42) ?cat_ways ?(slice = 0) ?(set = 0) ?(repetitions = 1)
             (fun ~attempt:_ (resume, _) ->
               let resumed = if resume = None then resumed else None in
               match
-                Learn.run ?equivalence ?check_hits ~memoize:false ~max_states
+                Learn.run ?equivalence ~check_hits ~memoize:false ~max_states
                   ?validate ?quotient ~retries ~on_retry
                   ~device_stats:(Cq_cachequery.Frontend.stats frontend)
                   ~metrics ?snapshot ?resume ?resumed ~snapshot_meta
@@ -239,9 +238,6 @@ let learn_set ?(seed = 42) ?cat_ways ?(slice = 0) ?(set = 0) ?(repetitions = 1)
     timed_loads = Cq_cachequery.Backend.timed_loads backend;
     recalibrations = Cq_cachequery.Backend.recalibrations backend;
   }
-
-(* [run] is [learn_set] under the supervision-era name; both stay. *)
-let run = learn_set
 
 (* Leader-A sets of a CPU's L3 (the learnable ones), per the Appendix B
    index formulas baked into the CPU model. *)

@@ -20,7 +20,8 @@ type outcome =
       seconds : float;
     }
       (** The supervised run could not complete (diverged, out of budget,
-          or lost its workers) but salvaged its progress. *)
+          or an invalid automaton after every retry) but salvaged its
+          progress. *)
   | Failed of { reason : string; reset : Cq_cachequery.Frontend.reset option }
 
 type run = {
@@ -44,7 +45,6 @@ val learn_set :
   ?cat_ways:int ->
   ?slice:int ->
   ?set:int ->
-  ?repetitions:int ->
   ?voting:Cq_cachequery.Frontend.voting ->
   ?retries:int ->
   ?equivalence:Learn.equivalence ->
@@ -59,7 +59,6 @@ val learn_set :
   ?deadline:float ->
   ?query_budget:int ->
   ?probe:(int -> unit) ->
-  ?supervise_retries:int ->
   Cq_hwsim.Machine.t ->
   Cq_hwsim.Cpu_model.level ->
   run
@@ -71,15 +70,18 @@ val learn_set :
     (backend, frontend, learning loop); default is a private registry
     reachable through the report's [metrics] field.
 
-    [voting] (overrides [repetitions]) selects the frontend's majority
-    voting discipline.  [retries] (default 3) bounds the retry loop around
+    [voting] (default [Fixed 1]) selects the frontend's majority voting
+    discipline.  [retries] (default 3) bounds the retry loop around
     {!Polca.Non_deterministic}; on each retry the frontend memo is cleared
     (the corrupted answer may be memoized) and voting escalates to the
     next adaptive cap, so transiently flipped words are absorbed while
-    structural nondeterminism still fails.
+    structural nondeterminism still fails.  [check_hits] (default false,
+    unlike {!Learn.run}'s) is {!Polca.create}'s: the probes of accesses
+    that must hit only detect nondeterminism, and on a device each costs
+    timed loads.
 
     [validate] (default false) model-checks the learned automaton against
-    the policy axioms before accepting it (see {!Learn.learn_from_cache});
+    the policy axioms before accepting it (see {!Learn.run});
     a rejected automaton ([Invalid]) is retried like a [Transient]
     failure, with escalated voting — it was built from flipped
     measurements, which better voting can repair.
@@ -94,37 +96,11 @@ val learn_set :
     re-derives the same reset sequence, classifies latencies identically
     and produces the {e identical} automaton.  [probe] is called with the
     current hardware-query count before each top-level oracle call (see
-    {!Learn.learn_from_cache}) — the service daemon's scheduling,
-    cancellation and fault-injection hook.  A [Transient] failure is
-    retried up to [supervise_retries] (default 2) times with escalated
-    voting, each attempt resuming from the latest snapshot; the other
-    failure classes surface immediately as [Partial]. *)
-
-val run :
-  ?seed:int ->
-  ?cat_ways:int ->
-  ?slice:int ->
-  ?set:int ->
-  ?repetitions:int ->
-  ?voting:Cq_cachequery.Frontend.voting ->
-  ?retries:int ->
-  ?equivalence:Learn.equivalence ->
-  ?check_hits:bool ->
-  ?max_states:int ->
-  ?validate:bool ->
-  ?quotient:bool ->
-  ?reset_trials:int ->
-  ?metrics:Cq_util.Metrics.t ->
-  ?snapshot:Learn.snapshot_policy ->
-  ?resume:string ->
-  ?deadline:float ->
-  ?query_budget:int ->
-  ?probe:(int -> unit) ->
-  ?supervise_retries:int ->
-  Cq_hwsim.Machine.t ->
-  Cq_hwsim.Cpu_model.level ->
-  run
-(** Alias of {!learn_set}. *)
+    {!Learn.run}) — the service daemon's scheduling,
+    cancellation and fault-injection hook.  A [Transient] or [Invalid]
+    failure is retried up to twice with escalated voting, each attempt
+    resuming from the latest snapshot; the other failure classes surface
+    immediately as [Partial]. *)
 
 val l3_leader_sets : ?slice:int -> Cq_hwsim.Cpu_model.t -> int list
 (** The vulnerable-leader set indices of a CPU's L3 per the Appendix B

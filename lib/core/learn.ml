@@ -1,5 +1,5 @@
 (* The end-to-end learning loop (§3.4): Polca as membership oracle, L* as
-   learner, W-method conformance testing (depth k) as equivalence oracle.
+   learner, Wp-method conformance testing (depth k) as equivalence oracle.
 
    Corollary 3.4 holds by construction: if learning returns policy P', then
    the policy under learning is trace-equivalent to P' or has more than
@@ -94,8 +94,6 @@ type report = {
   cache_accesses : int; (* total block accesses of those queries *)
   cache_batches : int; (* query batches reaching the cache oracle *)
   accesses_saved : int; (* block accesses avoided by prefix sharing *)
-  memo_overflows : int; (* times the bounded query memo was cleared *)
-  row_cache_overflows : int; (* times the bounded L* row cache was cleared *)
   identified : string list; (* known policies equivalent to the result *)
   quotient : Cq_learner.Quotient.stats option;
       (* symmetry-quotient merge statistics (state collapse, alias count,
@@ -160,12 +158,11 @@ let load_resume ~metrics path =
   snap
 
 (* Learn the replacement policy behind a cache oracle.  [learn_core] is
-   the one implementation; [learn_from_cache] re-raises the original
-   exception on failure (the historical API), [run] classifies it into
-   the failure taxonomy and returns a [Partial] instead. *)
+   the one implementation: on failure it returns the original exception
+   and its classification into the failure taxonomy; [run] keeps the
+   classification, [learn_simulated] re-raises the exception. *)
 let learn_core ?(equivalence = default_equivalence)
-    ?(engine = Batched) ?(check_hits = true)
-    ?(memoize = true) ?max_memo_entries ?max_row_cache
+    ?(engine = Batched) ?(check_hits = true) ?(memoize = true)
     ?(max_states = 1_000_000) ?(identify = true) ?(validate = false)
     ?(quotient = false)
     ?(retries = 0) ?on_retry ?device_stats ?metrics ?snapshot ?resume
@@ -214,9 +211,7 @@ let learn_core ?(equivalence = default_equivalence)
   and dev_votes0 = Cq_util.Metrics.value cache_stats.Cq_cache.Oracle.vote_runs in
   let cache = Cq_cache.Oracle.counting cache_stats cache in
   let cache =
-    if memoize then
-      Cq_cache.Oracle.memoized ~stats:cache_stats ?max_entries:max_memo_entries
-        cache
+    if memoize then Cq_cache.Oracle.memoized ~stats:cache_stats cache
     else cache
   in
   let polca =
@@ -414,6 +409,8 @@ let learn_core ?(equivalence = default_equivalence)
           Cq_learner.Equivalence.random_walk
             ~prng:(Cq_util.Prng.of_int seed)
             ~max_tests ~max_len oracle
+      (* Quotient conformance is always the focused Wp suite; a W suite
+         only lends it its depth. *)
       | W_method depth | Wp_method depth when quotient_conformance ->
           let assoc = Polca.assoc polca in
           let sweep = List.init assoc (fun _ -> assoc) in
@@ -462,8 +459,6 @@ let learn_core ?(equivalence = default_equivalence)
       cache_accesses = v cache_stats.Cq_cache.Oracle.block_accesses;
       cache_batches = v cache_stats.Cq_cache.Oracle.batches;
       accesses_saved = v cache_stats.Cq_cache.Oracle.accesses_saved;
-      memo_overflows = v cache_stats.Cq_cache.Oracle.memo_overflows;
-      row_cache_overflows = result.row_cache_overflows;
       identified =
         (if identify then Cq_policy.Zoo.identify result.machine else []);
       quotient = result.Cq_learner.Lstar.quotient;
@@ -499,7 +494,7 @@ let learn_core ?(equivalence = default_equivalence)
             Some (Cq_learner.Quotient.policy_action ~assoc:(Polca.assoc polca))
           else None
         in
-        Cq_learner.Lstar.learn ~max_states ?max_row_cache ?seed_rows
+        Cq_learner.Lstar.learn ~max_states ?seed_rows
           ~expose_table:(fun g -> table_getter := Some g)
           ~on_hypothesis:(fun h -> last_hypothesis := Some h)
           ?quotient:qaction
@@ -588,51 +583,28 @@ let learn_core ?(equivalence = default_equivalence)
                 seconds;
               } ))
 
-let learn_from_cache ?equivalence ?engine ?check_hits ?memoize
-    ?max_memo_entries ?max_row_cache ?max_states ?identify ?validate ?quotient ?retries ?on_retry ?device_stats
-    ?metrics ?snapshot ?resume ?snapshot_meta ?deadline ?query_budget ?probe
-    cache =
+let run ?equivalence ?engine ?check_hits ?memoize ?max_states ?identify
+    ?validate ?quotient ?retries ?on_retry ?device_stats ?metrics ?snapshot
+    ?resume ?resumed ?snapshot_meta ?deadline ?query_budget ?probe cache =
   match
-    learn_core ?equivalence ?engine ?check_hits ?memoize
-      ?max_memo_entries ?max_row_cache ?max_states ?identify ?validate
-      ?quotient ?retries ?on_retry
-      ?device_stats ?metrics ?snapshot ?resume ?snapshot_meta ?deadline
-      ?query_budget ?probe cache
-  with
-  | Ok report -> report
-  | Error (e, _) -> raise e
-
-let run ?equivalence ?engine ?check_hits ?memoize
-    ?max_memo_entries ?max_row_cache ?max_states ?identify ?validate ?quotient ?retries ?on_retry ?device_stats
-    ?metrics ?snapshot ?resume ?resumed ?snapshot_meta ?deadline ?query_budget
-    ?probe cache =
-  match
-    learn_core ?equivalence ?engine ?check_hits ?memoize
-      ?max_memo_entries ?max_row_cache ?max_states ?identify ?validate
-      ?quotient ?retries ?on_retry
-      ?device_stats ?metrics ?snapshot ?resume ?resumed ?snapshot_meta
-      ?deadline ?query_budget ?probe cache
+    learn_core ?equivalence ?engine ?check_hits ?memoize ?max_states ?identify
+      ?validate ?quotient ?retries ?on_retry ?device_stats ?metrics ?snapshot
+      ?resume ?resumed ?snapshot_meta ?deadline ?query_budget ?probe cache
   with
   | Ok report -> Complete report
   | Error (_, partial) -> Partial partial
 
 (* Case study §6: learn a policy from a software-simulated cache. *)
-let learn_simulated ?equivalence ?engine ?check_hits ?max_memo_entries
-    ?max_row_cache ?max_states ?identify ?validate ?quotient ?metrics ?snapshot ?resume ?deadline ?query_budget
+let learn_simulated ?equivalence ?engine ?check_hits ?max_states ?identify
+    ?validate ?quotient ?metrics ?snapshot ?resume ?deadline ?query_budget
     ?probe policy =
-  learn_from_cache ?equivalence ?engine ?check_hits ?max_memo_entries ?max_row_cache ?max_states ?identify
-    ?validate ?quotient ?metrics
-    ?snapshot ?resume ?deadline ?query_budget ?probe
-    (Cq_cache.Oracle.of_policy policy)
-
-(* As [learn_simulated] but through the supervised [run] API. *)
-let run_simulated ?equivalence ?engine ?check_hits ?max_memo_entries
-    ?max_row_cache ?max_states ?identify ?validate ?quotient ?metrics ?snapshot ?resume ?deadline ?query_budget
-    ?probe policy =
-  run ?equivalence ?engine ?check_hits ?max_memo_entries ?max_row_cache ?max_states ?identify
-    ?validate ?quotient ?metrics
-    ?snapshot ?resume ?deadline ?query_budget ?probe
-    (Cq_cache.Oracle.of_policy policy)
+  match
+    learn_core ?equivalence ?engine ?check_hits ?max_states ?identify
+      ?validate ?quotient ?metrics ?snapshot ?resume ?deadline ?query_budget
+      ?probe (Cq_cache.Oracle.of_policy policy)
+  with
+  | Ok report -> report
+  | Error (e, _) -> raise e
 
 (* Sanity check used in tests and experiments: the learned machine must be
    trace-equivalent to the (warm-started) ground-truth policy machine. *)

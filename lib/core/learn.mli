@@ -1,6 +1,10 @@
 (** The end-to-end learning loop (§3.4 of the paper): Polca as membership
-    oracle, L* as learner, W-method conformance testing as equivalence
+    oracle, L* as learner, Wp-method conformance testing as equivalence
     oracle.
+
+    Two entry points: {!run} learns from any cache oracle and returns an
+    {!outcome}; {!learn_simulated} learns from a software-simulated policy
+    and raises on failure.
 
     Corollary 3.4 holds by construction: if learning a cache C(P, cc0, n)
     returns P', then ⟦P⟧ = ⟦P'⟧ or P has more than |P'| + k states. *)
@@ -91,8 +95,6 @@ type report = {
   cache_accesses : int;  (** logical block accesses (pre prefix-sharing) *)
   cache_batches : int;  (** query batches reaching the cache oracle *)
   accesses_saved : int;  (** block accesses avoided by prefix sharing *)
-  memo_overflows : int;  (** bounded-memo clears (see [max_memo_entries]) *)
-  row_cache_overflows : int;  (** bounded L* row-cache clears *)
   identified : string list;
       (** known policies trace-equivalent to the result (up to reset state
           and line permutation) *)
@@ -143,94 +145,11 @@ val load_resume :
     observed in [metrics]' ["learn.snapshot_replay_seconds"] — how a
     learn reads its [resume] snapshot.  @raise Session.Corrupt *)
 
-val learn_from_cache :
-  ?equivalence:equivalence ->
-  ?engine:engine ->
-  ?check_hits:bool ->
-  ?memoize:bool ->
-  ?max_memo_entries:int ->
-  ?max_row_cache:int ->
-  ?max_states:int ->
-  ?identify:bool ->
-  ?validate:bool ->
-  ?quotient:bool ->
-  ?retries:int ->
-  ?on_retry:(int -> unit) ->
-  ?device_stats:Cq_cache.Oracle.stats ->
-  ?metrics:Cq_util.Metrics.t ->
-  ?snapshot:snapshot_policy ->
-  ?resume:string ->
-  ?snapshot_meta:(unit -> Session.meta) ->
-  ?deadline:Cq_util.Clock.deadline ->
-  ?query_budget:int ->
-  ?probe:(int -> unit) ->
-  Cq_cache.Oracle.t ->
-  report
-(** Learn the replacement policy behind a cache oracle.  [equivalence]
-    defaults to [Wp_method 1], the paper's configuration (§3.4).
-    [memoize] (default true) interposes a query memo — disable it when
-    the oracle already memoizes (the CacheQuery frontend does).  [engine]
-    selects the query engine (default {!Batched}).  [max_memo_entries] /
-    [max_row_cache] bound the query memo and the L* row cache with
-    clear-on-overflow semantics; overflows are reported.
-
-    [validate] (default false) model-checks the learned machine against
-    the policy axioms ({!Cq_analysis.Automaton_check}: hit consistency,
-    reachability, minimality, line-permutation symmetry) before reporting
-    success — Wp conformance against the producing oracle cannot catch a
-    systematic measurement artefact, the axioms can.  A violation raises
-    {!Invalid_automaton} here (classified as [Invalid] by {!run}); the
-    passing verdict lands in [report.validation].
-
-    [quotient] (default false) switches the learner to symmetry-quotient
-    mode ({!Cq_learner.Quotient}, {!Cq_learner.Lstar.learn}'s [quotient]
-    parameter): the observation table merges states whose rows are
-    verified line-relabelings of an existing representative's —
-    collapsing the up-to-assoc! symmetric copies of each state into one
-    — and conformance testing runs a focused suite (full phases on
-    representative states, frame spot-checks on aliased ones).  When
-    [validate] also runs, the merge witness is passed to the model
-    checker, which re-validates each surviving merge with an anchored
-    product walk (see {!Cq_analysis.Automaton_check.check}).
-
-    [retries] / [on_retry] plumb the bounded {!Polca.Non_deterministic}
-    retry layer (see {!Polca.create}).  [device_stats] is the device
-    layer's own stats record (e.g. {!Cq_cachequery.Frontend.stats}), whose
-    timed-load / vote counters bypass the learning-side wrappers; their
-    deltas over the run are the report's [timed_loads] / [vote_runs].
-
-    Durability: [snapshot] writes the session state ({!Session.snapshot})
-    to disk on the given cadence, and once more on any failure.  A run's
-    first write is a full base ({!Session.save}); later ticks append the
-    answers learned since ({!Session.append}), and the base is rewritten
-    whenever the log has outgrown it or a write failed.  The
-    ["learn.snapshot_bases"] / ["learn.snapshot_appends"] counters of the
-    registry count the two kinds of successful write;
-    ["learn.snapshot_write_seconds"] times every write and
-    ["learn.snapshot_export_seconds"] every trie export behind a base.
-    [resume]
-    preloads the prefix trie and observation table from a snapshot, after
-    which the learner replays deterministically — previously answered
-    queries cost nothing and the final automaton is identical to a
-    crash-free run's.  [snapshot_meta] supplies the run metadata embedded
-    in each snapshot (label, seed, calibration); [deadline] and
-    [query_budget] bound the run ({!Out_of_budget} past the limit;
-    budgeted queries are the {e hardware} queries, so a resumed replay is
-    free).  [probe] is called with the current hardware-query count
-    before each top-level oracle call — fault-injection hooks (tests, the
-    recovery benchmark) raise from it to simulate a crash.
-
-    May raise {!Cq_learner.Lstar.Diverged}, {!Polca.Non_deterministic},
-    {!Out_of_budget} or {!Session.Corrupt};
-    {!run} is the non-raising variant. *)
-
 val run :
   ?equivalence:equivalence ->
   ?engine:engine ->
   ?check_hits:bool ->
   ?memoize:bool ->
-  ?max_memo_entries:int ->
-  ?max_row_cache:int ->
   ?max_states:int ->
   ?identify:bool ->
   ?validate:bool ->
@@ -248,19 +167,69 @@ val run :
   ?probe:(int -> unit) ->
   Cq_cache.Oracle.t ->
   outcome
-(** As {!learn_from_cache}, but failures in the taxonomy come back as
-    [Partial] (with the last hypothesis and the failure-time snapshot)
-    instead of exceptions.  Exceptions outside the taxonomy — programming
-    errors, a corrupt [resume] file — still raise.  [resumed] is a
-    snapshot the caller already loaded (e.g. to read its metadata); it
-    takes the place of reading [resume] again. *)
+(** Learn the replacement policy behind a cache oracle.  Failures in the
+    taxonomy come back as [Partial] (with the last hypothesis and the
+    failure-time snapshot); exceptions outside it — programming errors,
+    a corrupt [resume] file ({!Session.Corrupt}) — still raise.
+
+    [equivalence] defaults to [Wp_method 1], the paper's configuration
+    (§3.4).  [check_hits] (default true) is {!Polca.create}'s.  [memoize]
+    (default true) interposes a query memo — disable it when the oracle
+    already memoizes (the CacheQuery frontend does).  [engine] selects the
+    query engine (default {!Batched}).
+
+    [validate] (default false) model-checks the learned machine against
+    the policy axioms ({!Cq_analysis.Automaton_check}: hit consistency,
+    reachability, minimality, line-permutation symmetry) before reporting
+    success — Wp conformance against the producing oracle cannot catch a
+    systematic measurement artefact, the axioms can.  A violation ends the
+    run as [Invalid]; the passing verdict lands in [report.validation].
+
+    [quotient] (default false) switches the learner to symmetry-quotient
+    mode ({!Cq_learner.Quotient}, {!Cq_learner.Lstar.learn}'s [quotient]
+    parameter): the observation table merges states whose rows are
+    verified line-relabelings of an existing representative's —
+    collapsing the up-to-assoc! symmetric copies of each state into one.
+    On a cache of associativity 2 or more, quotient conformance is always
+    the focused Wp suite ({!Cq_learner.Equivalence.wp_quotient}: full
+    phases on representative states, frame spot-checks on aliased ones),
+    at the depth of [W_method] or [Wp_method] alike.  When [validate] also
+    runs, the merge witness is passed to the model checker, which
+    re-validates each surviving merge with an anchored product walk (see
+    {!Cq_analysis.Automaton_check.check}).
+
+    [retries] / [on_retry] plumb the bounded {!Polca.Non_deterministic}
+    retry layer (see {!Polca.create}).  [device_stats] is the device
+    layer's own stats record (e.g. {!Cq_cachequery.Frontend.stats}), whose
+    timed-load / vote counters bypass the learning-side wrappers; their
+    deltas over the run are the report's [timed_loads] / [vote_runs].
+
+    Durability: [snapshot] writes the session state ({!Session.snapshot})
+    to disk on the given cadence, and once more on any failure.  A run's
+    first write is a full base ({!Session.save}); later ticks append the
+    answers learned since ({!Session.append}), and the base is rewritten
+    whenever the log has outgrown it or a write failed.  The
+    ["learn.snapshot_bases"] / ["learn.snapshot_appends"] counters of the
+    registry count the two kinds of successful write;
+    ["learn.snapshot_write_seconds"] times every write and
+    ["learn.snapshot_export_seconds"] every trie export behind a base.
+    [resume] preloads the prefix trie and observation table from a
+    snapshot, after which the learner replays deterministically —
+    previously answered queries cost nothing and the final automaton is
+    identical to a crash-free run's.  [resumed] is a snapshot the caller
+    already loaded (e.g. to read its metadata); it takes the place of
+    reading [resume] again.  [snapshot_meta] supplies the run metadata
+    embedded in each snapshot (label, seed, calibration); [deadline] and
+    [query_budget] bound the run ([Budget_exhausted] past the limit;
+    budgeted queries are the {e hardware} queries, so a resumed replay is
+    free).  [probe] is called with the current hardware-query count
+    before each top-level oracle call — fault-injection hooks (tests, the
+    recovery benchmark) raise from it to simulate a crash. *)
 
 val learn_simulated :
   ?equivalence:equivalence ->
   ?engine:engine ->
   ?check_hits:bool ->
-  ?max_memo_entries:int ->
-  ?max_row_cache:int ->
   ?max_states:int ->
   ?identify:bool ->
   ?validate:bool ->
@@ -273,27 +242,11 @@ val learn_simulated :
   ?probe:(int -> unit) ->
   Cq_policy.Policy.t ->
   report
-(** Case study §6: learn a policy from a software-simulated cache. *)
-
-val run_simulated :
-  ?equivalence:equivalence ->
-  ?engine:engine ->
-  ?check_hits:bool ->
-  ?max_memo_entries:int ->
-  ?max_row_cache:int ->
-  ?max_states:int ->
-  ?identify:bool ->
-  ?validate:bool ->
-  ?quotient:bool ->
-  ?metrics:Cq_util.Metrics.t ->
-  ?snapshot:snapshot_policy ->
-  ?resume:string ->
-  ?deadline:Cq_util.Clock.deadline ->
-  ?query_budget:int ->
-  ?probe:(int -> unit) ->
-  Cq_policy.Policy.t ->
-  outcome
-(** As {!learn_simulated}, through the supervised {!run} API. *)
+(** Case study §6: learn a policy from a software-simulated cache, as
+    {!run} over [Cq_cache.Oracle.of_policy policy], but a failure raises
+    the exception behind it: {!Cq_learner.Lstar.Diverged},
+    {!Polca.Non_deterministic}, {!Cq_learner.Moracle.Inconsistent},
+    {!Out_of_budget} or {!Invalid_automaton}. *)
 
 val verify_against : report -> Cq_policy.Policy.t -> bool
 (** Is the learned machine trace-equivalent to the policy's ground truth? *)

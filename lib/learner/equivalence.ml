@@ -1,10 +1,11 @@
 (* Equivalence oracles: approximations of the teacher's equivalence query
    by conformance testing (§3.3).
 
-   The main oracle is the W-method with depth parameter [k]: its test suite
-   is (|H| + k)-complete, giving the guarantee of Theorem 3.3 / Corollary
-   3.4 — if the suite passes, the true machine is equivalent to the
-   hypothesis or has more than |H| + k states.
+   The main oracle is the Wp-method with depth parameter [k]; it and the
+   W-method (kept for the suite ablation) build (|H| + k)-complete test
+   suites, giving the guarantee of Theorem 3.3 / Corollary 3.4 — if the
+   suite passes, the true machine is equivalent to the hypothesis or has
+   more than |H| + k states.
 
    A random-walk oracle is provided as the cheaper heuristic alternative
    the paper mentions, and a "perfect" oracle (ground truth available) is
@@ -12,11 +13,10 @@
 
 type 'o t = 'o Cq_automata.Mealy.t -> int list option
 
-(* Characterization set: a set of input words separating every pair of
-   states of [m].  Built incrementally: while two states are unseparated,
-   find a shortest distinguishing word via product BFS and add it. *)
-let characterization_set m =
-  let n = Cq_automata.Mealy.n_states m in
+(* Shortest distinguishing words for every pair of [states] of [m].  Built
+   incrementally: while two of them are unseparated, find a shortest
+   distinguishing word via product BFS and add it. *)
+let separators m states =
   let w = ref [] in
   let signature s =
     List.map (fun word -> Cq_automata.Mealy.run_from m s word) !w
@@ -34,15 +34,16 @@ let characterization_set m =
     let groups : ('a, int) Hashtbl.t = Hashtbl.create 97 in
     let clash = ref None in
     (* Find two states with equal signatures (ignoring unseparable pairs). *)
-    let s = ref 0 in
-    while !clash = None && !s < n do
-      let sg = Cq_util.Deep.pack (signature !s) in
-      (match Hashtbl.find_opt groups sg with
-      | Some s' ->
-          if not (Hashtbl.mem unseparable (s', !s)) then clash := Some (s', !s)
-      | None -> Hashtbl.add groups sg !s); (* cq-lint: allow hashtbl-add: find_opt miss *)
-      incr s
-    done;
+    List.iter
+      (fun s ->
+        if !clash = None then begin
+          let sg = Cq_util.Deep.pack (signature s) in
+          match Hashtbl.find_opt groups sg with
+          | Some s' ->
+              if not (Hashtbl.mem unseparable (s', s)) then clash := Some (s', s)
+          | None -> Hashtbl.add groups sg s (* cq-lint: allow hashtbl-add: find_opt miss *)
+        end)
+      states;
     match !clash with
     | None -> finished := true
     | Some (p, q) -> (
@@ -54,6 +55,12 @@ let characterization_set m =
         | None -> Hashtbl.replace unseparable (p, q) ())
   done;
   !w
+
+let all_states m = List.init (Cq_automata.Mealy.n_states m) Fun.id
+
+(* Characterization set: a set of input words separating every pair of
+   states of [m]. *)
+let characterization_set m = separators m (all_states m)
 
 (* All input words of length [len], lexicographic. *)
 let words_of_length n_inputs len =
@@ -142,14 +149,15 @@ let w_method ?(depth = 1) (oracle : 'o Moracle.t) : 'o t =
    of W sufficient to tell s apart from every other state.  Same
    (|H|+k)-completeness as the W-method, usually far fewer symbols. *)
 
-(* For each state, a minimal-ish subset of W distinguishing it from every
-   other state: greedily pick words that split off the remaining
-   confusable states. *)
-let identification_sets m w_set =
-  let n = Cq_automata.Mealy.n_states m in
+(* For each of [states], a minimal-ish subset of W distinguishing it from
+   every other of [states]: greedily pick words that split off the
+   remaining confusable states.  Other states get the empty set. *)
+let identification_sets_of m states w_set =
   let response s w = Cq_automata.Mealy.run_from m s w in
-  Array.init n (fun s ->
-      let confusable = ref (List.filter (fun t -> t <> s) (List.init n Fun.id)) in
+  let wp = Array.make (Cq_automata.Mealy.n_states m) [] in
+  List.iter
+    (fun s ->
+      let confusable = ref (List.filter (fun t -> t <> s) states) in
       let chosen = ref [] in
       List.iter
         (fun w ->
@@ -164,90 +172,29 @@ let identification_sets m w_set =
         w_set;
       (* W separates every separable pair; states that survive are
          genuinely equivalent in a corrupt (non-minimal) hypothesis — see
-         [characterization_set] — and no identification word can help. *)
-      List.rev !chosen)
+         [separators] — and no identification word can help. *)
+      wp.(s) <- List.rev !chosen)
+    states;
+  wp
 
-let wp_method_suite ~depth h =
-  let n_inputs = Cq_automata.Mealy.n_inputs h in
-  let access = Cq_automata.Mealy.access_sequences h in
-  let w_set = characterization_set h in
-  let w_all = [] :: w_set in
-  let wp = identification_sets h w_set in
-  let middles = words_up_to n_inputs depth in
-  let states = List.init (Cq_automata.Mealy.n_states h) (fun s -> s) in
-  let phase1 =
-    (* state cover x I^{<=k} x (W ∪ {ε}) *)
-    List.to_seq states
-    |> Seq.concat_map (fun s ->
-           let acc = Option.value access.(s) ~default:[] in
-           middles
-           |> Seq.concat_map (fun m ->
-                  List.to_seq w_all |> Seq.map (fun w -> acc @ m @ w)))
-  in
-  let phase2 =
-    (* transition cover x I^{<=k} x Wp(reached state) *)
-    List.to_seq states
-    |> Seq.concat_map (fun s ->
-           let acc = Option.value access.(s) ~default:[] in
-           Seq.init n_inputs (fun i ->
-               middles
-               |> Seq.concat_map (fun m ->
-                      let reached =
-                        Cq_automata.Mealy.state_after h (acc @ (i :: m))
-                      in
-                      let ws = match wp.(reached) with [] -> [ [] ] | ws -> ws in
-                      List.to_seq ws |> Seq.map (fun w -> acc @ (i :: m) @ w)))
-           |> Seq.concat)
-  in
-  Seq.append phase1 phase2
+let identification_sets m w_set = identification_sets_of m (all_states m) w_set
 
-(* --- Focused suite for quotient-learned hypotheses ---------------------- *)
+(* The one Wp suite generator: phases 1 and 2 over the states [covered]
+   marks, in state order.  Without [sweep] every state is covered and
+   this is the Wp suite proper.
 
-(* Shortest distinguishing words for the pairs of [subset] only — the
-   representative states of a quotient hypothesis.  Same tolerance for
-   unseparable pairs as [characterization_set]. *)
-let characterization_set_on m subset =
-  let w = ref [] in
-  let signature s =
-    List.map (fun word -> Cq_automata.Mealy.run_from m s word) !w
-  in
-  let unseparable : (int * int, unit) Hashtbl.t = Hashtbl.create 4 in
-  let finished = ref false in
-  while not !finished do
-    let groups : ('a, int) Hashtbl.t = Hashtbl.create 97 in
-    let clash = ref None in
-    List.iter
-      (fun s ->
-        if !clash = None then begin
-          let sg = Cq_util.Deep.pack (signature s) in
-          match Hashtbl.find_opt groups sg with
-          | Some s' ->
-              if not (Hashtbl.mem unseparable (s', s)) then clash := Some (s', s)
-          | None -> Hashtbl.add groups sg s (* cq-lint: allow hashtbl-add: find_opt miss *)
-        end)
-      subset;
-    match !clash with
-    | None -> finished := true
-    | Some (p, q) -> (
-        match
-          Cq_automata.Mealy.find_counterexample ~from_a:(Some p)
-            ~from_b:(Some q) m m
-        with
-        | Some word -> w := word :: !w
-        | None -> Hashtbl.replace unseparable (p, q) ())
-  done;
-  !w
-
-(* Conformance suite for a quotient-learned hypothesis.  A full Wp suite
+   With [sweep] it is the focused suite of a quotient-learned hypothesis,
+   where [covered] marks the representative states.  A full Wp suite
    over the unfolded machine defeats the point of the quotient: its cost
-   scales with the |assoc|!-sized orbit closure, and [identification_sets]
-   alone is quadratic in states.  Instead the suite trusts the structure
-   the table verified and spends accordingly:
+   scales with the |assoc|!-sized orbit closure, and the identification
+   sets alone are quadratic in states.  Instead the suite trusts the
+   structure the table verified and spends accordingly:
 
-   - representative states (frame = identity) get the full treatment:
-     state cover and transition cover x I^{<=depth} x distinguishers,
-     where the distinguishers are the sweep (which fingerprints a state's
-     line frame) plus shortest separators for representative pairs;
+   - representative states get the full treatment, with the sweep (which
+     fingerprints a state's line frame) first among the distinguishers;
+     a transition landing on an aliased state is identified by the sweep
+     alone — it fingerprints the state's frame, which is exactly what the
+     alias asserted;
    - aliased states get a spot-check: access word . sweep confirms the
      state's claimed frame, access word . input . sweep each outgoing
      transition's output and target frame.
@@ -257,89 +204,76 @@ let characterization_set_on m subset =
    surface (the sweep pins the frame the merge asserted), and the learned
    machine is re-validated independently by Automaton_check and policy
    identification. *)
-let wp_quotient_suite ~depth ~is_rep ~sweep h =
+let wp_suite ~depth ~covered ?sweep h =
   let n_inputs = Cq_automata.Mealy.n_inputs h in
-  let n = Cq_automata.Mealy.n_states h in
   let access = Cq_automata.Mealy.access_sequences h in
   let acc s = Option.value access.(s) ~default:[] in
-  let states = List.init n Fun.id in
-  let rep_states = List.filter is_rep states in
-  let aliased = List.filter (fun s -> not (is_rep s)) states in
-  let w_set = sweep :: characterization_set_on h rep_states in
-  let w_all = [] :: w_set in
-  (* Per-representative identification sets (the "p" of Wp): the subset
-     of W a given representative actually needs to be told apart from
-     the other representatives.  Transitions landing on an aliased state
-     are identified by the sweep alone — it fingerprints the state's
-     frame, which is exactly what the alias asserted. *)
-  let wp =
-    let tbl = Hashtbl.create 64 in
-    let response s w = Cq_automata.Mealy.run_from h s w in
-    List.iter
-      (fun s ->
-        let confusable = ref (List.filter (fun t -> t <> s) rep_states) in
-        let chosen = ref [] in
-        List.iter
-          (fun w ->
-            if !confusable <> [] then begin
-              let rs = response s w in
-              let still =
-                List.filter (fun t -> response t w = rs) !confusable
-              in
-              if List.length still < List.length !confusable then begin
-                chosen := w :: !chosen;
-                confusable := still
-              end
-            end)
-          w_set;
-        Hashtbl.replace tbl s (List.rev !chosen))
-      rep_states;
-    tbl
+  let states = List.filter (fun s -> covered.(s)) (all_states h) in
+  let w_set =
+    let w = separators h states in
+    match sweep with Some sw -> sw :: w | None -> w
   in
+  let w_all = [] :: w_set in
+  let wp = identification_sets_of h states w_set in
+  let uncovered = match sweep with Some sw -> [ sw ] | None -> [ [] ] in
   let middles = words_up_to n_inputs depth in
   let phase1 =
-    List.to_seq rep_states
+    (* state cover x I^{<=k} x (W ∪ {ε}) *)
+    List.to_seq states
     |> Seq.concat_map (fun s ->
+           let acc = acc s in
            middles
            |> Seq.concat_map (fun m ->
-                  List.to_seq w_all |> Seq.map (fun w -> acc s @ m @ w)))
+                  List.to_seq w_all |> Seq.map (fun w -> acc @ m @ w)))
   in
   let phase2 =
-    List.to_seq rep_states
+    (* transition cover x I^{<=k} x Wp(reached state) *)
+    List.to_seq states
     |> Seq.concat_map (fun s ->
+           let acc = acc s in
            Seq.init n_inputs (fun i ->
                middles
                |> Seq.concat_map (fun m ->
-                      let prefix = acc s @ (i :: m) in
+                      let prefix = acc @ (i :: m) in
                       let reached = Cq_automata.Mealy.state_after h prefix in
                       let ws =
-                        if is_rep reached then
-                          match Hashtbl.find_opt wp reached with
-                          | Some [] | None -> [ [] ]
-                          | Some ws -> ws
-                        else [ sweep ]
+                        if not covered.(reached) then uncovered
+                        else match wp.(reached) with [] -> [ [] ] | ws -> ws
                       in
                       List.to_seq ws |> Seq.map (fun w -> prefix @ w)))
            |> Seq.concat)
   in
-  let spot =
-    (* Every aliased state has its claimed frame confirmed.  Outgoing
-       transitions are the frame-conjugates of the representative's
-       (all of which phase2 tests in full), so per-transition spots only
-       guard the conjugation itself: they run in full while affordable,
-       and fall back to a deterministic 1-in-4 sample of the aliased
-       states once the unfolding is large enough that full spots would
-       scale with the orbit closure instead of the quotient. *)
-    let full_spots = List.length aliased * n_inputs <= 8192 in
-    List.to_seq (List.mapi (fun j s -> (j, s)) aliased)
-    |> Seq.concat_map (fun (j, s) ->
-           if full_spots || j mod 4 = 0 then
-             Seq.cons
-               (acc s @ sweep)
-               (Seq.init n_inputs (fun i -> acc s @ (i :: sweep)))
-           else Seq.return (acc s @ sweep))
-  in
-  Seq.append phase1 (Seq.append phase2 spot)
+  (* Each [Seq.append] layer costs every word beneath it a cell and a
+     closure, so the Wp suite proper gets no empty spot layer. *)
+  match sweep with
+  | None -> Seq.append phase1 phase2
+  | Some sweep ->
+      (* Every aliased state has its claimed frame confirmed.  Outgoing
+         transitions are the frame-conjugates of the representative's
+         (all of which phase2 tests in full), so per-transition spots
+         only guard the conjugation itself: they run in full while
+         affordable, and fall back to a deterministic 1-in-4 sample of
+         the aliased states once the unfolding is large enough that full
+         spots would scale with the orbit closure instead of the
+         quotient. *)
+      let aliased = List.filter (fun s -> not covered.(s)) (all_states h) in
+      let full_spots = List.length aliased * n_inputs <= 8192 in
+      let spot =
+        List.to_seq (List.mapi (fun j s -> (j, s)) aliased)
+        |> Seq.concat_map (fun (j, s) ->
+               if full_spots || j mod 4 = 0 then
+                 Seq.cons
+                   (acc s @ sweep)
+                   (Seq.init n_inputs (fun i -> acc s @ (i :: sweep)))
+               else Seq.return (acc s @ sweep))
+      in
+      Seq.append phase1 (Seq.append phase2 spot)
+
+let wp_method_suite ~depth h =
+  wp_suite ~depth ~covered:(Array.make (Cq_automata.Mealy.n_states h) true) h
+
+let wp_method ?(depth = 1) (oracle : 'o Moracle.t) : 'o t =
+ fun h -> find oracle h (wp_method_suite ~depth h)
 
 let wp_quotient ?(depth = 1) ~is_rep ~sweep (oracle : 'o Moracle.t) : 'o t =
  fun h ->
@@ -351,10 +285,9 @@ let wp_quotient ?(depth = 1) ~is_rep ~sweep (oracle : 'o Moracle.t) : 'o t =
      voids that bound (BIP's 6-state impostor).  Run both when small;
      for unfoldings big enough that the full suite would scale with the
      orbit closure, the focused suite alone carries the test. *)
-  let small =
-    Cq_automata.Mealy.n_states h * Cq_automata.Mealy.n_inputs h <= 512
-  in
-  let focused = wp_quotient_suite ~depth ~is_rep ~sweep h in
+  let n = Cq_automata.Mealy.n_states h in
+  let small = n * Cq_automata.Mealy.n_inputs h <= 512 in
+  let focused = wp_suite ~depth ~covered:(Array.init n is_rep) ~sweep h in
   find oracle h
     (if small then Seq.append focused (wp_method_suite ~depth h) else focused)
 
@@ -376,8 +309,6 @@ let random_walk ~prng ?(max_tests = 10_000) ?(max_len = 30)
 (* Ground truth available: exact equivalence via product BFS. *)
 let perfect (truth : 'o Cq_automata.Mealy.t) : 'o t =
  fun h -> Cq_automata.Mealy.find_counterexample truth h
-let wp_method ?(depth = 1) (oracle : 'o Moracle.t) : 'o t =
- fun h -> find oracle h (wp_method_suite ~depth h)
 
 (* Total number of input symbols in a suite — the cost metric for the
    W-vs-Wp ablation. *)

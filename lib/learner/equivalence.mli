@@ -1,10 +1,11 @@
 (** Equivalence oracles: conformance-testing approximations of the
     teacher's equivalence query (§3.3 of the paper).
 
-    The W-method suite with depth [k] is [(|H| + k)]-complete, yielding
-    the guarantee of Theorem 3.3 / Corollary 3.4: if the suite passes, the
-    system under learning is equivalent to the hypothesis or has more than
-    [|H| + k] states. *)
+    The Wp-method suite with depth [k] (the paper's, and the learner's
+    default) and the W-method suite (kept for the suite ablation) are
+    [(|H| + k)]-complete, yielding the guarantee of Theorem 3.3 /
+    Corollary 3.4: if the suite passes, the system under learning is
+    equivalent to the hypothesis or has more than [|H| + k] states. *)
 
 type 'o t = 'o Cq_automata.Mealy.t -> int list option
 (** An equivalence oracle maps a hypothesis to a counterexample word, or
@@ -19,7 +20,8 @@ type 'o t = 'o Cq_automata.Mealy.t -> int list option
 
 val characterization_set : 'o Cq_automata.Mealy.t -> int list list
 (** A set of input words separating every pair of states of a minimal
-    machine.  Raises [Invalid_argument] on non-minimal machines. *)
+    machine.  On a non-minimal machine, pairs of equivalent states are
+    left unseparated. *)
 
 val words_up_to : int -> int -> int list Seq.t
 (** [words_up_to n_inputs k]: all input words of length [<= k], shortest
@@ -48,6 +50,12 @@ val wp_method : ?depth:int -> 'o Moracle.t -> 'o t
 
 val wp_quotient :
   ?depth:int -> is_rep:(int -> bool) -> sweep:int list -> 'o Moracle.t -> 'o t
+(** Conformance testing of a quotient-learned hypothesis: the Wp suite
+    focused on the representative states ([is_rep]), with [sweep] first
+    among the distinguishers and a [sweep] spot check of every aliased
+    state (of a 1-in-4 sample of them once full spots would exceed 8192
+    words).  While [|H| * n_inputs <= 512] the full {!wp_method_suite}
+    runs after it. *)
 
 val suite_symbols : int list Seq.t -> int
 (** Total input symbols in a suite (the W-vs-Wp ablation metric). *)

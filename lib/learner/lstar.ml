@@ -17,7 +17,6 @@ type 'o result = {
   machine : 'o Cq_automata.Mealy.t;
   rounds : int;
   suffixes_added : int;
-  row_cache_overflows : int;
   quotient : Quotient.stats option;
       (* merge statistics and witness when learning ran in quotient mode *)
 }
@@ -60,7 +59,7 @@ type 'o table_state = {
   rows : (int list * 'o list list) list;
 }
 
-let learn ?(max_states = 1_000_000) ?max_row_cache ?expose_table ?seed_rows
+let learn ?(max_states = 1_000_000) ?expose_table ?seed_rows
     ?on_hypothesis ?(quotient : 'o Quotient.action option) ?on_quotient_view
     ~(oracle : 'o Moracle.t)
     ~(find_cex : 'o Cq_automata.Mealy.t -> int list option) () =
@@ -111,12 +110,7 @@ let learn ?(max_states = 1_000_000) ?max_row_cache ?expose_table ?seed_rows
   (* Row cache: rows of the same word are requested many times (closure
      checks, hypothesis construction).  E only ever grows by appending, so
      a cached row is extended in place with the missing columns instead of
-     being recomputed.  [max_row_cache] bounds the table with
-     clear-on-overflow semantics (dropped rows are recomputed on demand);
-     overflows are reported in the result. *)
-  (match max_row_cache with
-  | Some n when n < 1 -> invalid_arg "Lstar.learn: max_row_cache must be >= 1"
-  | _ -> ());
+     being recomputed. *)
   let row_cache : (int list Cq_util.Deep.t, 'o list list) Hashtbl.t =
     Hashtbl.create 4096
   in
@@ -131,17 +125,6 @@ let learn ?(max_states = 1_000_000) ?max_row_cache ?expose_table ?seed_rows
         (fun (u, r) -> Hashtbl.replace row_cache (Cq_util.Deep.pack u) r)
         rows
   | None -> ());
-  let row_cache_overflows = ref 0 in
-  let store_row key r =
-    (match max_row_cache with
-    | Some n
-      when (not (Hashtbl.mem row_cache key)) && Hashtbl.length row_cache >= n
-      ->
-        Hashtbl.reset row_cache;
-        incr row_cache_overflows
-    | _ -> ());
-    Hashtbl.replace row_cache key r
-  in
   let row u =
     let key = Cq_util.Deep.pack u in
     let n_suffixes = List.length !suffixes in
@@ -157,7 +140,7 @@ let learn ?(max_states = 1_000_000) ?max_row_cache ?expose_table ?seed_rows
           |> List.map (suffix_outputs u)
         in
         let r = (match cached with Some r -> r | None -> []) @ missing in
-        store_row key r;
+        Hashtbl.replace row_cache key r;
         r
   in
   (* Batch-complete the rows of [us] with a single oracle batch: collect
@@ -212,10 +195,7 @@ let learn ?(max_states = 1_000_000) ?max_row_cache ?expose_table ?seed_rows
             | Some r -> r
             | None -> []
           in
-          (* An overflow clear while this batch was filling may have
-             dropped the head columns; skip the store and let [row]
-             recompute the full row on demand. *)
-          if List.length existing = have then store_row key (existing @ cols))
+          Hashtbl.replace row_cache key (existing @ cols))
         todo;
       assert (!answers = [])
     end
@@ -943,7 +923,6 @@ let learn ?(max_states = 1_000_000) ?max_row_cache ?expose_table ?seed_rows
         machine;
         rounds = !rounds;
         suffixes_added = !suffixes_added;
-        row_cache_overflows = !row_cache_overflows;
         quotient = qstats;
       }
   | None -> assert false

@@ -6,8 +6,6 @@ type 'o result = {
   machine : 'o Cq_automata.Mealy.t;
   rounds : int;  (** equivalence queries issued *)
   suffixes_added : int;  (** distinguishing suffixes added to E *)
-  row_cache_overflows : int;
-      (** times the bounded row cache was cleared (see [max_row_cache]) *)
   quotient : Quotient.stats option;
       (** merge statistics and symmetry witness when the learn ran in
           quotient mode (see [quotient] below) *)
@@ -48,7 +46,6 @@ type 'o table_state = {
 
 val learn :
   ?max_states:int ->
-  ?max_row_cache:int ->
   ?expose_table:((unit -> 'o table_state) -> unit) ->
   ?seed_rows:(int list * 'o list list) list ->
   ?on_hypothesis:('o Cq_automata.Mealy.t -> unit) ->
@@ -59,12 +56,9 @@ val learn :
   unit ->
   'o result
 (** Learn the machine behind [oracle].  [find_cex] is the equivalence
-    oracle (e.g. {!Equivalence.w_method}); learning terminates when it
+    oracle (e.g. {!Equivalence.wp_method}); learning terminates when it
     returns [None].  [max_states] (default 1,000,000) bounds the number of
-    discovered states.  [max_row_cache] bounds the observation-table row
-    cache: when the bound is hit the cache is cleared (rows are recomputed
-    on demand, typically served by the oracle-level prefix cache) and the
-    overflow is counted in the result.  The missing cells of each closure
+    discovered states.  The missing cells of each closure
     wave are requested through [oracle.query_batch], so the layers below
     can prefix-share the induced traces.
 

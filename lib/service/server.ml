@@ -568,8 +568,8 @@ let run_learn t s =
           | Sim { policy; assoc } -> (
               let p = Cq_policy.Zoo.make_exn ~name:policy ~assoc in
               match
-                Learn.run_simulated ~identify:false ~snapshot ?resume
-                  ?query_budget ~probe p
+                Learn.run ~identify:false ~snapshot ?resume ?query_budget
+                  ~probe (Cq_cache.Oracle.of_policy p)
               with
               | Learn.Complete report -> R_done report
               | Learn.Partial p ->
@@ -577,8 +577,8 @@ let run_learn t s =
           | Hw { cpu; level; slice; set; seed; noise } -> (
               let machine = device t cpu seed noise in
               let run =
-                Cq_core.Hardware.learn_set ~seed ~slice ~set ~check_hits:false
-                  ~snapshot ?resume ?query_budget ~probe machine level
+                Cq_core.Hardware.learn_set ~seed ~slice ~set ~snapshot ?resume
+                  ?query_budget ~probe machine level
               in
               s.learned_assoc <- Some run.Cq_core.Hardware.assoc;
               match run.Cq_core.Hardware.outcome with

@@ -369,7 +369,10 @@ let fixed_victim assoc =
     ()
 
 let test_validate_gate_rejects () =
-  (match Cq_core.Learn.run_simulated ~validate:true (fixed_victim 2) with
+  (match
+     Cq_core.Learn.run ~validate:true
+       (Cq_cache.Oracle.of_policy (fixed_victim 2))
+   with
   | Cq_core.Learn.Partial { failure = Cq_core.Learn.Invalid _ as f; _ } ->
       Alcotest.(check int) "exit code" 14 (Cq_core.Learn.failure_exit_code f)
   | Cq_core.Learn.Partial { failure; _ } ->
@@ -384,7 +387,7 @@ let test_validate_gate_rejects () =
 (* Without the gate the same run completes: the gate is the only line of
    defence here. *)
 let test_validate_gate_off_accepts () =
-  match Cq_core.Learn.run_simulated (fixed_victim 2) with
+  match Cq_core.Learn.run (Cq_cache.Oracle.of_policy (fixed_victim 2)) with
   | Cq_core.Learn.Complete report ->
       Alcotest.(check bool)
         "no validation report" true

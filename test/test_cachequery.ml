@@ -138,7 +138,7 @@ let test_repetitions_denoise () =
     let machine = M.create ~seed:11L ~noise CM.skylake in
     let be = BE.create machine { BE.level = CM.L1; slice = 0; set = 2 } in
     ignore (BE.calibrate be);
-    FE.create ~repetitions:reps be
+    FE.create ~voting:(FE.Fixed reps) be
   in
   let quiet_fe = mk M.quiet_noise 1 in
   let noisy_fe =

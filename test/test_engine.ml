@@ -1,7 +1,6 @@
 (* Tests for the batched query engine: the prefix-sharing trie executor,
-   Polca's session mode, the bounded memo tables, and end-to-end engine
-   equivalence — every fast path must be observationally identical to
-   sequential reset-and-replay. *)
+   Polca's session mode, and end-to-end engine equivalence — every fast
+   path must be observationally identical to sequential reset-and-replay. *)
 
 module B = Cq_cache.Block
 module CS = Cq_cache.Cache_set
@@ -93,22 +92,6 @@ let test_machine_checkpoint () =
   restore ();
   Alcotest.(check (list int)) "restore thunk is reusable" first (probe ())
 
-(* Bounded memo: overflow clears the table (and says so) without ever
-   changing answers. *)
-let test_memo_overflow () =
-  let stats = O.fresh_stats () in
-  let plain = O.of_policy (Zoo.make_exn ~name:"LRU" ~assoc:4) in
-  let oracle = O.memoized ~stats ~max_entries:2 plain in
-  let q i = [ B.of_index i; B.of_index ((i + 1) mod 6); B.of_index 0 ] in
-  for i = 0 to 5 do
-    ignore (oracle.O.query (q i))
-  done;
-  Alcotest.(check bool) "overflows recorded" true (Cq_util.Metrics.value stats.O.memo_overflows > 0);
-  for i = 0 to 5 do
-    Alcotest.(check bool) "answers unchanged by clears" true
-      (oracle.O.query (q i) = plain.O.query (q i))
-  done
-
 (* End to end: both engines learn the same automaton, and the batched
    engine actually saves accesses while doing it. *)
 let test_engines_agree () =
@@ -165,7 +148,6 @@ let suite =
         test_session_matches_replay;
       Alcotest.test_case "machine checkpoint determinism" `Quick
         test_machine_checkpoint;
-      Alcotest.test_case "bounded memo overflow" `Quick test_memo_overflow;
       Alcotest.test_case "engines agree" `Quick test_engines_agree;
       Alcotest.test_case "batched = sequential under noise" `Quick
         test_batch_matches_sequential_under_noise;

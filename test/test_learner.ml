@@ -150,6 +150,88 @@ let test_perfect_oracle () =
   let b = Cq_policy.Policy.to_mealy (Cq_policy.Fifo.make 2) in
   Alcotest.(check bool) "different machines fail" true (Eq.perfect a b <> None)
 
+(* The conformance suites, word for word: count, symbols and an MD5 over
+   the words in order, for the Wp and W suites of three minimised policy
+   machines and for the quotient-focused suite (read off the words
+   [wp_quotient] queries when no counterexample exists) under a fixed
+   synthetic representative set.  A change to what a suite contains or
+   to its order moves these figures, and with them every learn's query
+   counts. *)
+let suite_fingerprint suite =
+  let b = Buffer.create 4096 in
+  let words = ref 0 and symbols = ref 0 in
+  Seq.iter
+    (fun w ->
+      incr words;
+      symbols := !symbols + List.length w;
+      List.iter
+        (fun i ->
+          Buffer.add_string b (string_of_int i);
+          Buffer.add_char b ',')
+        w;
+      Buffer.add_char b ';')
+    suite;
+  (!words, !symbols, Digest.to_hex (Digest.string (Buffer.contents b)))
+
+let minimal_policy name assoc =
+  Mealy.minimize (Cq_policy.Policy.to_mealy (Cq_policy.Zoo.make_exn ~name ~assoc))
+
+let quotient_suite_words h ~is_rep =
+  let assoc = Mealy.n_inputs h - 1 in
+  let sweep = List.init assoc (fun _ -> assoc) in
+  let words = ref [] in
+  let truth = Mo.of_mealy h in
+  let oracle =
+    {
+      truth with
+      Mo.query =
+        (fun w ->
+          words := w :: !words;
+          truth.Mo.query w);
+    }
+  in
+  Alcotest.(check bool) "suite passes on the truth" true
+    (Eq.wp_quotient ~depth:1 ~is_rep ~sweep oracle h = None);
+  List.to_seq (List.rev !words)
+
+let test_suites_pinned () =
+  let fingerprint = Alcotest.(triple int int string) in
+  List.iter
+    (fun (name, assoc, wp, w) ->
+      let h = minimal_policy name assoc in
+      Alcotest.check fingerprint
+        (Printf.sprintf "Wp %s-%d" name assoc)
+        wp
+        (suite_fingerprint (Eq.wp_method_suite ~depth:1 h));
+      Alcotest.check fingerprint
+        (Printf.sprintf "W %s-%d" name assoc)
+        w
+        (suite_fingerprint (Eq.w_method_suite ~depth:1 h)))
+    [
+      ( "PLRU", 4,
+        (912, 4174, "b690b55e08b02a1fbbdacb72fb44c825"),
+        (960, 4280, "9803036dc8cab41e9b5624a8c7ee5e4b") );
+      ( "LRU", 4,
+        (4776, 31508, "f3344a5183a1c18a579e34c7d9bba372"),
+        (6480, 41850, "d8a6250210edc29ccbeafed9a068fec6") );
+      ( "New1", 4,
+        (67881, 737368, "09ffca872d14144cb7e67df6052ac709"),
+        (182400, 1983620, "6db8df05ad92b203d7988b11a8857a12") );
+    ];
+  (* LRU-4 (24 states x 5 inputs) is small enough that the full Wp suite
+     follows the focused one; PLRU-8 (128 x 9) runs the focused suite
+     alone. *)
+  Alcotest.check fingerprint "quotient LRU-4, reps s mod 3 = 0"
+    (5448, 35776, "5f0b040c50134cf81fe80b5dac2990f4")
+    (suite_fingerprint
+       (quotient_suite_words (minimal_policy "LRU" 4) ~is_rep:(fun s ->
+            s mod 3 = 0)));
+  Alcotest.check fingerprint "quotient PLRU-8, reps s mod 4 = 0"
+    (6720, 66788, "f746f6305f9f30ab1c6a31dfa42d2dcd")
+    (suite_fingerprint
+       (quotient_suite_words (minimal_policy "PLRU" 8) ~is_rep:(fun s ->
+            s mod 4 = 0)))
+
 (* --- qcheck --------------------------------------------------------------- *)
 
 let prop_lstar_perfect_eq_exact =
@@ -286,4 +368,5 @@ let suite =
       QCheck_alcotest.to_alcotest prop_wp_equals_w_verdict;
       QCheck_alcotest.to_alcotest prop_canonical_signature_invariant;
       QCheck_alcotest.to_alcotest prop_derive_recovers_witness;
+      Alcotest.test_case "conformance suites pinned" `Quick test_suites_pinned;
     ] )

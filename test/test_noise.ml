@@ -38,12 +38,12 @@ let report_of run =
    workflow survives realistic measurement noise. *)
 let test_haswell_l1_noise_matches_quiet () =
   let quiet =
-    Cq_core.Hardware.learn_set ~check_hits:false
+    Cq_core.Hardware.learn_set
       (M.create ~noise:M.quiet_noise CM.haswell)
       CM.L1
   in
   let noisy =
-    Cq_core.Hardware.learn_set ~check_hits:false
+    Cq_core.Hardware.learn_set
       ~voting:(FE.Adaptive { max = 5 })
       ~retries:3
       (M.create ~noise:M.default_noise CM.haswell)
@@ -75,7 +75,7 @@ let test_report_counts_session_loads () =
   let at_start = ref None in
   let probe _ = if !at_start = None then at_start := Some (loads ()) in
   let run =
-    Cq_core.Hardware.learn_set ~check_hits:false ~quotient:true ~metrics
+    Cq_core.Hardware.learn_set ~quotient:true ~metrics
       ~probe
       (M.create ~noise:M.quiet_noise CM.haswell)
       CM.L1
@@ -93,7 +93,7 @@ let test_report_counts_session_loads () =
 let test_exported_device_counters_agree () =
   let metrics = Cq_util.Metrics.create () in
   ignore
-    (Cq_core.Hardware.learn_set ~check_hits:false ~quotient:true ~metrics
+    (Cq_core.Hardware.learn_set ~quotient:true ~metrics
        (M.create ~noise:M.quiet_noise CM.haswell)
        CM.L1);
   let value name =
@@ -133,7 +133,7 @@ let test_report_lines () =
    quick). *)
 let test_adaptive_cheaper_than_fixed () =
   let learn voting =
-    Cq_core.Hardware.learn_set ~check_hits:false ~voting ~retries:3
+    Cq_core.Hardware.learn_set ~voting ~retries:3
       (M.create ~noise:M.default_noise CM.toy)
       CM.L1
   in

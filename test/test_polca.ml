@@ -160,6 +160,48 @@ let prop_member_negative =
       in
       not (Polca.member (polca_for policy) trace))
 
+(* The polca binary with [args]: its exit status and standard error. *)
+let run_polca args =
+  let exe = "../bin/polca_cli.exe" in
+  let err = Filename.temp_file "polca" ".err" in
+  let fd_err = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let devnull = Unix.openfile Filename.null [ Unix.O_RDWR ] 0 in
+  let pid =
+    Unix.create_process exe (Array.of_list (exe :: args)) devnull devnull fd_err
+  in
+  Unix.close fd_err;
+  Unix.close devnull;
+  let _, status = Unix.waitpid [] pid in
+  let text = In_channel.with_open_bin err In_channel.input_all in
+  Sys.remove err;
+  (status, text)
+
+(* Quotient conformance is always the focused Wp suite, so the W ablation
+   cannot run under [--quotient]: polca refuses the pair instead of
+   running Wp in its place.  Either flag alone still learns. *)
+let test_cli_rejects_quotient_w () =
+  let contains text sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length text && (String.sub text i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  let status, err =
+    run_polca
+      [ "--simulate"; "PLRU"; "--assoc"; "2"; "--quotient"; "--equivalence"; "w" ]
+  in
+  Alcotest.(check bool) "usage error (exit 124)" true (status = Unix.WEXITED 124);
+  Alcotest.(check bool) "names the combination" true
+    (contains err "--equivalence w cannot be combined with --quotient");
+  List.iter
+    (fun flags ->
+      let status, _ = run_polca ([ "--simulate"; "PLRU"; "--assoc"; "2" ] @ flags) in
+      Alcotest.(check bool)
+        (String.concat " " flags ^ " learns")
+        true (status = Unix.WEXITED 0))
+    [ [ "--equivalence"; "w" ]; [ "--quotient" ] ]
+
 let suite =
   ( "polca",
     [
@@ -176,4 +218,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_polca_equals_policy_semantics;
       QCheck_alcotest.to_alcotest prop_member_positive;
       QCheck_alcotest.to_alcotest prop_member_negative;
+      Alcotest.test_case "cli rejects --quotient --equivalence w" `Quick
+        test_cli_rejects_quotient_w;
     ] )

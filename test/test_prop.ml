@@ -16,7 +16,7 @@
    - the zipf trace generator's guide-table sampler against the binary
      search over [Prng.float] it replaced,
    plus, for a few small policies, the automaton actually learned by
-   [Learn.run_simulated].
+   [Learn.run] over the simulated policy.
 
    Everything is driven by the deterministic splitmix PRNG, so a failure
    reproduces exactly.  PROP_ITERS scales the word count per policy
@@ -359,7 +359,9 @@ let test_learned_automaton_agrees () =
   List.iter
     (fun (name, assoc) ->
       let policy = Cq_policy.Zoo.make_exn ~name ~assoc in
-      match Learn.run_simulated ~identify:false policy with
+      match
+        Learn.run ~identify:false (Cq_cache.Oracle.of_policy policy)
+      with
       | Learn.Partial { failure; _ } ->
           Alcotest.fail
             (Fmt.str "learning %s-%d failed: %a" name assoc Learn.pp_failure
@@ -396,8 +398,8 @@ let test_quotient_learns_truth () =
     (fun (name, assoc) ->
       let policy = Cq_policy.Zoo.make_exn ~name ~assoc in
       match
-        Learn.run_simulated ~identify:false ~quotient:true ~validate:true
-          policy
+        Learn.run ~identify:false ~quotient:true ~validate:true
+          (Cq_cache.Oracle.of_policy policy)
       with
       | Learn.Partial { failure; _ } ->
           Alcotest.fail

@@ -185,7 +185,7 @@ let test_kill_resume_hardware () =
     Cq_hwsim.Machine.create ~noise:Cq_hwsim.Machine.quiet_noise model
   in
   let base_run =
-    Cq_core.Hardware.learn_set ~check_hits:false (fresh ())
+    Cq_core.Hardware.learn_set (fresh ())
       Cq_hwsim.Cpu_model.L1
   in
   let base =
@@ -203,7 +203,7 @@ let test_kill_resume_hardware () =
       with_temp (fun path ->
           let budget = 1 + Random.State.int rng (max 1 (total * 3 / 4)) in
           let crash_run =
-            Cq_core.Hardware.learn_set ~check_hits:false
+            Cq_core.Hardware.learn_set
               ~snapshot:(Learn.snapshot_policy ~every_queries:50 path)
               ~query_budget:budget (fresh ()) Cq_hwsim.Cpu_model.L1
           in
@@ -227,7 +227,7 @@ let test_kill_resume_hardware () =
                      budget total)
           in
           let resume_run =
-            Cq_core.Hardware.learn_set ~check_hits:false ~resume:resume_from
+            Cq_core.Hardware.learn_set ~resume:resume_from
               (fresh ()) Cq_hwsim.Cpu_model.L1
           in
           match resume_run.Cq_core.Hardware.outcome with
@@ -258,7 +258,7 @@ let test_kill_resume_hardware () =
    then answer them from the trie, and the two legs would undercount. *)
 let test_quotient_budget_resume () =
   let learn ?snapshot ?query_budget ?resume () =
-    Cq_core.Hardware.learn_set ~check_hits:false ~quotient:true ?snapshot
+    Cq_core.Hardware.learn_set ~quotient:true ?snapshot
       ?query_budget ?resume
       (Cq_hwsim.Machine.create ~noise:Cq_hwsim.Machine.quiet_noise
          Cq_hwsim.Cpu_model.haswell)
@@ -631,9 +631,10 @@ let test_deadline_trips () =
   with_temp (fun path ->
       let policy = Cq_policy.Zoo.make_exn ~name:"PLRU" ~assoc:8 in
       match
-        Learn.run_simulated ~identify:false
+        Learn.run ~identify:false
           ~snapshot:(Learn.snapshot_policy ~every_queries:10 path)
-          ~deadline:(Cq_util.Clock.after 0.0) policy
+          ~deadline:(Cq_util.Clock.after 0.0)
+          (Cq_cache.Oracle.of_policy policy)
       with
       | Learn.Complete _ -> Alcotest.fail "a 0-second deadline never tripped"
       | Learn.Partial p -> (
