@@ -114,6 +114,13 @@ let run_query session input =
           Printf.printf "error: %s\n%!" msg;
           Failed)
 
+(* Run [f] on the integer argument of command [cmd]; a non-integer is
+   reported and the session carries on. *)
+let with_int cmd arg f =
+  match int_of_string_opt arg with
+  | Some n -> f n
+  | None -> Printf.printf "error: %s expects an integer\n%!" cmd
+
 let handle_command session line =
   match String.split_on_char ' ' (String.trim line) |> List.filter (( <> ) "") with
   | [] -> true
@@ -138,29 +145,35 @@ let handle_command session line =
           Printf.printf "unknown level %S\n%!" l;
           true)
   | [ "set"; n ] ->
-      session.set <- int_of_string n;
-      invalidate session;
+      with_int "set" n (fun n ->
+          session.set <- n;
+          invalidate session);
       true
   | [ "slice"; n ] ->
-      session.slice <- int_of_string n;
-      invalidate session;
+      with_int "slice" n (fun n ->
+          session.slice <- n;
+          invalidate session);
       true
   | [ "reps"; n ] ->
       (* Even counts can tie the majority vote; the frontend rejects them. *)
-      (match int_of_string n with
-      | n when n >= 1 && (n = 1 || n mod 2 = 1) ->
-          session.reps <- n;
-          Option.iter
-            (fun fe -> Cq_cachequery.Frontend.set_repetitions fe session.reps)
-            session.frontend
-      | n ->
-          Printf.printf
-            "error: repetitions must be 1 or an odd count >= 3 (got %d)\n%!" n);
+      with_int "reps" n (function
+        | n when n >= 1 && (n = 1 || n mod 2 = 1) ->
+            session.reps <- n;
+            Option.iter
+              (fun fe ->
+                Cq_cachequery.Frontend.set_voting fe
+                  (Cq_cachequery.Frontend.Fixed n))
+              session.frontend
+        | n ->
+            Printf.printf
+              "error: repetitions must be 1 or an odd count >= 3 (got %d)\n%!"
+              n);
       true
   | [ "cat"; n ] ->
-      (match Cq_hwsim.Machine.set_cat_ways session.machine (int_of_string n) with
-      | () -> invalidate session
-      | exception Failure msg -> Printf.printf "error: %s\n%!" msg);
+      with_int "cat" n (fun n ->
+          match Cq_hwsim.Machine.set_cat_ways session.machine n with
+          | () -> invalidate session
+          | exception Failure msg -> Printf.printf "error: %s\n%!" msg);
       true
   | "reset" :: rest ->
       let spec = String.concat " " rest in

@@ -1,10 +1,7 @@
-(** The prefix-sharing batch executor: fold a batch of queries into a trie
-    and execute it DFS with state checkpoint/restore at branch points, so
-    a batch costs O(trie edges) device accesses instead of O(Σ |qᵢ|).
-
-    Generic in the backing device ([Cache_set], the hwsim machine via the
-    CacheQuery frontend, ...); results match sequential per-query
-    execution whenever the device is deterministic from reset. *)
+(** The device primitives a prefix-sharing session drives: reset, one
+    access, and a state checkpoint.  Generic in the backing device
+    ([Cache_set], the hwsim machine via the CacheQuery frontend, ...);
+    Polca's word-trie sessions are their one consumer. *)
 
 type ('k, 'r) ops = {
   reset : unit -> unit;  (** bring the device to its fixed initial state *)
@@ -12,10 +9,3 @@ type ('k, 'r) ops = {
   checkpoint : unit -> unit -> unit;
       (** capture the device state; the returned thunk restores it *)
 }
-
-val run : ('k, 'r) ops -> 'k list list -> 'r list list
-(** Execute a batch; the i-th result list belongs to the i-th query. *)
-
-val plan_cost : 'k list list -> int * int
-(** [(naive, shared)] access counts of a batch: naive per-query replay
-    (Σ |qᵢ|) vs. prefix-sharing execution (trie edges). *)

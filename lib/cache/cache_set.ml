@@ -58,10 +58,9 @@ let reset c =
   Cq_policy.Instance.reset c.policy
 
 (* Snapshot/restore of the full configuration (content + policy control
-   state), the primitive behind the prefix-sharing batch executor: a trie
-   of queries is walked DFS, restoring the branch point instead of
-   replaying the shared prefix.  The policy half is an instance
-   checkpoint. *)
+   state), the checkpoint behind Polca's word-trie sessions: a trie of
+   words is walked DFS, restoring the branch point instead of replaying
+   the shared prefix.  The policy half is an instance checkpoint. *)
 type snapshot = {
   set : t;
   saved : Block.t array;

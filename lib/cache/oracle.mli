@@ -5,37 +5,32 @@
     software-simulated cache (§6 of the paper) and CacheQuery over
     hardware (§7) both implement this interface.
 
-    [query_batch] answers several independent queries at once; oracles
-    built by {!of_cache_set} execute batches through the prefix-sharing
-    trie executor ({!Batch}), making a batch cost O(trie edges) block
-    accesses instead of O(Σ |qᵢ|). *)
+    Prefix sharing happens above the oracle: Polca drives the device
+    primitives in [ops] as word-trie sessions. *)
 
 type t = {
   assoc : int;
   initial_content : Block.t array;  (** cc0, known to Polca *)
   query : Block.t list -> Cache_set.result list;
   query_batch : Block.t list list -> Cache_set.result list list;
-  prefix_sharing : bool;
-      (** whether [query_batch] shares prefixes (drives the accesses-saved
-          accounting in {!counting}) *)
+      (** [List.map query]; kept only because perfbench builds oracles
+          with it *)
   ops : (Block.t, Cache_set.result) Batch.ops option;
-      (** the device primitives behind the executor, for consumers that
-          drive their own adaptive prefix-sharing plans (Polca's session
-          mode).  [None] when unsupported: the sequential ablation, noise
-          wrappers that need whole-query replay, hardware oracles with
-          repetitions > 1. *)
+      (** the device primitives Polca's session mode drives.  [None] when
+          the device cannot checkpoint; Polca then replays each probe
+          through [query]. *)
 }
 
 type stats = {
   queries : Cq_util.Metrics.counter;
   block_accesses : Cq_util.Metrics.counter;
   memo_hits : Cq_util.Metrics.counter;
-  batches : Cq_util.Metrics.counter;  (** [query_batch] calls *)
+  batches : Cq_util.Metrics.counter;  (** Polca sessions run *)
   batched_queries : Cq_util.Metrics.counter;
-      (** queries carried by those batches *)
+      (** probes answered by those sessions *)
   accesses_saved : Cq_util.Metrics.counter;
       (** block accesses avoided by prefix sharing, relative to naive
-          per-query replay of the same batches *)
+          per-probe replay of the same words *)
   timed_loads : Cq_util.Metrics.counter;
       (** physical timed loads issued (hardware backends; counts every
           repetition, unlike the logical [block_accesses]) *)
@@ -46,7 +41,7 @@ type stats = {
   retry_attempts : Cq_util.Metrics.counter;
       (** word re-executions issued by the bounded-retry layer *)
   batch_depth : Cq_util.Metrics.histogram;
-      (** queries carried per batch (trie fan-in / session probe count) *)
+      (** probes answered per Polca session *)
   vote_escalations : Cq_util.Metrics.histogram;
       (** runs spent per voted access that entered the voting loop *)
 }
@@ -70,27 +65,12 @@ val fresh_stats :
     so loads and votes are counted in one place whatever path issued
     them. *)
 
-val sequential_batch :
-  (Block.t list -> Cache_set.result list) ->
-  Block.t list list ->
-  Cache_set.result list list
-(** Correct [query_batch] fallback for oracles without batch support. *)
-
-val of_cache_set : Cache_set.t -> t
 val of_policy : ?initial_content:Block.t array -> Cq_policy.Policy.t -> t
 
-val sequential : t -> t
-(** Replace batch execution with naive per-query replay — the sequential
-    baseline of the engine benchmark. *)
-
 val counting : stats -> t -> t
-(** Count queries and accesses into [stats].  [block_accesses] counts the
-    logical (per-query) cost even for batches; the prefix-sharing win is
-    recorded separately in [accesses_saved]. *)
+(** Count queries and their accesses into [stats].  Session-mode probes
+    do not pass through [query]; Polca counts them itself. *)
 
 val memoized : ?stats:stats -> t -> t
 (** Memoize whole queries (the role LevelDB plays in the paper's frontend).
     Sound because every query starts from the reset state. *)
-
-val noisy : prng:Cq_util.Prng.t -> p:float -> t -> t
-(** Flip each individual outcome with probability [p] (fault injection). *)

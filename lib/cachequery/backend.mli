@@ -45,10 +45,6 @@ val recalibrate_due : t -> bool
 (** Whether the drift detector has requested a recalibration (honoured by
     {!maybe_recalibrate} at the next reset boundary). *)
 
-val addr_of_block : t -> Cq_cache.Block.t -> int
-(** The physical address backing an abstract block (allocated on first
-    use, always congruent with the target set). *)
-
 val timed_load : t -> Cq_cache.Block.t -> int
 (** One profiled load of a block, followed by the filtering sweep that
     keeps levels above the target out of the way; returns measured

@@ -98,17 +98,9 @@ let set_voting t v =
 
 let voting t = t.voting
 
-let set_repetitions t n = set_voting t (Fixed n)
-
 let set_memo t enabled = t.memo_enabled <- enabled
 let clear_memo t = Hashtbl.reset t.memo
 let memo_size t = Hashtbl.length t.memo
-
-(* Store a memo binding.  [Hashtbl.replace], not [add]: re-inserting the
-   same key (races between the batch path and the sequential fallback)
-   must not pile up duplicate bindings that distort [Hashtbl.length] and
-   shadow on removal. *)
-let memo_store t key r = Hashtbl.replace t.memo key r
 
 (* Statically analyse an MBL expression against the target's
    associativity, without expanding or executing anything. *)
@@ -256,11 +248,11 @@ let voted_access t b =
         else Cq_cache.Cache_set.Miss
       end
 
-(* The device primitives behind the batch executor: reset via the
-   configured reset sequence, a single voted access, and a whole-machine
-   checkpoint.  Also handed to Polca (Oracle.ops) for session-mode
-   execution — voting now happens *inside* [access], so session mode and
-   prefix sharing stay enabled at any repetition setting. *)
+(* The device primitives handed to Polca (Oracle.ops) for session-mode
+   execution: reset via the configured reset sequence, a single voted
+   access, and a whole-machine checkpoint.  Voting happens *inside*
+   [access], so session mode and prefix sharing stay enabled at any
+   repetition setting. *)
 let batch_ops t =
   let machine = Backend.machine t.backend in
   {
@@ -297,91 +289,16 @@ let query_blocks t blocks =
       Cq_util.Metrics.add t.stats.Cq_cache.Oracle.block_accesses
         (List.length blocks
         + (Cq_util.Metrics.value t.stats.Cq_cache.Oracle.vote_runs - votes0));
-      if t.memo_enabled then memo_store t key r;
+      if t.memo_enabled then Hashtbl.replace t.memo key r;
       r
-
-(* Batched Polca queries with prefix sharing: reset once, fold the batch
-   into a trie, and walk it DFS with machine checkpoints at branch points
-   (Machine.checkpoint) instead of a reset-and-replay per query.  Valid
-   under the same assumption the memo table already relies on — a
-   validated reset sequence makes query outcomes deterministic — and,
-   since voting moved inside the access primitive, at *any* repetition
-   setting (disputed accesses re-run from a pre-access checkpoint; the
-   trie structure is unaffected). *)
-let query_blocks_batch t batches =
-  let keyed = List.map (fun q -> (Cq_util.Deep.pack q, q)) batches in
-  (* Deduplicated memo misses, in batch order. *)
-  let missing = Hashtbl.create 16 in
-  let order = ref [] in
-  List.iter
-    (fun (key, q) ->
-      let known = t.memo_enabled && Hashtbl.mem t.memo key in
-      if (not known) && not (Hashtbl.mem missing key) then begin
-        Hashtbl.replace missing key ();
-        order := q :: !order
-      end)
-    keyed;
-  let todo = List.rev !order in
-  let fresh = Hashtbl.create 16 in
-  (if todo <> [] then begin
-     (fun run ->
-       if Cq_util.Trace.enabled () then
-         Cq_util.Trace.with_span ~cat:"frontend"
-           ~args:[ ("queries", string_of_int (List.length todo)) ]
-           "frontend.batch" run
-       else run ())
-     @@ fun () ->
-     (* Assign block addresses in batch order, so the block->address map
-        is independent of the trie traversal order and matches what
-        sequential execution would have produced. *)
-     List.iter
-       (List.iter (fun b -> ignore (Backend.addr_of_block t.backend b)))
-       todo;
-     let naive, shared = Cq_cache.Batch.plan_cost todo in
-     Cq_util.Metrics.incr t.stats.Cq_cache.Oracle.batches;
-     Cq_util.Metrics.add t.stats.Cq_cache.Oracle.batched_queries
-       (List.length todo);
-     Cq_util.Metrics.add t.stats.Cq_cache.Oracle.queries (List.length todo);
-     Cq_util.Metrics.add t.stats.Cq_cache.Oracle.accesses_saved
-       (naive - shared);
-     Cq_util.Metrics.observe t.stats.Cq_cache.Oracle.batch_depth
-       (float_of_int (List.length todo));
-     let votes0 = Cq_util.Metrics.value t.stats.Cq_cache.Oracle.vote_runs in
-     let answers = Cq_cache.Batch.run (batch_ops t) todo in
-     (* Actual executed accesses: the shared trie walk plus whatever the
-        voting layer re-measured. *)
-     Cq_util.Metrics.add t.stats.Cq_cache.Oracle.block_accesses
-       (shared
-       + (Cq_util.Metrics.value t.stats.Cq_cache.Oracle.vote_runs - votes0));
-     List.iter2
-       (fun q r ->
-         let key = Cq_util.Deep.pack q in
-         Hashtbl.replace fresh key r;
-         if t.memo_enabled then memo_store t key r)
-       todo answers
-   end);
-  List.map
-    (fun (key, q) ->
-      match Hashtbl.find_opt fresh key with
-      | Some r -> r
-      | None -> (
-          match
-            if t.memo_enabled then Hashtbl.find_opt t.memo key else None
-          with
-          | Some r ->
-              Cq_util.Metrics.incr t.stats.Cq_cache.Oracle.memo_hits;
-              r
-          | None -> query_blocks t q))
-    keyed
 
 let oracle t =
   {
     Cq_cache.Oracle.assoc = t.assoc;
     initial_content = Array.of_list (Cq_cache.Block.first t.assoc);
     query = query_blocks t;
-    query_batch = query_blocks_batch t;
-    (* Voting lives inside the access primitive now, so the batched path
-       and session mode stay available at every repetition setting. *)
-    prefix_sharing = true;
+    query_batch = List.map (query_blocks t);
+    (* Voting lives inside the access primitive, so session mode stays
+       available at every repetition setting. *)
     ops = Some (batch_ops t);
   }

@@ -53,9 +53,6 @@ val set_reset : t -> reset -> unit
 val set_voting : t -> voting -> unit
 val voting : t -> voting
 
-val set_repetitions : t -> int -> unit
-(** Shorthand for [set_voting t (Fixed n)]. *)
-
 val set_memo : t -> bool -> unit
 val clear_memo : t -> unit
 
@@ -85,7 +82,6 @@ val run_mbl :
 
 val oracle : t -> Cq_cache.Oracle.t
 (** The cache oracle Polca talks to: every access profiled, queries
-    memoized.  The batched path and the session-mode [ops] stay available
-    at every voting setting — voting happens inside the access primitive,
-    re-running only disputed accesses from a pre-access machine
-    checkpoint. *)
+    memoized.  The session-mode [ops] stay available at every voting
+    setting — voting happens inside the access primitive, re-running only
+    disputed accesses from a pre-access machine checkpoint. *)

@@ -8,7 +8,6 @@
 type equivalence =
   | W_method of int (* depth k of the conformance suite *)
   | Wp_method of int (* the paper's configuration: smaller suites, same guarantee *)
-  | Random_walk of { max_tests : int; max_len : int; seed : int }
 
 let default_equivalence = Wp_method 1
 
@@ -16,8 +15,8 @@ let default_equivalence = Wp_method 1
    - [Sequential]: one query at a time, reset-and-replay, the sequential
      short-circuit findEvicted scan — the seed's behaviour, kept as the
      baseline for the engine benchmark and the determinism tests.
-   - [Batched] (default): closure waves and findEvicted fan-outs go to the
-     cache as prefix-shared batches (trie executor over snapshot/restore). *)
+   - [Batched] (default): closure waves run as Polca word-trie sessions
+     over the device's checkpoint/restore primitives. *)
 type engine = Sequential | Batched
 
 (* Snapshot cadence for durable sessions: write at most every
@@ -92,7 +91,7 @@ type report = {
   member_symbols : int;
   cache_queries : int; (* block-trace queries reaching the cache oracle *)
   cache_accesses : int; (* total block accesses of those queries *)
-  cache_batches : int; (* query batches reaching the cache oracle *)
+  cache_batches : int; (* Polca sessions run on the device *)
   accesses_saved : int; (* block accesses avoided by prefix sharing *)
   identified : string list; (* known policies equivalent to the result *)
   quotient : Cq_learner.Quotient.stats option;
@@ -191,11 +190,6 @@ let learn_core ?(equivalence = default_equivalence)
     | None -> Option.map (load_resume ~metrics:registry) resume
   in
   let batch_probes = engine = Batched in
-  let cache =
-    match engine with
-    | Sequential -> Cq_cache.Oracle.sequential cache
-    | Batched -> cache
-  in
   (* [device_stats]: the device layer's own stats record (the CacheQuery
      frontend's).  Timed loads and votes are counted there, never by the
      wrappers below, so the learn-side stats share those two counters
@@ -405,10 +399,6 @@ let learn_core ?(equivalence = default_equivalence)
     let quotient_conformance = quotient && Polca.assoc polca >= 2 in
     let find_cex =
       match equivalence with
-      | Random_walk { max_tests; max_len; seed } ->
-          Cq_learner.Equivalence.random_walk
-            ~prng:(Cq_util.Prng.of_int seed)
-            ~max_tests ~max_len oracle
       (* Quotient conformance is always the focused Wp suite; a W suite
          only lends it its depth. *)
       | W_method depth | Wp_method depth when quotient_conformance ->

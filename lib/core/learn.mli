@@ -12,15 +12,14 @@
 type equivalence =
   | W_method of int  (** conformance-suite depth k *)
   | Wp_method of int  (** Wp-method, depth k: same guarantee, smaller suite *)
-  | Random_walk of { max_tests : int; max_len : int; seed : int }
 
 type engine =
   | Sequential
       (** one query at a time, reset-and-replay, short-circuit findEvicted
           — the baseline of the engine benchmark *)
   | Batched
-      (** closure waves and findEvicted fan-outs reach the cache as
-          prefix-shared batches (the default) *)
+      (** words run as Polca word-trie sessions on the device, each
+          shared prefix once (the default) *)
 
 type snapshot_policy = {
   path : string;
@@ -93,7 +92,7 @@ type report = {
   member_symbols : int;
   cache_queries : int;
   cache_accesses : int;  (** logical block accesses (pre prefix-sharing) *)
-  cache_batches : int;  (** query batches reaching the cache oracle *)
+  cache_batches : int;  (** Polca sessions run on the device *)
   accesses_saved : int;  (** block accesses avoided by prefix sharing *)
   identified : string list;
       (** known policies trace-equivalent to the result (up to reset state

@@ -217,10 +217,9 @@ type t = {
          (Oracle.ops), the whole word runs as one session: every logical
          probe is answered by the single access extending the live trace,
          and the [find_evicted] fan-out is a checkpoint/restore scan at
-         the trace tip.  Otherwise the fan-out alone is sent as one
-         [query_batch] (trie-shared for oracles that support it).
-         Disabling restores the per-probe reset-and-replay of the paper's
-         Algorithm 1 — the sequential engine baseline. *)
+         the trace tip.  Disabled, or without [ops], every probe is
+         replayed from reset through [query] — the paper's Algorithm 1,
+         and the sequential engine baseline. *)
   retries : int;
       (* On Non_deterministic, re-run the offending word up to this many
          extra times before giving up: a transient latency flip (noise)
@@ -293,44 +292,22 @@ let probe_last t blocks =
   | [] -> invalid_arg "Polca.probe_last: empty query"
 
 (* Which line was evicted by the last block of [trace]?  Probe the trace
-   extended with each currently-tracked block; the one that misses is the
-   victim (Algorithm 1's findEvicted).
-
-   With [batch_probes] the [assoc] probe traces go to the cache as one
-   batch — they share the whole trace prefix, which a prefix-sharing
-   executor replays once.  Without it, scan sequentially and stop at the
-   first miss. *)
+   extended with each currently-tracked block, in order, and stop at the
+   first miss: that block's line is the victim (Algorithm 1's
+   findEvicted). *)
 let find_evicted t trace cc =
   let n = Array.length cc in
-  if t.batch_probes then begin
-    let probes =
-      List.init n (fun i -> List.rev (cc.(i) :: trace))
-    in
-    let answers = t.cache.Cq_cache.Oracle.query_batch probes in
-    let rec first_miss i = function
-      | [] ->
-          raise
-            (Non_deterministic
-               "find_evicted: no tracked block misses after an observed miss")
-      | outcomes :: rest -> (
-          match List.rev outcomes with
-          | Cq_cache.Cache_set.Miss :: _ -> i
-          | _ -> first_miss (i + 1) rest)
-    in
-    first_miss 0 answers
-  end
-  else
-    let rec go i =
-      if i >= n then
-        raise
-          (Non_deterministic
-             "find_evicted: no tracked block misses after an observed miss")
-      else
-        match probe_last t (List.rev (cc.(i) :: trace)) with
-        | Cq_cache.Cache_set.Miss -> i
-        | Cq_cache.Cache_set.Hit -> go (i + 1)
-    in
-    go 0
+  let rec go i =
+    if i >= n then
+      raise
+        (Non_deterministic
+           "find_evicted: no tracked block misses after an observed miss")
+    else
+      match probe_last t (List.rev (cc.(i) :: trace)) with
+      | Cq_cache.Cache_set.Miss -> i
+      | Cq_cache.Cache_set.Hit -> go (i + 1)
+  in
+  go 0
 
 (* Session mode: run words against the live device.  The probe set of a
    word is a degenerate trie — one path (the trace) with a fan of

@@ -37,9 +37,10 @@ val create :
     over their word trie: one reset per session, each shared prefix
     executed once.  A session is capped at 256 trie nodes, or 16 once the
     device has had to re-measure an access (a reset is where a drifting
-    device recalibrates).  Without [ops], the fan-out alone is sent as one
-    [query_batch].  Disable to restore per-probe reset-and-replay (the
-    sequential engine).
+    device recalibrates).  Disabled, or without [ops], every probe is
+    replayed from reset through the cache's [query], with [findEvicted]
+    stopping at the first miss: Algorithm 1 as written, and the sequential
+    engine.
 
     [retries] (default 0) bounds a retry loop around {!Non_deterministic}:
     the offending word is re-executed from reset up to [retries] extra

@@ -316,14 +316,15 @@ let load t addr =
    counter, the prefetcher state and the noise state (PRNG position and
    the active burst).  The [loads] counter is deliberately *not* rewound —
    it counts work performed, which is what the engine benchmark measures
-   (and what latency drift keys on).  This is the primitive that lets the
-   CacheQuery frontend execute query batches with prefix sharing.
+   (and what latency drift keys on).  This is the primitive that lets
+   Polca's word-trie sessions share prefixes through the CacheQuery
+   frontend.
 
    [rewind_noise:false] restores the architectural state but leaves the
    noise stream where it is, so re-executing the same access draws an
    *independent* measurement — exactly what re-measuring a disputed load
-   on silicon does.  The voting layer uses this; batch executors keep the
-   default so batched and sequential runs replay identical noise.
+   on silicon does.  The voting layer uses this; sessions keep the default,
+   so sibling branches replay the same noise.
 
    Each level checkpoint is O(1) (its sets are copy-on-write), so this is
    a handful of captured values and the restore a handful of writes. *)

@@ -291,21 +291,6 @@ let wp_quotient ?(depth = 1) ~is_rep ~sweep (oracle : 'o Moracle.t) : 'o t =
   find oracle h
     (if small then Seq.append focused (wp_method_suite ~depth h) else focused)
 
-(* Random walks: [max_tests] random words of length up to [max_len]. *)
-let random_walk ~prng ?(max_tests = 10_000) ?(max_len = 30)
-    (oracle : 'o Moracle.t) : 'o t =
- fun h ->
-  let n_inputs = oracle.Moracle.n_inputs in
-  let c = Cq_automata.Mealy.compile h in
-  let rec go t =
-    if t >= max_tests then None
-    else
-      let len = 1 + Cq_util.Prng.int prng max_len in
-      let word = List.init len (fun _ -> Cq_util.Prng.int prng n_inputs) in
-      if run_test oracle c word then Some word else go (t + 1)
-  in
-  go 0
-
 (* Ground truth available: exact equivalence via product BFS. *)
 let perfect (truth : 'o Cq_automata.Mealy.t) : 'o t =
  fun h -> Cq_automata.Mealy.find_counterexample truth h

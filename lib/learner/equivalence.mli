@@ -60,9 +60,5 @@ val wp_quotient :
 val suite_symbols : int list Seq.t -> int
 (** Total input symbols in a suite (the W-vs-Wp ablation metric). *)
 
-val random_walk :
-  prng:Cq_util.Prng.t -> ?max_tests:int -> ?max_len:int -> 'o Moracle.t -> 'o t
-(** The cheaper random-testing heuristic the paper mentions (§6). *)
-
 val perfect : 'o Cq_automata.Mealy.t -> 'o t
 (** Exact equivalence against a known ground truth (tests/ablations). *)

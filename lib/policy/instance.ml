@@ -24,7 +24,7 @@ let step (Instance i) input =
 
 let reset (Instance i) = i.state <- i.init
 
-(* Checkpoints nest arbitrarily (the batch executor's DFS restores branch
+(* Checkpoints nest arbitrarily (a word-trie session's DFS restores branch
    points in stack order).  Policy states are immutable values, so
    capturing the value suffices. *)
 let checkpoint (Instance i) =

@@ -53,6 +53,8 @@ let uniform ~n ~len ~seed =
     blocks;
   }
 
+(* Cyclic scan [0, 1, ..., n-1, 0, ...]: a streaming workload.  With
+   [n > assoc] it defeats every recency-based policy. *)
 let sequential ~n ~len =
   check_pos "n" n;
   check_pos "len" len;

@@ -13,12 +13,6 @@ type t = {
   blocks : int array;
 }
 
-(** {2 Generators} *)
-
-val sequential : n:int -> len:int -> t
-(** Cyclic scan [0, 1, ..., n-1, 0, ...]: a streaming workload.  With
-    [n > assoc] it defeats every recency-based policy. *)
-
 (** {2 Spec grammar}
 
     One shell-safe token describes a trace:

@@ -159,26 +159,6 @@ let prop_fresh_blocks_miss =
       | last :: _ -> last = CS.Miss
       | [] -> false)
 
-(* PR-7 regression for the memo's miss table: each pending key is bound
-   once ([Hashtbl.replace]); a batch with duplicate queries reaches the
-   inner oracle deduplicated, and a repeat batch is answered entirely
-   from the memo. *)
-let test_memoized_batch_dedup () =
-  let stats = O.fresh_stats () in
-  let memo = O.memoized (O.counting stats (O.of_policy (Cq_policy.Lru.make 4))) in
-  let q1 = List.map B.of_index [ 0; 4; 1 ] in
-  let q2 = List.map B.of_index [ 2; 5 ] in
-  (match memo.O.query_batch [ q1; q2; q1; q1; q2 ] with
-  | [ a; b; a'; a''; b' ] ->
-      Alcotest.(check bool) "duplicates answered identically" true
-        (a = a' && a = a'' && b = b')
-  | _ -> Alcotest.fail "expected five answers");
-  Alcotest.(check int) "inner oracle saw each distinct query once" 2
-    (Cq_util.Metrics.value stats.O.batched_queries);
-  ignore (memo.O.query_batch [ q1; q2; q1 ]);
-  Alcotest.(check int) "repeat batch fully memoized" 2
-    (Cq_util.Metrics.value stats.O.batched_queries)
-
 let suite =
   ( "cache",
     [
@@ -191,7 +171,6 @@ let suite =
       Alcotest.test_case "access counter" `Quick test_accesses_counter;
       Alcotest.test_case "Proposition 3.2" `Quick test_proposition_3_2;
       Alcotest.test_case "counting oracle" `Quick test_counting;
-      Alcotest.test_case "memo batch dedup" `Quick test_memoized_batch_dedup;
       Alcotest.test_case "memoized oracle" `Quick test_memoized_consistent;
       QCheck_alcotest.to_alcotest prop_cache_agrees_with_policy_machine;
       QCheck_alcotest.to_alcotest prop_memoized_transparent;

@@ -221,10 +221,11 @@ let test_toy_l3_leader () =
 
 (* The REPL survives a [reset] whose sequence does not expand to a single
    query: it reports the error and keeps the reset it had. *)
-let test_repl_keeps_reset_on_bad_sequence () =
+(* Feed [script] to the REPL on Skylake L2 set 17; its exit status and a
+   substring test over what it printed. *)
+let run_repl script =
   let exe = "../bin/cachequery_cli.exe" in
   let out = Filename.temp_file "cq_repl" ".out" in
-  let script = "@ X _?\nreset @ X _?\ninfo\nquit\n" in
   let stdin_r, stdin_w = Unix.pipe () in
   let fd_out = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
   let pid =
@@ -246,9 +247,28 @@ let test_repl_keeps_reset_on_bad_sequence () =
     in
     go 0
   in
+  (status, has)
+
+let test_repl_keeps_reset_on_bad_sequence () =
+  let status, has = run_repl "@ X _?\nreset @ X _?\ninfo\nquit\n" in
   Alcotest.(check bool) "REPL exits 0" true (status = Unix.WEXITED 0);
   Alcotest.(check bool) "error reported" true (has "reset error:");
   Alcotest.(check bool) "reset unchanged" true (has "reset F+R\n")
+
+(* A non-integer argument is reported, not fatal, and changes nothing. *)
+let test_repl_survives_non_integer () =
+  let status, has =
+    run_repl "set x\nslice x\ncat x\nreps three\ninfo\nquit\n"
+  in
+  Alcotest.(check bool) "REPL exits 0" true (status = Unix.WEXITED 0);
+  List.iter
+    (fun cmd ->
+      Alcotest.(check bool)
+        (cmd ^ " error reported") true
+        (has (Printf.sprintf "error: %s expects an integer\n" cmd)))
+    [ "set"; "slice"; "cat"; "reps" ];
+  Alcotest.(check bool) "set and reps unchanged" true
+    (has "slice 0 set 17, assoc 4, reps 1,")
 
 let suite =
   ( "cachequery",
@@ -265,6 +285,8 @@ let suite =
       Alcotest.test_case "reset to string" `Quick test_reset_to_string;
       Alcotest.test_case "REPL keeps its reset on a bad sequence" `Quick
         test_repl_keeps_reset_on_bad_sequence;
+      Alcotest.test_case "REPL survives a non-integer argument" `Quick
+        test_repl_survives_non_integer;
       Alcotest.test_case "toy pipeline: L1" `Quick test_toy_full_pipeline;
       Alcotest.test_case "toy pipeline: L2 New1" `Quick test_toy_l2_new1;
       Alcotest.test_case "toy pipeline: L3 leader New2" `Quick test_toy_l3_leader;

@@ -1,55 +1,10 @@
-(* Tests for the batched query engine: the prefix-sharing trie executor,
-   Polca's session mode, and end-to-end engine equivalence — every fast
-   path must be observationally identical to sequential reset-and-replay. *)
+(* Tests for the batched query engine: Polca's session mode and end-to-end
+   engine equivalence — the fast path must be observationally identical
+   to sequential reset-and-replay. *)
 
-module B = Cq_cache.Block
-module CS = Cq_cache.Cache_set
 module O = Cq_cache.Oracle
 module M = Cq_hwsim.Machine
 module Zoo = Cq_policy.Zoo
-
-let random_word prng ~universe ~max_len =
-  let len = 1 + Cq_util.Prng.int prng max_len in
-  List.init len (fun _ -> B.of_index (Cq_util.Prng.int prng universe))
-
-let random_batch prng ~batch ~universe ~max_len =
-  List.init batch (fun _ -> random_word prng ~universe ~max_len)
-
-(* Trie execution of a batch must be byte-identical to answering each
-   query from reset, across policies with different metadata shapes. *)
-let test_batch_matches_sequential () =
-  List.iter
-    (fun name ->
-      let prng = Cq_util.Prng.of_int 42 in
-      let oracle = O.of_policy (Zoo.make_exn ~name ~assoc:4) in
-      for _ = 1 to 10 do
-        let batch = random_batch prng ~batch:12 ~universe:8 ~max_len:10 in
-        let batched = oracle.O.query_batch batch in
-        let sequential = List.map oracle.O.query batch in
-        Alcotest.(check bool)
-          (name ^ ": batch = sequential") true
-          (batched = sequential)
-      done)
-    [ "LRU"; "PLRU"; "SRRIP-HP" ]
-
-(* Prefix sharing must be a real saving: a batch with overlapping prefixes
-   costs strictly fewer physical accesses than naive replay, and exactly
-   what [plan_cost] predicts. *)
-let test_trie_saves_accesses () =
-  let set = CS.create (Zoo.make_exn ~name:"PLRU" ~assoc:4) in
-  let oracle = O.of_cache_set set in
-  let prng = Cq_util.Prng.of_int 7 in
-  let prefix = random_word prng ~universe:6 ~max_len:8 in
-  let batch = List.init 8 (fun i -> prefix @ [ B.of_index (i mod 6) ]) in
-  let before = CS.accesses set in
-  let answers = oracle.O.query_batch batch in
-  let physical = CS.accesses set - before in
-  let naive = List.fold_left (fun acc q -> acc + List.length q) 0 batch in
-  Alcotest.(check int) "every query answered" 8 (List.length answers);
-  Alcotest.(check bool) "strictly fewer accesses" true (physical < naive);
-  let plan_naive, plan_trie = Cq_cache.Batch.plan_cost batch in
-  Alcotest.(check int) "plan_cost naive" naive plan_naive;
-  Alcotest.(check int) "plan_cost trie = physical accesses" physical plan_trie
 
 (* Polca's session mode (live trace + checkpointed findEvicted scans) must
    produce the same outputs as per-probe replay of Algorithm 1. *)
@@ -112,10 +67,10 @@ let test_engines_agree () =
     (seq.Cq_core.Learn.accesses_saved = 0)
 
 (* Acceptance for the noise-hardened layer: with voting enabled the
-   frontend still exposes the batched/session path, and it must answer
-   exactly like per-query sequential execution on an equally-noisy
-   machine. *)
-let test_batch_matches_sequential_under_noise () =
+   frontend still exposes the session path, and Polca's word-trie sessions
+   over it must answer exactly like per-probe replay (Algorithm 1) on an
+   equally-noisy machine. *)
+let test_session_matches_replay_under_noise () =
   let module FE = Cq_cachequery.Frontend in
   let module BE = Cq_cachequery.Backend in
   let module CM = Cq_hwsim.Cpu_model in
@@ -125,30 +80,36 @@ let test_batch_matches_sequential_under_noise () =
     ignore (BE.calibrate be);
     FE.create ~voting:(FE.Adaptive { max = 5 }) be
   in
-  let words =
-    List.map
-      (List.map B.of_index)
-      [ [ 0; 1; 0; 2 ]; [ 1; 1; 0 ]; [ 2; 0; 1; 2 ]; [ 0 ]; [ 2; 2; 1; 0; 1 ] ]
-  in
-  let fe_seq = mk () and fe_bat = mk () in
+  let fe_session = mk () and fe_replay = mk () in
   Alcotest.(check bool) "voting keeps the session path available" true
-    (Option.is_some (FE.oracle fe_bat).O.ops
-    && (FE.oracle fe_bat).O.prefix_sharing);
-  let seq = List.map (FE.oracle fe_seq).O.query words in
-  let bat = (FE.oracle fe_bat).O.query_batch words in
-  Alcotest.(check bool) "batched = sequential under noise" true (seq = bat)
+    (Option.is_some (FE.oracle fe_session).O.ops);
+  let session = Cq_core.Polca.create (FE.oracle fe_session) in
+  let replay =
+    Cq_core.Polca.create ~batch_probes:false (FE.oracle fe_replay)
+  in
+  let n = Cq_core.Polca.n_inputs session in
+  let prng = Cq_util.Prng.of_int 13 in
+  let words =
+    List.init 24 (fun _ ->
+        List.init
+          (1 + Cq_util.Prng.int prng 8)
+          (fun _ -> Cq_util.Prng.int prng n))
+  in
+  let by_session =
+    (Cq_core.Polca.moracle session).Cq_learner.Moracle.query_batch words
+  in
+  let by_replay = List.map (Cq_core.Polca.run replay) words in
+  Alcotest.(check bool) "session = replay under noise" true
+    (by_session = by_replay)
 
 let suite =
   ( "engine",
     [
-      Alcotest.test_case "trie batch = sequential" `Quick
-        test_batch_matches_sequential;
-      Alcotest.test_case "trie saves accesses" `Quick test_trie_saves_accesses;
       Alcotest.test_case "session = replay (Polca)" `Quick
         test_session_matches_replay;
       Alcotest.test_case "machine checkpoint determinism" `Quick
         test_machine_checkpoint;
       Alcotest.test_case "engines agree" `Quick test_engines_agree;
       Alcotest.test_case "batched = sequential under noise" `Quick
-        test_batch_matches_sequential_under_noise;
+        test_session_matches_replay_under_noise;
     ] )

@@ -90,16 +90,6 @@ let test_lstar_state_budget () =
   | _ -> Alcotest.fail "budget not enforced"
   | exception L.Diverged _ -> ()
 
-let test_random_walk_finds_difference () =
-  let truth = Cq_policy.Policy.to_mealy (Cq_policy.Lru.make 3) in
-  (* A wrong hypothesis: FIFO of the same associativity. *)
-  let wrong = Cq_policy.Policy.to_mealy (Cq_policy.Fifo.make 3) in
-  let oracle = Mo.of_mealy truth in
-  let find = Eq.random_walk ~prng:(Cq_util.Prng.of_int 3) ~max_tests:5000 oracle in
-  match find wrong with
-  | Some w -> Alcotest.(check bool) "real cex" true (Mealy.run truth w <> Mealy.run wrong w)
-  | None -> Alcotest.fail "no counterexample found"
-
 let test_wp_method_learns () =
   List.iter
     (fun (name, assoc) ->
@@ -357,7 +347,7 @@ let suite =
       Alcotest.test_case "L* learns LRU-4" `Quick test_lstar_learns_lru4;
       Alcotest.test_case "L* learns PLRU-8" `Quick test_lstar_learns_plru8;
       Alcotest.test_case "state budget" `Quick test_lstar_state_budget;
-      Alcotest.test_case "random walk" `Quick test_random_walk_finds_difference;
+      Alcotest.test_case "conformance suites pinned" `Quick test_suites_pinned;
       Alcotest.test_case "perfect oracle" `Quick test_perfect_oracle;
       Alcotest.test_case "Wp-method learns" `Quick test_wp_method_learns;
       Alcotest.test_case "Wp suite smaller than W" `Quick test_wp_suite_smaller_than_w;
@@ -368,5 +358,4 @@ let suite =
       QCheck_alcotest.to_alcotest prop_wp_equals_w_verdict;
       QCheck_alcotest.to_alcotest prop_canonical_signature_invariant;
       QCheck_alcotest.to_alcotest prop_derive_recovers_witness;
-      Alcotest.test_case "conformance suites pinned" `Quick test_suites_pinned;
     ] )

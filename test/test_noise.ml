@@ -162,13 +162,7 @@ let flipping_oracle policy =
     | rs -> rs
   in
   let query q = corrupt (base.O.query q) in
-  {
-    base with
-    O.query;
-    query_batch = O.sequential_batch query;
-    prefix_sharing = false;
-    ops = None;
-  }
+  { base with O.query; query_batch = List.map query; ops = None }
 
 let test_transient_flip_absorbed () =
   let policy = Cq_policy.Lru.make 2 in
@@ -353,9 +347,9 @@ let test_frontend_rejects_even_voting () =
        "Frontend: max repetitions must be odd (even counts can tie)")
     (fun () -> ignore (FE.create ~voting:(FE.Adaptive { max = 2 }) be));
   let fe = FE.create be in
-  Alcotest.check_raises "even set_repetitions rejected"
+  Alcotest.check_raises "even set_voting rejected"
     (Invalid_argument "Frontend: repetitions must be odd (even counts can tie)")
-    (fun () -> FE.set_repetitions fe 6)
+    (fun () -> FE.set_voting fe (FE.Fixed 6))
 
 (* --- The self-healing membership cache ----------------------------------- *)
 

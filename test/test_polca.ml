@@ -78,16 +78,6 @@ let test_learn_identifies () =
   let report = Learn.learn_simulated (Cq_policy.Zoo.make_exn ~name:"New2" ~assoc:4) in
   Alcotest.(check (list string)) "New2 identified" [ "New2" ] report.Learn.identified
 
-let test_learn_with_random_walk () =
-  let policy = Cq_policy.Zoo.make_exn ~name:"MRU" ~assoc:4 in
-  let report =
-    Learn.learn_simulated ~identify:false
-      ~equivalence:(Learn.Random_walk { max_tests = 20_000; max_len = 30; seed = 5 })
-      policy
-  in
-  Alcotest.(check bool) "random-walk equivalence also learns MRU-4" true
-    (Learn.verify_against report policy)
-
 let test_check_hits_ablation () =
   (* Disabling the redundant hit probes must not change the result on a
      well-behaved cache. *)
@@ -213,7 +203,6 @@ let suite =
       Alcotest.test_case "moracle alphabet" `Quick test_moracle_n_inputs;
       Alcotest.test_case "learning is exact (small zoo)" `Quick test_learn_simulated_exact;
       Alcotest.test_case "learning identifies New2" `Quick test_learn_identifies;
-      Alcotest.test_case "random-walk equivalence" `Quick test_learn_with_random_walk;
       Alcotest.test_case "check_hits ablation" `Quick test_check_hits_ablation;
       QCheck_alcotest.to_alcotest prop_polca_equals_policy_semantics;
       QCheck_alcotest.to_alcotest prop_member_positive;
