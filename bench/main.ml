@@ -18,14 +18,57 @@
    counts, which policies are learnable/expressible, growth with
    associativity, who is slow and who is fast — is. *)
 
-let line = String.make 78 '-'
+module Json = Cq_util.Json
+module Clock = Cq_util.Clock
+module Learn = Cq_core.Learn
+module Hw = Cq_core.Hardware
+module CM = Cq_hwsim.Cpu_model
+module Backend = Cq_cachequery.Backend
+module Frontend = Cq_cachequery.Frontend
+module Server = Cq_service.Server
+module Client = Cq_service.Client
+module Search = Cq_synth.Search
+
+(* ----------------------------------------------------------------------- *)
+(* The harness: every experiment prints, gates and reports through these    *)
+(* ----------------------------------------------------------------------- *)
 
 let header title =
+  let line = String.make 78 '-' in
   Printf.printf "\n%s\n%s\n%s\n%!" line title line
 
-(* --- artifacts ----------------------------------------------------------- *)
+(* A table is its column list: [`Col (w, title)] is right-aligned in [w]
+   characters, left-aligned when [w] is negative, and [`Bar] is a rule.
+   The one list prints the header and every row, skipped rows included. *)
+let print_row ?(note = "") cols cells =
+  let rec fill cols cells =
+    match (cols, cells) with
+    | `Bar :: cols, _ -> "|" :: fill cols cells
+    | `Col (w, _) :: cols, cell :: cells ->
+        Printf.sprintf "%*s" w cell :: fill cols cells
+    | [], [] -> []
+    | _ -> invalid_arg "print_row: one cell per column"
+  in
+  Printf.printf "%s%s\n%!" (String.concat " " (fill cols cells)) note
 
-module Json = Cq_util.Json
+let print_header cols =
+  print_row cols
+    (List.filter_map (function `Col (_, title) -> Some title | `Bar -> None) cols)
+
+(* The cells of a row's unmeasured columns. *)
+let dashes n = List.init n (fun _ -> "-")
+
+(* The gate: [check ok label] records [label] when [ok] is false.  Once
+   the experiment returns, the driver fails it naming every recorded
+   label, so a verdict the bench prints always reaches the exit status. *)
+let failed_checks = ref []
+
+let check ok label = if not ok then failed_checks := label :: !failed_checks
+
+(* [check], returning the note a row prints after it. *)
+let verdict ok label =
+  check ok label;
+  if ok then "" else "  <-- MISMATCH"
 
 (* A float rounded to [digits] decimals, so the artifact prints it as
    written rather than with every binary digit. *)
@@ -51,20 +94,107 @@ let write_artifact ?(smoke = false) name json =
   Cq_util.Atomic_file.write ~path (Json.to_string_pretty json ^ "\n");
   Printf.printf "\n(wrote %s)\n%!" path
 
-(* The integer at [keys] in the previous run's artifact, for a trend
-   line.  The file may be missing, truncated by a crashed bench, or from
-   an older schema: those read as [`Missing] or [`Unreadable], never
-   abort the run. *)
-let prior_int ?(smoke = false) name keys =
+(* A trend line against the previous run: [show] gets the integer at
+   [keys] in its artifact.  The file may be missing, truncated by a
+   crashed bench, or from an older schema; none of these aborts the run. *)
+let print_trend ?(smoke = false) name keys show =
   match Cq_util.Atomic_file.read_opt ~path:(artifact_path ~smoke name) with
-  | None -> `Missing
+  | None -> ()
   | Some text -> (
       let step j key = Option.bind j (Json.member key) in
       match
         Option.bind (List.fold_left step (Json.parse_opt text) keys) Json.to_int
       with
-      | Some n -> `Prior n
-      | None -> `Unreadable)
+      | Some n -> show n
+      | None ->
+          Printf.printf "(prior %s unreadable or partial -- ignored)\n%!" name)
+
+(* The artifact fields of a learn report, under [keys] and in their order. *)
+let report_fields (r : Learn.report) keys =
+  let field = function
+    | "states" -> Json.Int r.Learn.states
+    | "member_queries" -> Json.Int r.Learn.member_queries
+    | "member_symbols" -> Json.Int r.Learn.member_symbols
+    | "cache_queries" -> Json.Int r.Learn.cache_queries
+    | "cache_accesses" -> Json.Int r.Learn.cache_accesses
+    | "cache_batches" -> Json.Int r.Learn.cache_batches
+    | "accesses_saved" -> Json.Int r.Learn.accesses_saved
+    | "vote_runs" -> Json.Int r.Learn.vote_runs
+    | "transient_flips" -> Json.Int r.Learn.transient_flips
+    | "retry_attempts" -> Json.Int r.Learn.retry_attempts
+    | "seconds" -> num 6 r.Learn.seconds
+    | key -> invalid_arg ("report_fields: " ^ key)
+  in
+  List.map (fun key -> (key, field key)) keys
+
+(* A hardware run's report and reset, or its typed failure in one line. *)
+let hw_outcome (run : Hw.run) =
+  match run.Hw.outcome with
+  | Hw.Learned { report; reset; _ } -> Ok (report, reset)
+  | Hw.Partial { failure; _ } ->
+      Error (Fmt.str "partial: %a" Learn.pp_failure failure)
+  | Hw.Failed { reason; _ } -> Error reason
+
+(* The artifact fields of hardware learn [run]: its report's states, the
+   whole workflow's timed loads and its wall time [dt]. *)
+let hw_fields r (run : Hw.run) dt =
+  report_fields r [ "states" ]
+  @ [ ("timed_loads", Json.Int run.Hw.timed_loads); ("seconds", num 3 dt) ]
+
+(* The report of a run that must learn; else [what]'s failure is raised. *)
+let learned what run =
+  match hw_outcome run with Ok (r, _) -> r | Error e -> failwith (what ^ ": " ^ e)
+
+let quiet model =
+  Cq_hwsim.Machine.create ~noise:Cq_hwsim.Machine.quiet_noise model
+
+(* A calibrated frontend on set [set], slice 0, of quiet Skylake [level]. *)
+let skylake_frontend level set =
+  let backend =
+    Backend.create (quiet CM.skylake) { Backend.level; slice = 0; set }
+  in
+  ignore (Backend.calibrate backend);
+  Frontend.create backend
+
+let concurrently n f = List.iter Thread.join (List.init n (Thread.create f))
+
+let with_client ?retry socket f =
+  let c = Client.connect_unix ?retry socket in
+  Fun.protect ~finally:(fun () -> Client.close c) (fun () -> f c)
+
+(* Daemon state dirs are scratch: sockets and per-session snapshots that
+   only matter while the bench runs. *)
+let rm_scratch_dir dir =
+  if Sys.file_exists dir && Sys.is_directory dir then begin
+    Array.iter
+      (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+      (Sys.readdir dir);
+    try Unix.rmdir dir with Unix.Unix_error _ -> ()
+  end
+
+(* [f server socket] against an in-process daemon on state dir [dir],
+   stopped when [f] returns.  The dir is removed afterwards unless a check
+   has failed or [f] raised: a failing run leaves it for the post-mortem. *)
+let with_daemon ?snapshot_every ~workers dir f =
+  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  let socket = Filename.concat dir "bench.sock" in
+  let server =
+    Server.create (Server.config ~workers ?snapshot_every ~state_dir:dir socket)
+  in
+  Server.start server;
+  let result =
+    Fun.protect ~finally:(fun () -> Server.stop server) (fun () ->
+        f server socket)
+  in
+  if !failed_checks = [] then rm_scratch_dir dir;
+  result
+
+(* The digest of a solo, daemon-less learn of [policy]: what the daemon's
+   learns must reproduce. *)
+let solo_digest ~assoc policy =
+  let p = Cq_policy.Zoo.make_exn ~name:policy ~assoc in
+  Cq_policy.Policy.machine_digest
+    (Learn.learn_simulated ~identify:false p).Learn.machine
 
 (* ----------------------------------------------------------------------- *)
 (* Table 2: learning from software-simulated caches                         *)
@@ -74,40 +204,41 @@ let table2 ~full () =
   header
     "Table 2: learning policies from software-simulated caches (Polca + L*, \
      Wp-method depth 1)";
-  Printf.printf "%-10s %5s | %8s %16s %8s %9s | %8s %14s\n%!" "Policy" "Assoc"
-    "states" "time" "queries" "symbols" "paper" "paper time";
-  (* Rows whose state count differs from the paper's, or whose machine is
-     not trace-equivalent to the policy. *)
-  let disagree = ref [] in
+  let cols =
+    [ `Col (-10, "Policy"); `Col (5, "Assoc"); `Bar; `Col (8, "states");
+      `Col (16, "time"); `Col (8, "queries"); `Col (9, "symbols"); `Bar;
+      `Col (8, "paper"); `Col (14, "paper time") ]
+  in
+  print_header cols;
   let budget = if full then 1100 else 300 in
   List.iter
     (fun (name, assoc, paper_states, paper_time) ->
+      let id = [ name; string_of_int assoc ]
+      and paper = [ string_of_int paper_states; paper_time ] in
       if paper_states > budget then
-        Printf.printf
-          "%-10s %5d | %8s %16s %8s %9s | %8d %14s  (skipped: > %d states%s)\n%!"
-          name assoc "-" "-" "-" "-" paper_states paper_time budget
-          (if full then "" else ", use --full")
+        print_row cols (id @ dashes 4 @ paper)
+          ~note:
+            (Printf.sprintf "  (skipped: > %d states%s)" budget
+               (if full then "" else ", use --full"))
       else
         let policy = Cq_policy.Zoo.make_exn ~name ~assoc in
-        let report = Cq_core.Learn.learn_simulated ~identify:false policy in
+        let r = Learn.learn_simulated ~identify:false policy in
+        (* The state count must be the paper's and the machine
+           trace-equivalent to the policy. *)
         let agrees =
-          report.Cq_core.Learn.states = paper_states
-          && Cq_core.Learn.verify_against report policy
+          r.Learn.states = paper_states && Learn.verify_against r policy
         in
-        if not agrees then
-          disagree := Printf.sprintf "%s-%d" name assoc :: !disagree;
-        Printf.printf "%-10s %5d | %8d %16s %8d %9d | %8d %14s%s\n%!" name
-          assoc report.Cq_core.Learn.states
-          (Cq_util.Clock.to_string report.Cq_core.Learn.seconds)
-          report.Cq_core.Learn.member_queries
-          report.Cq_core.Learn.member_symbols paper_states paper_time
-          (if agrees then "" else "  <-- MISMATCH"))
-    Paper_data.table2;
-  match List.rev !disagree with
-  | [] -> ()
-  | rows ->
-      failwith
-        ("table2: rows disagree with the paper: " ^ String.concat ", " rows)
+        print_row cols
+          (id
+          @ [ string_of_int r.Learn.states; Clock.to_string r.Learn.seconds;
+              string_of_int r.Learn.member_queries;
+              string_of_int r.Learn.member_symbols ]
+          @ paper)
+          ~note:
+            (verdict agrees
+               (Printf.sprintf "table2: %s-%d disagrees with the paper" name
+                  assoc)))
+    Paper_data.table2
 
 (* ----------------------------------------------------------------------- *)
 (* Table 3: processor specifications (static; printed for reference)        *)
@@ -115,64 +246,43 @@ let table2 ~full () =
 
 let table3 () =
   header "Table 3: simulated processors' specifications";
-  List.iter
-    (fun model -> Fmt.pr "%a@." Cq_hwsim.Cpu_model.pp_specs model)
-    Cq_hwsim.Cpu_model.all
+  List.iter (fun model -> Fmt.pr "%a@." CM.pp_specs model) CM.all
 
 (* ----------------------------------------------------------------------- *)
 (* Table 4: learning from (simulated) hardware                              *)
 (* ----------------------------------------------------------------------- *)
 
-type t4_plan = {
-  model : Cq_hwsim.Cpu_model.t;
-  level : Cq_hwsim.Cpu_model.level;
-  cat_ways : int option;
-  set : int;
-  slice : int;
-  max_states : int;
-  paper : Paper_data.t4_row;
-  expensive : bool; (* skipped unless --full *)
-}
-
+(* (paper row, skipped unless --full, the learn) *)
 let t4_plans =
-  let p cpu level =
-    List.find
-      (fun (r : Paper_data.t4_row) -> r.Paper_data.cpu = cpu && r.Paper_data.level = level)
-      Paper_data.table4
+  let plan ?cat_ways ?set ?max_states ~expensive model level =
+    let paper =
+      List.find
+        (fun (r : Paper_data.t4_row) ->
+          r.Paper_data.cpu = model.CM.name
+          && r.Paper_data.level = CM.level_to_string level)
+        Paper_data.table4
+    in
+    ( paper,
+      expensive,
+      fun () -> Hw.learn_set (quiet model) level ?cat_ways ?set ?max_states )
   in
-  [
-    { model = Cq_hwsim.Cpu_model.haswell; level = Cq_hwsim.Cpu_model.L1;
-      cat_ways = None; set = 0; slice = 0; max_states = 100_000;
-      paper = p "i7-4790" "L1"; expensive = false };
-    { model = Cq_hwsim.Cpu_model.haswell; level = Cq_hwsim.Cpu_model.L2;
-      cat_ways = None; set = 0; slice = 0; max_states = 100_000;
-      paper = p "i7-4790" "L2"; expensive = true };
-    (* Haswell L3: no CAT support; the 768-831 leader group behaves
-       non-deterministically.  We attempt the noisy leader (fails at reset
-       discovery, as in the paper); the deterministic 512-575 group at full
-       associativity 16 exceeds any reasonable state budget. *)
-    { model = Cq_hwsim.Cpu_model.haswell; level = Cq_hwsim.Cpu_model.L3;
-      cat_ways = None; set = 768; slice = 0; max_states = 64;
-      paper = p "i7-4790" "L3"; expensive = false };
-    { model = Cq_hwsim.Cpu_model.skylake; level = Cq_hwsim.Cpu_model.L1;
-      cat_ways = None; set = 0; slice = 0; max_states = 100_000;
-      paper = p "i5-6500" "L1"; expensive = false };
-    { model = Cq_hwsim.Cpu_model.skylake; level = Cq_hwsim.Cpu_model.L2;
-      cat_ways = None; set = 0; slice = 0; max_states = 100_000;
-      paper = p "i5-6500" "L2"; expensive = true };
-    { model = Cq_hwsim.Cpu_model.skylake; level = Cq_hwsim.Cpu_model.L3;
-      cat_ways = Some 4; set = 0; slice = 0; max_states = 100_000;
-      paper = p "i5-6500" "L3"; expensive = true };
-    { model = Cq_hwsim.Cpu_model.kaby_lake; level = Cq_hwsim.Cpu_model.L1;
-      cat_ways = None; set = 0; slice = 0; max_states = 100_000;
-      paper = p "i7-8550U" "L1"; expensive = false };
-    { model = Cq_hwsim.Cpu_model.kaby_lake; level = Cq_hwsim.Cpu_model.L2;
-      cat_ways = None; set = 0; slice = 0; max_states = 100_000;
-      paper = p "i7-8550U" "L2"; expensive = true };
-    { model = Cq_hwsim.Cpu_model.kaby_lake; level = Cq_hwsim.Cpu_model.L3;
-      cat_ways = Some 4; set = 0; slice = 0; max_states = 100_000;
-      paper = p "i7-8550U" "L3"; expensive = true };
-  ]
+  CM.
+    [
+      plan haswell L1 ~expensive:false;
+      plan haswell L2 ~expensive:true;
+      (* Haswell L3: no CAT support; the 768-831 leader group behaves
+         non-deterministically.  We attempt the noisy leader (fails at
+         reset discovery, as in the paper); the deterministic 512-575
+         group at full associativity 16 exceeds any reasonable state
+         budget. *)
+      plan haswell L3 ~set:768 ~max_states:64 ~expensive:false;
+      plan skylake L1 ~expensive:false;
+      plan skylake L2 ~expensive:true;
+      plan skylake L3 ~cat_ways:4 ~expensive:true;
+      plan kaby_lake L1 ~expensive:false;
+      plan kaby_lake L2 ~expensive:true;
+      plan kaby_lake L3 ~cat_ways:4 ~expensive:true;
+    ]
 
 let table4 ~full () =
   header
@@ -182,117 +292,85 @@ let table4 ~full () =
      whole workflow's timed loads (calibration and reset discovery
      included), and the learned machine's canonical digest (its first 8
      hex digits). *)
-  Printf.printf "%-9s %-3s %5s | %-46s %9s %7s %8s %9s %-8s | %6s %-5s %-10s\n%!"
-    "CPU" "Lvl" "assoc" "ours" "time" "queries" "symbols" "loads" "digest"
-    "paper" "pol." "paper reset";
-  (* Rows whose state count or policy disagrees with the paper, or that
-     learned where the paper could not.  Reset sequences are not compared:
-     a flush in front of the paper's sequence (Haswell L1's [F+ @ @]) is
-     an equally valid reset. *)
-  let disagree = ref [] in
+  let cols =
+    [ `Col (-9, "CPU"); `Col (-3, "Lvl"); `Col (5, "assoc"); `Bar;
+      `Col (-46, "ours"); `Col (9, "time"); `Col (7, "queries");
+      `Col (8, "symbols"); `Col (9, "loads"); `Col (-8, "digest"); `Bar;
+      `Col (6, "paper"); `Col (-5, "pol."); `Col (-10, "paper reset") ]
+  in
+  print_header cols;
   List.iter
-    (fun plan ->
-      let paper_states =
-        match plan.paper.Paper_data.states with
-        | Some n -> string_of_int n
-        | None -> "-"
+    (fun ((p : Paper_data.t4_row), expensive, learn) ->
+      let row ?note assoc cells =
+        print_row cols ?note
+          ([ p.Paper_data.cpu; p.Paper_data.level; string_of_int assoc ]
+          @ cells
+          @ [ (match p.Paper_data.states with
+              | Some n -> string_of_int n
+              | None -> "-");
+              p.Paper_data.policy; p.Paper_data.reset ])
       in
-      if plan.expensive && not full then
-        Printf.printf
-          "%-9s %-3s %5d | %-46s %9s %7s %8s %9s %-8s | %6s %-5s %-10s\n%!"
-          plan.paper.Paper_data.cpu plan.paper.Paper_data.level
-          plan.paper.Paper_data.assoc "(skipped: expensive, use --full)" "-"
-          "-" "-" "-" "-" paper_states plan.paper.Paper_data.policy
-          plan.paper.Paper_data.reset
-      else begin
-        let machine =
-          Cq_hwsim.Machine.create ~noise:Cq_hwsim.Machine.quiet_noise plan.model
+      if expensive && not full then
+        row p.Paper_data.assoc ("(skipped: expensive, use --full)" :: dashes 5)
+      else
+        let run, dt = Clock.time learn in
+        (* The state count and policy must be the paper's, and a row the
+           paper could not learn must not learn.  Reset sequences are not
+           compared: a flush in front of the paper's sequence (Haswell
+           L1's [F+ @ @]) is an equally valid reset. *)
+        let agrees, ours, queries, symbols, digest =
+          match hw_outcome run with
+          | Ok (r, reset) ->
+              ( Some r.Learn.states = p.Paper_data.states
+                && List.mem p.Paper_data.policy r.Learn.identified,
+                Printf.sprintf "%d states, %s, reset %s" r.Learn.states
+                  (match r.Learn.identified with
+                  | [] -> "undocumented"
+                  | l -> String.concat "/" l)
+                  (Frontend.reset_to_string reset),
+                string_of_int r.Learn.member_queries,
+                string_of_int r.Learn.member_symbols,
+                String.sub (Cq_policy.Policy.machine_digest r.Learn.machine) 0 8 )
+          | Error e -> (p.Paper_data.states = None, "- (" ^ e ^ ")", "-", "-", "-")
         in
-        let t0 = Cq_util.Clock.mono () in
-        let run =
-          Cq_core.Hardware.learn_set machine plan.level ?cat_ways:plan.cat_ways
-            ~set:plan.set ~slice:plan.slice ~max_states:plan.max_states
-        in
-        let dt = Cq_util.Clock.mono () -. t0 in
-        let ours =
-          match run.Cq_core.Hardware.outcome with
-          | Cq_core.Hardware.Learned { report; reset; _ } ->
-              Printf.sprintf "%d states, %s, reset %s" report.Cq_core.Learn.states
-                (match report.Cq_core.Learn.identified with
-                | [] -> "undocumented"
-                | l -> String.concat "/" l)
-                (Cq_cachequery.Frontend.reset_to_string reset)
-          | Cq_core.Hardware.Partial { failure; _ } ->
-              Fmt.str "- (partial: %a)" Cq_core.Learn.pp_failure failure
-          | Cq_core.Hardware.Failed { reason; _ } ->
-              Printf.sprintf "- (%s)" reason
-        in
-        let agrees =
-          match (run.Cq_core.Hardware.outcome, plan.paper.Paper_data.states) with
-          | Cq_core.Hardware.Learned { report; _ }, Some n ->
-              report.Cq_core.Learn.states = n
-              && List.mem plan.paper.Paper_data.policy
-                   report.Cq_core.Learn.identified
-          | (Cq_core.Hardware.Partial _ | Cq_core.Hardware.Failed _), None ->
-              true
-          | _ -> false
-        in
-        if not agrees then
-          disagree :=
-            (plan.paper.Paper_data.cpu ^ " " ^ plan.paper.Paper_data.level)
-            :: !disagree;
-        let queries, symbols, digest =
-          match run.Cq_core.Hardware.outcome with
-          | Cq_core.Hardware.Learned { report; _ } ->
-              ( string_of_int report.Cq_core.Learn.member_queries,
-                string_of_int report.Cq_core.Learn.member_symbols,
-                String.sub
-                  (Cq_policy.Policy.machine_digest report.Cq_core.Learn.machine)
-                  0 8 )
-          | Cq_core.Hardware.Partial { member_queries; _ } ->
-              (string_of_int member_queries, "-", "-")
-          | Cq_core.Hardware.Failed _ -> ("-", "-", "-")
-        in
-        Printf.printf
-          "%-9s %-3s %5d | %-46s %8.1fs %7s %8s %9d %-8s | %6s %-5s %-10s\n%!"
-          plan.paper.Paper_data.cpu plan.paper.Paper_data.level
-          run.Cq_core.Hardware.assoc ours dt queries symbols
-          run.Cq_core.Hardware.timed_loads digest paper_states
-          plan.paper.Paper_data.policy plan.paper.Paper_data.reset
-      end)
-    t4_plans;
-  match List.rev !disagree with
-  | [] -> ()
-  | rows ->
-      failwith
-        ("table4: rows disagree with the paper: " ^ String.concat ", " rows)
+        row run.Hw.assoc
+          [ ours; Printf.sprintf "%.1fs" dt; queries; symbols;
+            string_of_int run.Hw.timed_loads; digest ]
+          ~note:
+            (verdict agrees
+               (Printf.sprintf "table4: %s %s disagrees with the paper"
+                  p.Paper_data.cpu p.Paper_data.level)))
+    t4_plans
 
 (* ----------------------------------------------------------------------- *)
 (* Table 5: synthesizing explanations                                       *)
 (* ----------------------------------------------------------------------- *)
 
+(* Synthesis for zoo policy [name] at associativity 4. *)
+let synthesize ~deadline name =
+  Search.synthesize ~deadline
+    (Cq_policy.Policy.to_mealy (Cq_policy.Zoo.make_exn ~name ~assoc:4))
+
 let table5 ~full () =
   header "Table 5: synthesizing explanations for policies (associativity 4)";
-  Printf.printf "%-10s %6s | %-9s %16s | %-9s %12s\n%!" "Policy" "states"
-    "template" "time" "paper" "paper time";
+  let cols =
+    [ `Col (-10, "Policy"); `Col (6, "states"); `Bar; `Col (-9, "template");
+      `Col (16, "time"); `Bar; `Col (-9, "paper"); `Col (12, "paper time") ]
+  in
+  print_header cols;
   let deadline = if full then 3600.0 else 90.0 in
   List.iter
     (fun (name, paper_states, paper_template, paper_time) ->
-      let policy = Cq_policy.Zoo.make_exn ~name ~assoc:4 in
-      let machine = Cq_policy.Policy.to_mealy policy in
-      let r = Cq_synth.Search.synthesize ~deadline machine in
+      let r = synthesize ~deadline name in
       let template, time_str =
-        match r.Cq_synth.Search.outcome with
-        | Cq_synth.Search.Found _ ->
-            (r.Cq_synth.Search.template, Cq_util.Clock.to_string r.Cq_synth.Search.seconds)
-        | Cq_synth.Search.Not_expressible -> ("-", "(not expressible)")
-        | Cq_synth.Search.Timeout ->
-            ("-", Printf.sprintf "(timeout %.0fs)" deadline)
+        match r.Search.outcome with
+        | Search.Found _ -> (r.Search.template, Clock.to_string r.Search.seconds)
+        | Search.Not_expressible -> ("-", "(not expressible)")
+        | Search.Timeout -> ("-", Printf.sprintf "(timeout %.0fs)" deadline)
       in
-      Printf.printf "%-10s %6d | %-9s %16s | %-9s %12s\n%!" name paper_states
-        template time_str
-        (Option.value paper_template ~default:"-")
-        paper_time)
+      print_row cols
+        [ name; string_of_int paper_states; template; time_str;
+          Option.value paper_template ~default:"-"; paper_time ])
     Paper_data.table5
 
 (* ----------------------------------------------------------------------- *)
@@ -303,14 +381,11 @@ let figure5 () =
   header "Figure 5 / Appendix C: synthesized programs for New1 and New2";
   List.iter
     (fun name ->
-      let policy = Cq_policy.Zoo.make_exn ~name ~assoc:4 in
-      let machine = Cq_policy.Policy.to_mealy policy in
-      let r = Cq_synth.Search.synthesize ~deadline:120.0 machine in
-      match r.Cq_synth.Search.outcome with
-      | Cq_synth.Search.Found prog ->
+      let r = synthesize ~deadline:120.0 name in
+      match r.Search.outcome with
+      | Search.Found prog ->
           Printf.printf "\n--- %s (%s template, %s) ---\n%s\n%!" name
-            r.Cq_synth.Search.template
-            (Cq_util.Clock.to_string r.Cq_synth.Search.seconds)
+            r.Search.template (Clock.to_string r.Search.seconds)
             (Cq_synth.Rules.to_string prog)
       | _ -> Printf.printf "\n--- %s: synthesis failed ---\n%!" name)
     [ "New1"; "New2" ]
@@ -336,11 +411,11 @@ let figure1 () =
   let b = Cq_cache.Block.of_index in
   show [ b 0; b 1; b 2; b 0 ];
   show [ b 0; b 1; b 2; b 1 ];
-  let report = Cq_core.Learn.learn_simulated policy in
+  let report = Learn.learn_simulated policy in
   Printf.printf
     "Figure 1a: learned a %d-state machine (identified as: %s).\n%!"
-    report.Cq_core.Learn.states
-    (String.concat ", " report.Cq_core.Learn.identified)
+    report.Learn.states
+    (String.concat ", " report.Learn.identified)
 
 (* ----------------------------------------------------------------------- *)
 (* §7.2: the cost of learning from hardware                                  *)
@@ -349,73 +424,52 @@ let figure1 () =
 let cost () =
   header "Section 7.2: the cost of learning from hardware";
   let plru8 = Cq_policy.Zoo.make_exn ~name:"PLRU" ~assoc:8 in
-  let sim_report = Cq_core.Learn.learn_simulated ~identify:false plru8 in
+  let sim_report = Learn.learn_simulated ~identify:false plru8 in
   Printf.printf
     "PLRU-8 from the software-simulated cache:        %8.2f s (paper: %.2f s)\n%!"
-    sim_report.Cq_core.Learn.seconds Paper_data.cost_sim_seconds;
+    sim_report.Learn.seconds Paper_data.cost_sim_seconds;
   (* ... vs. via CacheQuery with a warm query cache: learn once to fill the
      memo, then learn again with every MBL query answered from it. *)
-  let machine =
-    Cq_hwsim.Machine.create ~noise:Cq_hwsim.Machine.quiet_noise
-      Cq_hwsim.Cpu_model.skylake
-  in
-  let backend =
-    Cq_cachequery.Backend.create machine
-      { Cq_cachequery.Backend.level = Cq_hwsim.Cpu_model.L1; slice = 0; set = 0 }
-  in
-  ignore (Cq_cachequery.Backend.calibrate backend);
-  let frontend = Cq_cachequery.Frontend.create backend in
-  let oracle = Cq_cachequery.Frontend.oracle frontend in
+  let oracle = Frontend.oracle (skylake_frontend CM.L1 0) in
   let learn () =
     (* Sequential engine: this experiment measures the frontend's query
        memo (cold vs warm), which session-mode execution bypasses. *)
     match
-      Cq_core.Learn.run ~engine:Cq_core.Learn.Sequential ~memoize:false
-        ~identify:false ~check_hits:false oracle
+      Learn.run ~engine:Learn.Sequential ~memoize:false ~identify:false
+        ~check_hits:false oracle
     with
-    | Cq_core.Learn.Complete report -> report
-    | Cq_core.Learn.Partial { failure; _ } ->
-        failwith (Fmt.str "cost: %a" Cq_core.Learn.pp_failure failure)
+    | Learn.Complete report -> report
+    | Learn.Partial { failure; _ } ->
+        failwith (Fmt.str "cost: %a" Learn.pp_failure failure)
   in
   let cold = learn () in
   let warm = learn () in
   Printf.printf
     "PLRU-8 via CacheQuery (cold run):                %8.2f s\n%!"
-    cold.Cq_core.Learn.seconds;
+    cold.Learn.seconds;
   Printf.printf
     "PLRU-8 via CacheQuery (warm LevelDB-style memo): %8.2f s (paper: %.0f s)\n%!"
-    warm.Cq_core.Learn.seconds Paper_data.cost_warm_cache_seconds;
+    warm.Learn.seconds Paper_data.cost_warm_cache_seconds;
   Printf.printf
     "abstraction overhead factor (warm / simulated):  %7.1fx (paper: %.0fx)\n%!"
-    (warm.Cq_core.Learn.seconds /. sim_report.Cq_core.Learn.seconds)
+    (warm.Learn.seconds /. sim_report.Learn.seconds)
     Paper_data.cost_overhead_factor;
   Printf.printf "\nSingle MBL query '@ M _?' (mean of 100 executions):\n%!";
   List.iter
     (fun (level, paper_ms) ->
-      let lvl =
-        match level with
-        | "L1" -> Cq_hwsim.Cpu_model.L1
-        | "L2" -> Cq_hwsim.Cpu_model.L2
-        | _ -> Cq_hwsim.Cpu_model.L3
+      let fe =
+        skylake_frontend
+          (match level with "L1" -> CM.L1 | "L2" -> CM.L2 | _ -> CM.L3)
+          0
       in
-      let machine =
-        Cq_hwsim.Machine.create ~noise:Cq_hwsim.Machine.quiet_noise
-          Cq_hwsim.Cpu_model.skylake
+      let (), dt =
+        Clock.time (fun () ->
+            for _ = 1 to 100 do
+              ignore (Frontend.run_mbl fe "@ M _?")
+            done)
       in
-      let backend =
-        Cq_cachequery.Backend.create machine
-          { Cq_cachequery.Backend.level = lvl; slice = 0; set = 0 }
-      in
-      ignore (Cq_cachequery.Backend.calibrate backend);
-      let fe = Cq_cachequery.Frontend.create backend in
-      Cq_cachequery.Frontend.set_memo fe false;
-      let t0 = Cq_util.Clock.mono () in
-      for _ = 1 to 100 do
-        ignore (Cq_cachequery.Frontend.run_mbl fe "@ M _?")
-      done;
-      let ms = (Cq_util.Clock.mono () -. t0) /. 100.0 *. 1000.0 in
       Printf.printf "  %s: %7.2f ms/query (paper, on silicon: %.0f ms)\n%!" level
-        ms paper_ms)
+        (dt /. 100.0 *. 1000.0) paper_ms)
     Paper_data.cost_query_ms
 
 (* ----------------------------------------------------------------------- *)
@@ -424,59 +478,43 @@ let cost () =
 
 let leaders ~full () =
   header "Appendix B: adaptive policies and leader-set detection";
-  let scan_cpu model n_sets =
-    Printf.printf "\n%s (%s), slice 0, first %d sets:\n%!"
-      model.Cq_hwsim.Cpu_model.name model.Cq_hwsim.Cpu_model.codename n_sets;
-    let machine =
-      Cq_hwsim.Machine.create ~noise:Cq_hwsim.Machine.quiet_noise model
-    in
-    if model.Cq_hwsim.Cpu_model.supports_cat then
-      Cq_hwsim.Machine.set_cat_ways machine 4;
-    let sets = List.init n_sets (fun i -> i) in
-    let results = Cq_core.Leader_sets.scan machine sets in
+  let module LS = Cq_core.Leader_sets in
+  (* Classify [sets] of [model]'s L3 slice 0, print its leaders, and gate
+     the vulnerable ones found against the model's index formula. *)
+  let scan model (what, sets) =
+    Printf.printf "\n%s (%s), slice 0, %s:\n%!" model.CM.name
+      model.CM.codename what;
+    let machine = quiet model in
+    if model.CM.supports_cat then Cq_hwsim.Machine.set_cat_ways machine 4;
+    let results = LS.scan machine sets in
     List.iter
       (fun r ->
-        if
-          r.Cq_core.Leader_sets.classification
-          <> Cq_core.Leader_sets.Follower
-        then
-          Printf.printf "  set %4d: %s\n%!" r.Cq_core.Leader_sets.set
-            (Cq_core.Leader_sets.classification_to_string
-               r.Cq_core.Leader_sets.classification))
+        if r.LS.classification <> LS.Follower then
+          Printf.printf "  set %4d: %s\n%!" r.LS.set
+            (LS.classification_to_string r.LS.classification))
       results;
-    let detected, expected = Cq_core.Leader_sets.check_against_model model results in
+    let detected, expected = LS.check_against_model model results in
+    let show sets = String.concat "," (List.map string_of_int sets) in
+    let ok = detected = expected in
+    check ok
+      (Printf.sprintf "leaders: %s detected [%s], index formula predicts [%s]"
+         model.CM.codename (show detected) (show expected));
     Printf.printf
       "  vulnerable leaders detected [%s]; index formula predicts [%s] => %s\n%!"
-      (String.concat "," (List.map string_of_int detected))
-      (String.concat "," (List.map string_of_int expected))
-      (if detected = expected then "MATCH" else "MISMATCH")
+      (show detected) (show expected)
+      (if ok then "MATCH" else "MISMATCH")
   in
-  scan_cpu Cq_hwsim.Cpu_model.skylake (if full then 256 else 72);
-  if full then scan_cpu Cq_hwsim.Cpu_model.kaby_lake 256
+  let first n = (Printf.sprintf "first %d sets" n, List.init n Fun.id) in
+  scan CM.skylake (first (if full then 256 else 72));
+  if full then scan CM.kaby_lake (first 256)
   else
     Printf.printf
       "\ni7-8550U (Kaby Lake): same selection formula as Skylake (use --full \
        to rescan).\n%!";
   (* Haswell: leaders live in slice 0, sets 512-575 / 768-831. *)
-  let model = Cq_hwsim.Cpu_model.haswell in
-  Printf.printf "\n%s (%s), slice 0, sampling sets 504..584 and 760..840:\n%!"
-    model.Cq_hwsim.Cpu_model.name model.Cq_hwsim.Cpu_model.codename;
-  let machine = Cq_hwsim.Machine.create ~noise:Cq_hwsim.Machine.quiet_noise model in
-  let sample =
-    List.init 11 (fun i -> 504 + (i * 8)) @ List.init 11 (fun i -> 760 + (i * 8))
-  in
-  let results = Cq_core.Leader_sets.scan machine sample in
-  List.iter
-    (fun r ->
-      if r.Cq_core.Leader_sets.classification <> Cq_core.Leader_sets.Follower
-      then
-        Printf.printf "  set %4d: %s\n%!" r.Cq_core.Leader_sets.set
-          (Cq_core.Leader_sets.classification_to_string
-             r.Cq_core.Leader_sets.classification))
-    results;
-  Printf.printf
-    "  (the 768-831 group is thrash-resistant and non-deterministic, as in \
-     the paper)\n%!"
+  scan CM.haswell
+    ( "sampling sets 504..584 and 760..840",
+      List.init 11 (fun i -> 504 + (i * 8)) @ List.init 11 (fun i -> 760 + (i * 8)) )
 
 (* ----------------------------------------------------------------------- *)
 (* Ablations: design choices DESIGN.md calls out                             *)
@@ -505,38 +543,28 @@ let ablations () =
   List.iter
     (fun check_hits ->
       let r =
-        Cq_core.Learn.learn_simulated ~identify:false ~check_hits
+        Learn.learn_simulated ~identify:false ~check_hits
           (Cq_policy.Zoo.make_exn ~name:"New1" ~assoc:4)
       in
       Printf.printf "    check_hits=%-5b %d states, %d cache queries, %s\n%!"
-        check_hits r.Cq_core.Learn.states r.Cq_core.Learn.cache_queries
-        (Cq_util.Clock.to_string r.Cq_core.Learn.seconds))
+        check_hits r.Learn.states r.Learn.cache_queries
+        (Clock.to_string r.Learn.seconds))
     [ true; false ];
   (* (c) nanoBench-style fingerprinting vs. full learning (the trade-off
      the paper's related work discusses): random testing works where the
      reset fully resets the policy state (L1) and fails where it does not
      (Skylake L2's age bits survive Flush+Refill); learning handles both. *)
   Printf.printf "\n(c) fingerprinting vs learning (simulated Skylake):\n%!";
-  let fingerprint level set =
-    let machine =
-      Cq_hwsim.Machine.create ~noise:Cq_hwsim.Machine.quiet_noise
-        Cq_hwsim.Cpu_model.skylake
-    in
-    let be =
-      Cq_cachequery.Backend.create machine
-        { Cq_cachequery.Backend.level; slice = 0; set }
-    in
-    ignore (Cq_cachequery.Backend.calibrate be);
-    let fe = Cq_cachequery.Frontend.create be in
-    Cq_util.Clock.time (fun () ->
-        Cq_core.Fingerprint.identify ~sequences:250
-          (Cq_cachequery.Frontend.oracle fe))
+  let fingerprint level =
+    let fe = skylake_frontend level 5 in
+    Clock.time (fun () ->
+        Cq_core.Fingerprint.identify ~sequences:250 (Frontend.oracle fe))
   in
-  let v1, dt1 = fingerprint Cq_hwsim.Cpu_model.L1 5 in
+  let v1, dt1 = fingerprint CM.L1 in
   Printf.printf "    L1: survivors [%s] in %.2f s (%d sequences)\n%!"
     (String.concat "; " v1.Cq_core.Fingerprint.survivors)
     dt1 v1.Cq_core.Fingerprint.sequences;
-  let v2, _ = fingerprint Cq_hwsim.Cpu_model.L2 5 in
+  let v2, _ = fingerprint CM.L2 in
   Printf.printf
     "    L2: survivors [%s] -- random testing cannot pin the post-reset \
      control state (stale age bits) and eliminates every candidate, while \
@@ -568,11 +596,12 @@ let engine () =
   header
     "Engine: sequential vs batched query engines (Polca + L*, Wp-method \
      depth 1)";
-  let configs =
-    [ ("LRU", 4); ("PLRU", 4); ("FIFO", 8); ("PLRU", 8); ("FIFO", 16) ]
+  let cols =
+    [ `Col (-8, "Policy"); `Col (5, "assoc"); `Bar; `Col (9, "seq"); `Bar;
+      `Col (9, "batched"); `Col (7, "speedup"); `Bar; `Col (6, "saved%");
+      `Col (5, "agree") ]
   in
-  Printf.printf "%-8s %5s | %9s | %9s %7s | %6s %5s\n%!" "Policy" "assoc"
-    "seq" "batched" "speedup" "saved%" "agree";
+  print_header cols;
   (* Observability overhead gate: the same learning run with tracing
      enabled must issue exactly the same queries and block accesses — the
      span instrumentation must never perturb the pipeline.  The enabled
@@ -582,82 +611,71 @@ let engine () =
      this probe, not the whole benchmark. *)
   let overhead_identical, trace_events =
     let probe = Cq_policy.Zoo.make_exn ~name:"PLRU" ~assoc:4 in
-    let go () =
-      Cq_core.Learn.learn_simulated ~identify:false
-        ~engine:Cq_core.Learn.Batched probe
-    in
+    let go () = Learn.learn_simulated ~identify:false ~engine:Learn.Batched probe in
     let untraced = go () in
     Cq_util.Trace.enable ();
     let traced = go () in
     let trace_events = Cq_util.Trace.recorded () in
     Cq_util.Trace.disable ();
     Cq_util.Trace.clear ();
-    let same =
-      untraced.Cq_core.Learn.member_queries
-      = traced.Cq_core.Learn.member_queries
-      && untraced.Cq_core.Learn.cache_queries
-         = traced.Cq_core.Learn.cache_queries
-      && untraced.Cq_core.Learn.cache_accesses
-         = traced.Cq_core.Learn.cache_accesses
-      && untraced.Cq_core.Learn.timed_loads = traced.Cq_core.Learn.timed_loads
+    let counts (r : Learn.report) =
+      Learn.(r.member_queries, r.cache_queries, r.cache_accesses, r.timed_loads)
     in
+    let same = counts untraced = counts traced in
+    check same "engine bench: tracing changed the pipeline's query counts";
     Printf.printf
       "tracing on/off: %d/%d queries, %d/%d accesses -> %s (%d trace \
        events)\n\
        %!"
-      traced.Cq_core.Learn.member_queries untraced.Cq_core.Learn.member_queries
-      traced.Cq_core.Learn.cache_accesses
-      untraced.Cq_core.Learn.cache_accesses
+      traced.Learn.member_queries untraced.Learn.member_queries
+      traced.Learn.cache_accesses untraced.Learn.cache_accesses
       (if same then "identical" else "MISMATCH <-- instrumentation leak")
       trace_events;
     (same, trace_events)
+  in
+  let speedup (seq : Learn.report) (r : Learn.report) =
+    seq.Learn.seconds /. Float.max 1e-9 r.Learn.seconds
   in
   let rows =
     List.map
       (fun (name, assoc) ->
         let policy = Cq_policy.Zoo.make_exn ~name ~assoc in
-        let run engine =
-          Cq_core.Learn.learn_simulated ~identify:false ~engine policy
-        in
-        let seq = run Cq_core.Learn.Sequential in
-        let bat = run Cq_core.Learn.Batched in
-        let states (r : Cq_core.Learn.report) = r.Cq_core.Learn.states in
-        let machine (r : Cq_core.Learn.report) = r.Cq_core.Learn.machine in
-        let seconds (r : Cq_core.Learn.report) = r.Cq_core.Learn.seconds in
+        let run engine = Learn.learn_simulated ~identify:false ~engine policy in
+        let seq = run Learn.Sequential in
+        let bat = run Learn.Batched in
         (* The engines differ in device traffic only: the same machine
            from the same membership queries. *)
         let agree =
-          states seq = states bat
-          && Cq_automata.Mealy.equivalent (machine seq) (machine bat)
-          && seq.Cq_core.Learn.member_queries = bat.Cq_core.Learn.member_queries
-          && seq.Cq_core.Learn.member_symbols = bat.Cq_core.Learn.member_symbols
+          seq.Learn.states = bat.Learn.states
+          && Cq_automata.Mealy.equivalent seq.Learn.machine bat.Learn.machine
+          && seq.Learn.member_queries = bat.Learn.member_queries
+          && seq.Learn.member_symbols = bat.Learn.member_symbols
         in
-        let speedup r = seconds seq /. Float.max 1e-9 (seconds r) in
         let saved_pct =
           100.0
-          *. float_of_int bat.Cq_core.Learn.accesses_saved
-          /. float_of_int (max 1 bat.Cq_core.Learn.cache_accesses)
+          *. float_of_int bat.Learn.accesses_saved
+          /. float_of_int (max 1 bat.Learn.cache_accesses)
         in
-        Printf.printf
-          "%-8s %5d | %8.3fs | %8.3fs %6.2fx | %5.1f%% %5s\n%!" name assoc
-          (seconds seq) (seconds bat) (speedup bat) saved_pct
-          (if agree then "yes" else "NO <-- MISMATCH");
+        check agree
+          (Printf.sprintf
+             "engine bench: the engines disagree (automaton or membership \
+              queries) on %s-%d"
+             name assoc);
+        print_row cols
+          [ name; string_of_int assoc; Printf.sprintf "%.3fs" seq.Learn.seconds;
+            Printf.sprintf "%.3fs" bat.Learn.seconds;
+            Printf.sprintf "%.2fx" (speedup seq bat);
+            Printf.sprintf "%.1f%%" saved_pct;
+            (if agree then "yes" else "NO <-- MISMATCH") ];
         (name, assoc, seq, bat, agree))
-      configs
+      [ ("LRU", 4); ("PLRU", 4); ("FIFO", 8); ("PLRU", 8); ("FIFO", 16) ]
   in
-  let engine_json (seq : Cq_core.Learn.report) (r : Cq_core.Learn.report) =
+  let engine_json seq r =
     Json.Obj
-      [
-        ("seconds", num 6 r.Cq_core.Learn.seconds);
-        ( "speedup",
-          num 3
-            (seq.Cq_core.Learn.seconds
-            /. Float.max 1e-9 r.Cq_core.Learn.seconds) );
-        ("cache_queries", Json.Int r.Cq_core.Learn.cache_queries);
-        ("cache_accesses", Json.Int r.Cq_core.Learn.cache_accesses);
-        ("cache_batches", Json.Int r.Cq_core.Learn.cache_batches);
-        ("accesses_saved", Json.Int r.Cq_core.Learn.accesses_saved);
-      ]
+      (("speedup", num 3 (speedup seq r))
+      :: report_fields r
+           [ "seconds"; "cache_queries"; "cache_accesses"; "cache_batches";
+             "accesses_saved" ])
   in
   write_artifact "BENCH_engine.json"
     (Json.Obj
@@ -669,8 +687,7 @@ let engine () =
           so the bench JSON carries the same observability block the
           learning reports do. *)
        @ (match rows with
-         | (_, _, _, bat, _) :: _ ->
-             [ ("metrics", Cq_util.Metrics.json bat.Cq_core.Learn.metrics) ]
+         | (_, _, _, bat, _) :: _ -> [ ("metrics", Cq_util.Metrics.json bat.Learn.metrics) ]
          | [] -> [])
        @ [
            ( "results",
@@ -681,181 +698,127 @@ let engine () =
                       [
                         ("policy", Json.String name);
                         ("assoc", Json.Int assoc);
-                        ("states", Json.Int seq.Cq_core.Learn.states);
+                        ("states", Json.Int seq.Learn.states);
                         ("automata_identical", Json.Bool agree);
                         ("sequential", engine_json seq seq);
                         ("batched", engine_json seq bat);
                       ])
                   rows) );
-         ]));
-  if not overhead_identical then
-    failwith "engine bench: tracing changed the pipeline's query counts";
-  match List.filter (fun (_, _, _, _, agree) -> not agree) rows with
-  | [] -> ()
-  | bad ->
-      failwith
-        ("engine bench: the engines disagree (automaton or membership \
-          queries) on "
-        ^ String.concat ", "
-            (List.map (fun (name, assoc, _, _, _) -> Printf.sprintf "%s-%d" name assoc) bad))
+         ]))
 
 (* ----------------------------------------------------------------------- *)
 (* Noise: learning under measurement noise                                   *)
 (* ----------------------------------------------------------------------- *)
 
 (* Learn real targets under injected measurement noise at several voting
-   settings.  Correctness: the learned automaton must be identical to the
-   quiet run's.  Cost: timed loads — adaptive voting must beat fixed
-   repetitions by only re-measuring disputed accesses.  Results land in
-   BENCH_noise.json so the robustness trajectory is tracked across PRs. *)
+   settings.  Correctness: a row that learns must learn the quiet run's
+   machine, with the same state count (a non-minimal machine is a wrong
+   report); a typed failure is allowed.  Cost: timed loads — adaptive
+   voting must beat fixed repetitions by only re-measuring disputed
+   accesses.  Results land in BENCH_noise.json so the robustness
+   trajectory is tracked across PRs. *)
 let noise ~full () =
   header
     "Noise: learning under measurement noise (adaptive voting, bounded \
      retry, drift recalibration)";
   let module M = Cq_hwsim.Machine in
-  let module FE = Cq_cachequery.Frontend in
-  let targets =
-    [ (Cq_hwsim.Cpu_model.haswell, Cq_hwsim.Cpu_model.L1, "i7-4790", "L1") ]
-    @
-    if full then
-      [ (Cq_hwsim.Cpu_model.skylake, Cq_hwsim.Cpu_model.L2, "i5-6500", "L2") ]
-    else []
-  in
+  let targets = (CM.haswell, CM.L1) :: (if full then [ (CM.skylake, CM.L2) ] else []) in
   let settings =
     [
-      ("fixed reps=1", "default", M.default_noise, FE.Fixed 1, 0);
-      ("fixed reps=5", "default", M.default_noise, FE.Fixed 5, 3);
-      ("adaptive <=5", "default", M.default_noise, FE.Adaptive { max = 5 }, 3);
-      ("adaptive <=3", "default", M.default_noise, FE.Adaptive { max = 3 }, 3);
-      ("adaptive <=5", "burst", M.burst_noise, FE.Adaptive { max = 5 }, 3);
-      ("adaptive <=5", "drift", M.drift_noise, FE.Adaptive { max = 5 }, 3);
+      ("fixed reps=1", "default", M.default_noise, Frontend.Fixed 1, 0);
+      ("fixed reps=5", "default", M.default_noise, Frontend.Fixed 5, 3);
+      ("adaptive <=5", "default", M.default_noise, Frontend.Adaptive { max = 5 }, 3);
+      ("adaptive <=3", "default", M.default_noise, Frontend.Adaptive { max = 3 }, 3);
+      ("adaptive <=5", "burst", M.burst_noise, Frontend.Adaptive { max = 5 }, 3);
+      ("adaptive <=5", "drift", M.drift_noise, Frontend.Adaptive { max = 5 }, 3);
     ]
   in
+  let cols =
+    [ `Col (-14, "voting"); `Col (-8, "noise"); `Bar; `Col (6, "states");
+      `Col (5, "same"); `Bar; `Col (10, "timedloads"); `Col (9, "voteruns");
+      `Col (6, "flips"); `Col (4, "rcal"); `Col (6, "retry"); `Bar;
+      `Col (8, "time") ]
+  in
+  let secs dt = Printf.sprintf "%.1fs" dt in
   let all_rows =
     List.map
-      (fun (model, level, cpu, level_name) ->
+      (fun (model, level) ->
+        let cpu = model.CM.name and level_name = CM.level_to_string level in
         Printf.printf "\n%s %s:\n%!" cpu level_name;
-        Printf.printf "%-14s %-8s | %6s %5s | %10s %9s %6s %4s %6s | %8s\n%!"
-          "voting" "noise" "states" "same" "timedloads" "voteruns" "flips"
-          "rcal" "retry" "time";
-        let quiet_machine = M.create ~noise:M.quiet_noise model in
-        let t0 = Cq_util.Clock.mono () in
-        let quiet =
-          Cq_core.Hardware.learn_set quiet_machine level
+        print_header cols;
+        let quiet_run, quiet_dt =
+          Clock.time (fun () -> Hw.learn_set (quiet model) level)
         in
-        let quiet_dt = Cq_util.Clock.mono () -. t0 in
-        let quiet_report =
-          match quiet.Cq_core.Hardware.outcome with
-          | Cq_core.Hardware.Learned { report; _ } -> report
-          | Cq_core.Hardware.Partial { failure; _ } ->
-              failwith
-                (Fmt.str "noise bench: quiet run partial: %a"
-                   Cq_core.Learn.pp_failure failure)
-          | Cq_core.Hardware.Failed { reason; _ } ->
-              failwith ("noise bench: quiet run failed: " ^ reason)
-        in
-        Printf.printf
-          "%-14s %-8s | %6d %5s | %10d %9s %6s %4s %6s | %7.1fs\n%!" "(none)"
-          "quiet" quiet_report.Cq_core.Learn.states "-"
-          quiet.Cq_core.Hardware.timed_loads "-" "-" "-" "-" quiet_dt;
+        let quiet_report = learned "noise bench: quiet run" quiet_run in
+        print_row cols
+          ([ "(none)"; "quiet"; string_of_int quiet_report.Learn.states; "-";
+             string_of_int quiet_run.Hw.timed_loads ]
+          @ dashes 4 @ [ secs quiet_dt ]);
         let rows =
           List.map
             (fun (vlabel, nlabel, noise_cfg, voting, retries) ->
-              let machine = M.create ~noise:noise_cfg model in
-              let t0 = Cq_util.Clock.mono () in
-              let run =
-                Cq_core.Hardware.learn_set ~voting ~retries machine level
+              let run, dt =
+                Clock.time (fun () ->
+                    Hw.learn_set ~voting ~retries (M.create ~noise:noise_cfg model)
+                      level)
               in
-              let dt = Cq_util.Clock.mono () -. t0 in
-              let row =
-                match run.Cq_core.Hardware.outcome with
-                | Cq_core.Hardware.Learned { report; _ } ->
+              let loads = string_of_int run.Hw.timed_loads
+              and rcal = string_of_int run.Hw.recalibrations in
+              let result =
+                match hw_outcome run with
+                | Ok (r, _) ->
                     let identical =
-                      Cq_automata.Mealy.equivalent
-                        report.Cq_core.Learn.machine
-                        quiet_report.Cq_core.Learn.machine
+                      Cq_automata.Mealy.equivalent r.Learn.machine
+                        quiet_report.Learn.machine
                     in
-                    Printf.printf
-                      "%-14s %-8s | %6d %5s | %10d %9d %6d %4d %6d | %7.1fs%s\n%!"
-                      vlabel nlabel report.Cq_core.Learn.states
-                      (if identical then "yes" else "NO")
-                      run.Cq_core.Hardware.timed_loads
-                      report.Cq_core.Learn.vote_runs
-                      report.Cq_core.Learn.transient_flips
-                      run.Cq_core.Hardware.recalibrations
-                      report.Cq_core.Learn.retry_attempts dt
-                      (if identical then "" else "  <-- MISMATCH");
-                    `Learned (report, identical)
-                | Cq_core.Hardware.Partial { failure; _ } ->
-                    let reason =
-                      Fmt.str "partial: %a" Cq_core.Learn.pp_failure failure
-                    in
-                    Printf.printf "%-14s %-8s | %6s %5s | %10d %9s %6s %4d %6s | %7.1fs  (%s)\n%!"
-                      vlabel nlabel "-" "-" run.Cq_core.Hardware.timed_loads "-"
-                      "-" run.Cq_core.Hardware.recalibrations "-" dt
-                      (String.sub reason 0 (min 60 (String.length reason)));
-                    `Failed reason
-                | Cq_core.Hardware.Failed { reason; _ } ->
-                    Printf.printf "%-14s %-8s | %6s %5s | %10d %9s %6s %4d %6s | %7.1fs  (failed: %s)\n%!"
-                      vlabel nlabel "-" "-" run.Cq_core.Hardware.timed_loads "-"
-                      "-" run.Cq_core.Hardware.recalibrations "-" dt
-                      (String.sub reason 0 (min 60 (String.length reason)));
-                    `Failed reason
+                    let ok = identical && r.Learn.states = quiet_report.Learn.states in
+                    print_row cols
+                      [ vlabel; nlabel; string_of_int r.Learn.states;
+                        (if identical then "yes" else "NO"); loads;
+                        string_of_int r.Learn.vote_runs;
+                        string_of_int r.Learn.transient_flips; rcal;
+                        string_of_int r.Learn.retry_attempts; secs dt ]
+                      ~note:
+                        (verdict ok
+                           (Printf.sprintf
+                              "noise bench: %s %s %s/%s learned %d states \
+                               (equivalent: %b), the quiet run %d"
+                              cpu level_name vlabel nlabel r.Learn.states
+                              identical quiet_report.Learn.states));
+                    [ ("learned", Json.Bool true);
+                      ("identical_to_quiet", Json.Bool identical) ]
+                    @ report_fields r
+                        [ "states"; "vote_runs"; "transient_flips"; "retry_attempts" ]
+                | Error reason ->
+                    print_row cols
+                      [ vlabel; nlabel; "-"; "-"; loads; "-"; "-"; rcal; "-"; secs dt ]
+                      ~note:
+                        (Printf.sprintf "  (%s)"
+                           (String.sub reason 0 (min 60 (String.length reason))));
+                    [ ("learned", Json.Bool false); ("reason", Json.String reason) ]
               in
-              (vlabel, nlabel, voting, retries, run, dt, row))
+              Json.Obj
+                ([
+                   ("voting", Json.String vlabel);
+                   ("noise", Json.String nlabel);
+                   ("retries", Json.Int retries);
+                   ("timed_loads", Json.Int run.Hw.timed_loads);
+                   ("recalibrations", Json.Int run.Hw.recalibrations);
+                   ("seconds", num 3 dt);
+                 ]
+                @ result))
             settings
         in
-        (cpu, level_name, quiet, quiet_report, quiet_dt, rows))
+        Json.Obj
+          [
+            ("cpu", Json.String cpu);
+            ("level", Json.String level_name);
+            ("quiet", Json.Obj (hw_fields quiet_report quiet_run quiet_dt));
+            ("runs", Json.List rows);
+          ])
       targets
   in
-  let run_json (vlabel, nlabel, _voting, retries, run, dt, row) =
-    Json.Obj
-      ([
-         ("voting", Json.String vlabel);
-         ("noise", Json.String nlabel);
-         ("retries", Json.Int retries);
-         ("timed_loads", Json.Int run.Cq_core.Hardware.timed_loads);
-         ("recalibrations", Json.Int run.Cq_core.Hardware.recalibrations);
-         ("seconds", num 3 dt);
-       ]
-      @
-      match row with
-      | `Learned ((report : Cq_core.Learn.report), identical) ->
-          [
-            ("learned", Json.Bool true);
-            ("states", Json.Int report.Cq_core.Learn.states);
-            ("identical_to_quiet", Json.Bool identical);
-            ("vote_runs", Json.Int report.Cq_core.Learn.vote_runs);
-            ("transient_flips", Json.Int report.Cq_core.Learn.transient_flips);
-            ("retry_attempts", Json.Int report.Cq_core.Learn.retry_attempts);
-          ]
-      | `Failed reason ->
-          [ ("learned", Json.Bool false); ("reason", Json.String reason) ])
-  in
-  write_artifact "BENCH_noise.json"
-    (Json.Obj
-       [
-         ( "targets",
-           Json.List
-             (List.map
-                (fun (cpu, level_name, quiet, quiet_report, quiet_dt, rows) ->
-                  Json.Obj
-                    [
-                      ("cpu", Json.String cpu);
-                      ("level", Json.String level_name);
-                      ( "quiet",
-                        Json.Obj
-                          [
-                            ( "states",
-                              Json.Int quiet_report.Cq_core.Learn.states );
-                            ( "timed_loads",
-                              Json.Int quiet.Cq_core.Hardware.timed_loads );
-                            ("seconds", num 3 quiet_dt);
-                          ] );
-                      ("runs", Json.List (List.map run_json rows));
-                    ])
-                all_rows) );
-       ]);
+  write_artifact "BENCH_noise.json" (Json.Obj [ ("targets", Json.List all_rows) ]);
   Printf.printf "(Skylake L2 %s)\n%!"
     (if full then "included" else "skipped, use --full")
 
@@ -875,44 +838,26 @@ let noise ~full () =
 let recovery () =
   header
     "Recovery: snapshot overhead and crash/resume cost (durable sessions)";
-  let model = Cq_hwsim.Cpu_model.haswell in
+  let model = CM.haswell in
   let learn ?metrics ?snapshot ?resume ?query_budget () =
-    let machine =
-      Cq_hwsim.Machine.create ~noise:Cq_hwsim.Machine.quiet_noise model
-    in
-    let t0 = Cq_util.Clock.mono () in
-    let run =
-      Cq_core.Hardware.learn_set ?metrics ?snapshot ?resume ?query_budget
-        machine Cq_hwsim.Cpu_model.L1
-    in
-    (run, Cq_util.Clock.mono () -. t0)
-  in
-  let report_of label (run : Cq_core.Hardware.run) =
-    match run.Cq_core.Hardware.outcome with
-    | Cq_core.Hardware.Learned { report; _ } -> report
-    | Cq_core.Hardware.Partial { failure; _ } ->
-        failwith
-          (Fmt.str "recovery bench: %s run partial: %a" label
-             Cq_core.Learn.pp_failure failure)
-    | Cq_core.Hardware.Failed { reason; _ } ->
-        failwith ("recovery bench: " ^ label ^ " run failed: " ^ reason)
+    Clock.time (fun () ->
+        Hw.learn_set ?metrics ?snapshot ?resume ?query_budget (quiet model) CM.L1)
   in
   (* 1. Baseline: no durability machinery at all. *)
   let base_run, base_dt = learn () in
-  let base = report_of "baseline" base_run in
-  let base_loads = base_run.Cq_core.Hardware.timed_loads in
+  let base = learned "recovery bench: baseline run" base_run in
+  let base_loads = base_run.Hw.timed_loads in
   Printf.printf "baseline:     %4d states, %8d timed loads, %5.1fs\n%!"
-    base.Cq_core.Learn.states base_loads base_dt;
+    base.Learn.states base_loads base_dt;
   (* 2. Snapshots on: written between queries, off the hardware path; the
      session layer's share of the wall time must stay within 5%. *)
   let snap_path = Filename.temp_file "cq_bench_snap" ".snap" in
   let metrics = Cq_util.Metrics.create () in
   let snap_run, snap_dt =
     (* Default cadence (500 queries / 30 s) — what a real campaign runs. *)
-    learn ~metrics ~snapshot:(Cq_core.Learn.snapshot_policy snap_path) ()
+    learn ~metrics ~snapshot:(Learn.snapshot_policy snap_path) ()
   in
-  let snap = report_of "snapshotted" snap_run in
-  let snap_loads = snap_run.Cq_core.Hardware.timed_loads in
+  let snap = learned "recovery bench: snapshotted run" snap_run in
   let hist_sum name =
     match List.assoc_opt name (Cq_util.Metrics.snapshot metrics) with
     | Some (Cq_util.Metrics.Histogram_value h) -> h.Cq_util.Metrics.hs_sum
@@ -926,13 +871,12 @@ let recovery () =
   let within_budget = session_pct <= 5.0 in
   let wall_ratio = snap_dt /. base_dt in
   let snap_identical =
-    Cq_automata.Mealy.equivalent base.Cq_core.Learn.machine
-      snap.Cq_core.Learn.machine
+    Cq_automata.Mealy.equivalent base.Learn.machine snap.Learn.machine
   in
   Printf.printf
     "snapshotting: %4d states, %8d timed loads, %5.1fs  (%.2fx baseline; \
      session layer %.2fs = %.2f%% of wall%s, automaton %s)\n%!"
-    snap.Cq_core.Learn.states snap_loads snap_dt wall_ratio session_s
+    snap.Learn.states snap_run.Hw.timed_loads snap_dt wall_ratio session_s
     session_pct
     (if within_budget then "" else "  <-- OVER 5% BUDGET")
     (if snap_identical then "identical" else "DIFFERS <-- MISMATCH");
@@ -941,18 +885,16 @@ let recovery () =
      snapshot; resuming replays the answered prefix for free and must
      finish with the identical automaton for less than a fresh run. *)
   let crash_path = Filename.temp_file "cq_bench_crash" ".snap" in
-  let budget = max 1 (base.Cq_core.Learn.member_queries / 2) in
+  let budget = max 1 (base.Learn.member_queries / 2) in
   let crash_run, _ =
     learn
-      ~snapshot:(Cq_core.Learn.snapshot_policy ~every_queries:100 crash_path)
+      ~snapshot:(Learn.snapshot_policy ~every_queries:100 crash_path)
       ~query_budget:budget ()
   in
-  let crash_loads = crash_run.Cq_core.Hardware.timed_loads in
+  let crash_loads = crash_run.Hw.timed_loads in
   let resume_from =
-    match crash_run.Cq_core.Hardware.outcome with
-    | Cq_core.Hardware.Partial
-        { failure = Cq_core.Learn.Budget_exhausted _; snapshot = Some s; _ } ->
-        s
+    match crash_run.Hw.outcome with
+    | Hw.Partial { failure = Learn.Budget_exhausted _; snapshot = Some s; _ } -> s
     | _ ->
         failwith
           "recovery bench: budgeted run did not end as Partial \
@@ -961,11 +903,10 @@ let recovery () =
   Printf.printf "crashed:      (query budget %d) %8d timed loads, snapshot %s\n%!"
     budget crash_loads resume_from;
   let resume_run, resume_dt = learn ~resume:resume_from () in
-  let resumed = report_of "resumed" resume_run in
-  let resume_loads = resume_run.Cq_core.Hardware.timed_loads in
+  let resumed = learned "recovery bench: resumed run" resume_run in
+  let resume_loads = resume_run.Hw.timed_loads in
   let resume_identical =
-    Cq_automata.Mealy.equivalent base.Cq_core.Learn.machine
-      resumed.Cq_core.Learn.machine
+    Cq_automata.Mealy.equivalent base.Learn.machine resumed.Learn.machine
   in
   let saved_pct =
     100.0
@@ -975,38 +916,21 @@ let recovery () =
   Printf.printf
     "resumed:      %4d states, %8d timed loads, %5.1fs  (%.1f%% of a fresh \
      run's loads saved, automaton %s)\n%!"
-    resumed.Cq_core.Learn.states resume_loads resume_dt saved_pct
+    resumed.Learn.states resume_loads resume_dt saved_pct
     (if resume_identical then "identical" else "DIFFERS <-- MISMATCH");
-  (* Trend line against the previous bench run, if one left a readable file. *)
-  (match prior_int "BENCH_recovery.json" [ "resume"; "resume_timed_loads" ] with
-  | `Missing -> ()
-  | `Prior prev ->
+  print_trend "BENCH_recovery.json" [ "resume"; "resume_timed_loads" ] (fun prev ->
       Printf.printf "previous resume cost: %d timed loads (now %d)\n%!" prev
-        resume_loads
-  | `Unreadable ->
-      Printf.printf
-        "(prior BENCH_recovery.json unreadable or partial -- ignored)\n%!");
-  let run_json states loads dt =
-    [
-      ("states", Json.Int states);
-      ("timed_loads", Json.Int loads);
-      ("seconds", num 3 dt);
-    ]
-  in
+        resume_loads);
   write_artifact "BENCH_recovery.json"
     (Json.Obj
        [
          ( "target",
            Json.Obj
-             [
-               ("cpu", Json.String model.Cq_hwsim.Cpu_model.name);
-               ("level", Json.String "L1");
-             ] );
-         ( "baseline",
-           Json.Obj (run_json base.Cq_core.Learn.states base_loads base_dt) );
+             [ ("cpu", Json.String model.CM.name); ("level", Json.String "L1") ] );
+         ("baseline", Json.Obj (hw_fields base base_run base_dt));
          ( "snapshotting",
            Json.Obj
-             (run_json snap.Cq_core.Learn.states snap_loads snap_dt
+             (hw_fields snap snap_run snap_dt
              @ [
                  ("wall_ratio", num 3 wall_ratio);
                  ("session_seconds", num 3 session_s);
@@ -1022,25 +946,24 @@ let recovery () =
              ] );
          ( "resume",
            Json.Obj
-             [
-               ("states", Json.Int resumed.Cq_core.Learn.states);
-               ("resume_timed_loads", Json.Int resume_loads);
-               ("seconds", num 3 resume_dt);
-               ("loads_saved_pct", num 3 saved_pct);
-               ("identical", Json.Bool resume_identical);
-             ] );
+             (report_fields resumed [ "states" ]
+             @ [
+                 ("resume_timed_loads", Json.Int resume_loads);
+                 ("seconds", num 3 resume_dt);
+                 ("loads_saved_pct", num 3 saved_pct);
+                 ("identical", Json.Bool resume_identical);
+               ]) );
        ]);
   List.iter
     (fun p -> try Sys.remove p with Sys_error _ -> ())
     [ snap_path; crash_path ];
-  if not (snap_identical && resume_identical) then
-    failwith "recovery bench: learned automata diverged from the baseline";
-  if not within_budget then
-    failwith
-      (Printf.sprintf
-         "recovery bench: session layer took %.2f%% of the snapshotting \
-          run's wall time (budget 5%%)"
-         session_pct)
+  check (snap_identical && resume_identical)
+    "recovery bench: learned automata diverged from the baseline";
+  check within_budget
+    (Printf.sprintf
+       "recovery bench: session layer took %.2f%% of the snapshotting run's \
+        wall time (budget 5%%)"
+       session_pct)
 
 (* ----------------------------------------------------------------------- *)
 (* Static analysis: what rejecting before expansion saves                    *)
@@ -1063,32 +986,33 @@ let analysis () =
       ("(_)3 (_)2", 16, 16) (* rejected: over budget *);
     ]
   in
-  Printf.printf "%-14s %9s | %12s | %12s | %s\n%!" "program" "queries"
-    "check" "expand" "speedup";
+  let cols =
+    [ `Col (-14, "program"); `Col (9, "queries"); `Bar; `Col (12, "check");
+      `Bar; `Col (12, "expand"); `Bar; `Col (7, "speedup") ]
+  in
+  print_header cols;
   let rows =
     List.map
       (fun (input, assoc, max_queries) ->
-        let verdict, check_dt =
-          Cq_util.Clock.time (fun () ->
+        let admission, check_dt =
+          Clock.time (fun () ->
               Cq_analysis.Mbl_check.check_string ~max_queries ~assoc input)
         in
-        let expand_dt =
-          match
-            Cq_util.Clock.time (fun () ->
-                match Cq_mbl.Expand.expand_string ~max_queries ~assoc input with
-                | _ -> ()
-                | exception Cq_mbl.Expand.Expansion_error _ -> ())
-          with
-          | (), dt -> dt
+        let (), expand_dt =
+          Clock.time (fun () ->
+              match Cq_mbl.Expand.expand_string ~max_queries ~assoc input with
+              | _ -> ()
+              | exception Cq_mbl.Expand.Expansion_error _ -> ())
         in
         let cardinality =
-          match verdict with
+          match admission with
           | Ok s -> string_of_int s.Cq_analysis.Mbl_check.cardinality
           | Error _ -> "rejected"
         in
-        Printf.printf "%-14s %9s | %9.1f us | %9.1f us | %6.0fx\n%!" input
-          cardinality (1e6 *. check_dt) (1e6 *. expand_dt)
-          (expand_dt /. Float.max check_dt 1e-9);
+        let us dt = Printf.sprintf "%.1f us" (1e6 *. dt) in
+        print_row cols
+          [ input; cardinality; us check_dt; us expand_dt;
+            Printf.sprintf "%.0fx" (expand_dt /. Float.max check_dt 1e-9) ];
         Json.Obj
           [
             ("program", Json.String input);
@@ -1096,7 +1020,7 @@ let analysis () =
             ("check_seconds", num 9 check_dt);
             ("expand_seconds", num 9 expand_dt);
           ])
-    programs
+      programs
   in
   write_artifact "BENCH_analysis.json" (Json.Obj [ ("programs", Json.List rows) ])
 
@@ -1104,56 +1028,26 @@ let analysis () =
 (* Service layer: cachequeryd under concurrent clients                       *)
 (* ----------------------------------------------------------------------- *)
 
-(* Daemon state dirs are scratch: sockets and per-session snapshots that
-   only matter while the bench runs.  Remove them afterwards so repeated
-   runs and CI checkouts stay clean. *)
-let rm_scratch_dir dir =
-  if Sys.file_exists dir && Sys.is_directory dir then begin
-    Array.iter
-      (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-      (Sys.readdir dir);
-    try Unix.rmdir dir with Unix.Unix_error _ -> ()
-  end
-
 (* An in-process daemon serving N concurrent clients: membership-query
    latency percentiles and request throughput, then one full learn per
    client running concurrently — each result must be byte-identical to a
    solo (daemon-less) learn of the same policy, or the bench fails. *)
 let service () =
   header "Service layer: cachequeryd under concurrent clients";
-  let module Server = Cq_service.Server in
-  let module Client = Cq_service.Client in
-  let clients = 4 in
-  let queries_per_client = 250 in
-  let state_dir = "bench-service-state" in
-  (try Unix.mkdir state_dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let socket = Filename.concat state_dir "bench.sock" in
-  let cfg = Server.config ~workers:clients ~state_dir socket in
-  let server = Server.create cfg in
-  Server.start server;
-  Fun.protect ~finally:(fun () ->
-      Server.stop server;
-      rm_scratch_dir state_dir)
-  @@ fun () ->
+  let clients = 4 and queries_per_client = 250 in
+  with_daemon ~workers:clients "bench-service-state" @@ fun _server socket ->
   (* --- phase 1: membership-query latency under concurrency --- *)
   let latencies = Array.make clients [||] in
-  let t0 = Cq_util.Clock.mono () in
   let run_client i =
-    let c = Client.connect_unix socket in
-    Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+    with_client socket @@ fun c ->
     let sid = Client.create_sim c ~policy:"LRU" ~assoc:2 () in
-    let samples = Array.make queries_per_client 0.0 in
-    for q = 0 to queries_per_client - 1 do
-      let word = [ q mod 3; (q + 1) mod 3; q mod 2 ] in
-      let t = Cq_util.Clock.mono () in
-      ignore (Client.query_sim c sid word);
-      samples.(q) <- Cq_util.Clock.mono () -. t
-    done;
-    latencies.(i) <- samples
+    latencies.(i) <-
+      Array.init queries_per_client (fun q ->
+          snd
+            (Clock.time (fun () ->
+                 Client.query_sim c sid [ q mod 3; (q + 1) mod 3; q mod 2 ])))
   in
-  let threads = List.init clients (fun i -> Thread.create run_client i) in
-  List.iter Thread.join threads;
-  let wall = Cq_util.Clock.mono () -. t0 in
+  let (), wall = Clock.time (fun () -> concurrently clients run_client) in
   let all = Array.concat (Array.to_list latencies) in
   Array.sort compare all;
   let pct p =
@@ -1170,49 +1064,33 @@ let service () =
     (1e6 *. p99);
   (* --- phase 2: concurrent learns, checked against solo runs --- *)
   let policies = [| "LRU"; "FIFO"; "PLRU"; "MRU" |] in
-  let learns = Array.make clients ("", "", "", 0, 0.0) in
+  let learns = Array.make clients (Json.Obj []) in
   let learn_client i =
-    let c = Client.connect_unix socket in
-    Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+    with_client socket @@ fun c ->
     let policy = policies.(i mod Array.length policies) in
     let sid = Client.create_sim c ~policy ~assoc:4 () in
     Client.learn_start c sid;
-    let st = Client.learn_wait c ~timeout_s:300.0 sid in
-    let field name =
-      match Json.mem_str name st with Some s -> s | None -> "?"
-    in
-    let queries =
-      Option.value ~default:0 (Json.mem_int "member_queries" st)
-    in
-    let seconds =
-      match Json.member "seconds" st with
-      | Some f -> Option.value ~default:0.0 (Json.to_float f)
-      | None -> 0.0
-    in
-    learns.(i) <- (policy, field "state", field "digest", queries, seconds)
+    learns.(i) <- Client.learn_wait c ~timeout_s:300.0 sid
   in
-  let t1 = Cq_util.Clock.mono () in
-  let threads = List.init clients (fun i -> Thread.create learn_client i) in
-  List.iter Thread.join threads;
-  let learn_wall = Cq_util.Clock.mono () -. t1 in
+  let (), learn_wall = Clock.time (fun () -> concurrently clients learn_client) in
   let learns =
-    Array.map
-      (fun (policy, state, dgst, queries, seconds) ->
-        let solo =
-          let p = Cq_policy.Zoo.make_exn ~name:policy ~assoc:4 in
-          let r = Cq_core.Learn.learn_simulated ~identify:false p in
-          Cq_policy.Policy.machine_digest r.Cq_core.Learn.machine
+    Array.mapi
+      (fun i st ->
+        let policy = policies.(i mod Array.length policies) in
+        let field name = Option.value ~default:"?" (Json.mem_str name st) in
+        let state = field "state" and dgst = field "digest" in
+        let queries = Option.value ~default:0 (Json.mem_int "member_queries" st) in
+        let seconds =
+          Option.value ~default:0.0 (Option.bind (Json.member "seconds" st) Json.to_float)
         in
-        let matches = state = "done" && dgst = solo in
+        let matches = state = "done" && dgst = solo_digest ~assoc:4 policy in
         Printf.printf
           "  %-5s %-6s  %6d queries  %6.2f s  solo-identical: %b\n%!" policy
           state queries seconds matches;
-        if not matches then
-          failwith
-            (Printf.sprintf
-               "service bench: %s learned under concurrency diverged from \
-                solo"
-               policy);
+        check matches
+          (Printf.sprintf
+             "service bench: %s learned under concurrency diverged from solo"
+             policy);
         Json.Obj
           [
             ("policy", Json.String policy);
@@ -1251,21 +1129,12 @@ let service () =
    exactly from its spec string. *)
 let chaos () =
   header "Chaos: seeded fault schedules x concurrent resilient clients";
-  let module Server = Cq_service.Server in
-  let module Client = Cq_service.Client in
   let module Faults = Cq_util.Faults in
   let policies = [| "LRU"; "FIFO"; "PLRU" |] in
   let assoc = 4 in
   let n_clients = Array.length policies in
   (* The quiet reference: solo daemon-less learns, one per policy. *)
-  let solo =
-    Array.map
-      (fun policy ->
-        let p = Cq_policy.Zoo.make_exn ~name:policy ~assoc in
-        let r = Cq_core.Learn.learn_simulated ~identify:false p in
-        Cq_policy.Policy.machine_digest r.Cq_core.Learn.machine)
-      policies
-  in
+  let solo = Array.map (solo_digest ~assoc) policies in
   (* (name, fault spec, whether the spec faults snapshot writes — those
      rows must see the daemon degrade a session at least once).  Most
      snapshot writes are log appends, so the snapshot faults target the
@@ -1284,8 +1153,7 @@ let chaos () =
         true );
     ]
   in
-  let max_restarts = 5 in
-  let retry_bound = 50 in
+  let max_restarts = 5 and retry_bound = 50 in
   let rows =
     List.map
       (fun (scenario, spec, snapshot_faults) ->
@@ -1299,25 +1167,17 @@ let chaos () =
             | Error msg -> failwith ("chaos: bad fault spec: " ^ msg)
         in
         Faults.set_ambient reg;
-        let state_dir = "bench-chaos-" ^ scenario in
-        (try Unix.mkdir state_dir 0o755
-         with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-        let socket = Filename.concat state_dir "chaos.sock" in
-        let cfg =
-          Server.config ~workers:n_clients ~snapshot_every:25 ~state_dir socket
-        in
-        let server = Server.create cfg in
-        Server.start server;
-        let results = Array.make n_clients ("", "", 0, 0, 0) in
-        let errs = Array.make n_clients None in
+        with_daemon ~workers:n_clients ~snapshot_every:25
+          ("bench-chaos-" ^ scenario)
+        @@ fun server socket ->
+        let results = Array.make n_clients (Error "did not finish") in
         let run_client i =
           let retry =
             Client.retry ~attempts:8
               ~policy:(Cq_util.Backoff.policy ~base:0.005 ~cap:0.1 ())
               ~seed:i ()
           in
-          let c = Client.connect_unix ~retry socket in
-          Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+          with_client ~retry socket @@ fun c ->
           let policy = policies.(i) in
           let sid =
             Client.create_sim c ~policy ~assoc ~name:(scenario ^ "-" ^ policy)
@@ -1335,124 +1195,94 @@ let chaos () =
                 finish (restarts + 1)
             | st_name ->
                 failwith
-                  (Printf.sprintf
-                     "chaos %s/%s: state %s after %d restarts (not done)"
-                     scenario policy
+                  (Printf.sprintf "state %s after %d restarts (not done)"
                      (Option.value ~default:"?" st_name)
                      restarts)
           in
           let st, restarts = finish 0 in
-          let dgst = Option.value ~default:"?" (Json.mem_str "digest" st) in
           results.(i) <-
-            (policy, dgst, restarts, Client.reconnects c,
-             Client.request_retries c)
+            Ok
+              ( Option.value ~default:"?" (Json.mem_str "digest" st),
+                restarts, Client.reconnects c, Client.request_retries c )
         in
-        let run i = try run_client i with e -> errs.(i) <- Some e in
-        let threads = List.init n_clients (fun i -> Thread.create run i) in
-        List.iter Thread.join threads;
-        let fault_fires =
-          match reg with None -> 0 | Some r -> Faults.total_fires r
+        let run i =
+          try run_client i with e -> results.(i) <- Error (Printexc.to_string e)
         in
+        concurrently n_clients run;
+        let fault_fires = Option.fold ~none:0 ~some:Faults.total_fires reg in
         (* Disarm before the liveness probe and the final snapshot writes:
            the scenario's schedule applies to the workload only. *)
         Faults.set_ambient None;
         let alive =
-          match Client.connect_unix socket with
+          match with_client socket Client.health with
+          | h -> Json.mem_str "status" h <> None
           | exception _ -> false
-          | c ->
-              Fun.protect
-                ~finally:(fun () -> Client.close c)
-                (fun () ->
-                  match Client.health c with
-                  | h -> Json.mem_str "status" h <> None
-                  | exception _ -> false)
         in
         let degraded =
           Cq_util.Metrics.value
             (Cq_util.Metrics.counter (Server.metrics server)
                "service.snapshot_degraded")
         in
-        Server.stop server;
-        Array.iteri
-          (fun i err ->
-            match err with
-            | Some e ->
-                failwith
-                  (Printf.sprintf "chaos %s: client %d died: %s" scenario i
-                     (Printexc.to_string e))
-            | None -> ())
-          errs;
-        if not alive then
-          failwith
-            (Printf.sprintf "chaos %s: daemon unresponsive after fault run"
-               scenario);
-        Array.iteri
-          (fun i (policy, dgst, restarts, reconnects, retries) ->
-            let identical = dgst = solo.(i) in
-            Printf.printf
-              "  %-5s done  restarts=%d reconnects=%d retries=%d  \
-               solo-identical: %b\n\
-               %!"
-              policy restarts reconnects retries identical;
-            if not identical then
-              failwith
-                (Printf.sprintf
-                   "chaos %s/%s: automaton diverged from the quiet run (%s vs %s)"
-                   scenario policy dgst solo.(i));
-            if reconnects + retries > retry_bound then
-              failwith
-                (Printf.sprintf
-                   "chaos %s/%s: unbounded retries (%d reconnects + %d \
-                    retries > %d)"
-                   scenario policy reconnects retries retry_bound))
-          results;
+        check alive
+          (Printf.sprintf "chaos %s: daemon unresponsive after fault run" scenario);
+        let learns =
+          List.mapi
+            (fun i result ->
+              let policy = policies.(i) in
+              match result with
+              | Error e ->
+                  check false
+                    (Printf.sprintf "chaos %s/%s: client died: %s" scenario policy e);
+                  Json.Obj [ ("policy", Json.String policy); ("error", Json.String e) ]
+              | Ok (dgst, restarts, reconnects, retries) ->
+                  let identical = dgst = solo.(i) in
+                  Printf.printf
+                    "  %-5s done  restarts=%d reconnects=%d retries=%d  \
+                     solo-identical: %b\n\
+                     %!"
+                    policy restarts reconnects retries identical;
+                  check identical
+                    (Printf.sprintf
+                       "chaos %s/%s: automaton diverged from the quiet run (%s \
+                        vs %s)"
+                       scenario policy dgst solo.(i));
+                  check (reconnects + retries <= retry_bound)
+                    (Printf.sprintf
+                       "chaos %s/%s: unbounded retries (%d reconnects + %d \
+                        retries > %d)"
+                       scenario policy reconnects retries retry_bound);
+                  Json.Obj
+                    [
+                      ("policy", Json.String policy);
+                      ("digest", Json.String dgst);
+                      ("restarts", Json.Int restarts);
+                      ("reconnects", Json.Int reconnects);
+                      ("request_retries", Json.Int retries);
+                      ("identical_to_quiet", Json.Bool identical);
+                    ])
+            (Array.to_list results)
+        in
         Printf.printf
           "  (daemon alive, %d fault firings, %d degraded snapshot writes)\n%!"
           fault_fires degraded;
-        if snapshot_faults && degraded = 0 then
-          failwith
-            (Printf.sprintf
-               "chaos %s: snapshot faults armed but no snapshot write degraded"
-               scenario);
-        (* Only a passing scenario cleans up: a failed one leaves its
-           state dir behind for the post-mortem. *)
-        rm_scratch_dir state_dir;
-        (scenario, spec, fault_fires, degraded, Array.to_list results))
+        check ((not snapshot_faults) || degraded > 0)
+          (Printf.sprintf
+             "chaos %s: snapshot faults armed but no snapshot write degraded"
+             scenario);
+        Json.Obj
+          [
+            ("name", Json.String scenario);
+            ("spec", Json.String spec);
+            ("fault_fires", Json.Int fault_fires);
+            ("snapshot_degraded", Json.Int degraded);
+            ("daemon_crashes", Json.Int (if alive then 0 else 1));
+            ("learns", Json.List learns);
+          ])
       scenarios
   in
   Faults.set_ambient None;
   write_artifact "BENCH_chaos.json"
-    (Json.Obj
-       [
-         ("clients", Json.Int n_clients);
-         ( "scenarios",
-           Json.List
-             (List.map
-                (fun (scenario, spec, fault_fires, degraded, results) ->
-                  Json.Obj
-                    [
-                      ("name", Json.String scenario);
-                      ("spec", Json.String spec);
-                      ("fault_fires", Json.Int fault_fires);
-                      ("snapshot_degraded", Json.Int degraded);
-                      ("daemon_crashes", Json.Int 0);
-                      ( "learns",
-                        Json.List
-                          (List.map
-                             (fun (policy, dgst, restarts, reconnects, retries) ->
-                               Json.Obj
-                                 [
-                                   ("policy", Json.String policy);
-                                   ("digest", Json.String dgst);
-                                   ("restarts", Json.Int restarts);
-                                   ("reconnects", Json.Int reconnects);
-                                   ("request_retries", Json.Int retries);
-                                   ("identical_to_quiet", Json.Bool true);
-                                 ])
-                             results) );
-                    ])
-                rows) );
-       ])
+    (Json.Obj [ ("clients", Json.Int n_clients); ("scenarios", Json.List rows) ])
 
 (* ----------------------------------------------------------------------- *)
 (* Assoc scaling: symmetry-quotient learning vs direct                       *)
@@ -1502,88 +1332,79 @@ let assoc_bench ~full ~smoke () =
          else [])
   in
   let learn ~quotient ?deadline policy =
-    Cq_core.Learn.run ~identify:false ~quotient
-      ~deadline:(Cq_util.Clock.deadline_of deadline)
+    Learn.run ~identify:false ~quotient
+      ~deadline:(Clock.deadline_of deadline)
       (Cq_cache.Oracle.of_policy policy)
   in
-  Printf.printf "%-8s %5s | %10s %8s | %10s %8s | %8s %9s %5s\n%!" "Policy"
-    "assoc" "direct q" "time" "quot q" "time" "collapse" "st/reps" "same";
+  let cols =
+    [ `Col (-8, "Policy"); `Col (5, "assoc"); `Bar; `Col (10, "direct q");
+      `Col (8, "time"); `Bar; `Col (10, "quot q"); `Col (8, "time"); `Bar;
+      `Col (8, "collapse"); `Col (9, "st/reps"); `Col (5, "same") ]
+  in
+  print_header cols;
   let rows =
     List.map
       (fun (name, assoc, run_off, deadline) ->
         let policy = Cq_policy.Zoo.make_exn ~name ~assoc in
         let off = if run_off then Some (learn ~quotient:false ?deadline policy) else None in
         let on = learn ~quotient:true ?deadline policy in
-        let queries = function
-          | Cq_core.Learn.Complete r -> string_of_int r.Cq_core.Learn.member_queries
-          | Cq_core.Learn.Partial _ -> "-"
+        let cells = function
+          | Some (Learn.Complete r) ->
+              [ string_of_int r.Learn.member_queries; Clock.to_string r.Learn.seconds ]
+          | Some (Learn.Partial p) ->
+              [ "-"; Fmt.str "(%a)" Learn.pp_failure p.Learn.failure ]
+          | None -> [ "(skip)"; "-" ]
         in
-        let time = function
-          | Cq_core.Learn.Complete r -> Cq_util.Clock.to_string r.Cq_core.Learn.seconds
-          | Cq_core.Learn.Partial p -> Fmt.str "(%a)" Cq_core.Learn.pp_failure p.Cq_core.Learn.failure
-        in
-        let identical =
+        let identical, collapse =
           match (off, on) with
-          | Some (Cq_core.Learn.Complete a), Cq_core.Learn.Complete b ->
-              Some
-                (Cq_automata.Mealy.equivalent a.Cq_core.Learn.machine
-                   b.Cq_core.Learn.machine)
-          | _ -> None
+          | Some (Learn.Complete a), Learn.Complete b ->
+              ( Some (Cq_automata.Mealy.equivalent a.Learn.machine b.Learn.machine),
+                Printf.sprintf "%.2fx"
+                  (float_of_int a.Learn.member_queries
+                  /. float_of_int (max 1 b.Learn.member_queries)) )
+          | _ -> (None, "-")
         in
         let state_collapse =
           match on with
-          | Cq_core.Learn.Complete { Cq_core.Learn.quotient = Some q; _ } ->
+          | Learn.Complete { Learn.quotient = Some q; _ } ->
               Printf.sprintf "%d/%d" q.Cq_learner.Quotient.states
                 q.Cq_learner.Quotient.reps
           | _ -> "-"
         in
-        let collapse =
-          match (off, on) with
-          | Some (Cq_core.Learn.Complete a), Cq_core.Learn.Complete b ->
-              Printf.sprintf "%.2fx"
-                (float_of_int a.Cq_core.Learn.member_queries
-                /. float_of_int (max 1 b.Cq_core.Learn.member_queries))
-          | _ -> "-"
+        let same =
+          Option.fold identical ~none:"-" ~some:(fun same ->
+              if same then "yes" else "NO <-- MISMATCH")
         in
-        Printf.printf "%-8s %5d | %10s %8s | %10s %8s | %8s %9s %5s\n%!" name
-          assoc
-          (match off with Some o -> queries o | None -> "(skip)")
-          (match off with Some o -> time o | None -> "-")
-          (queries on) (time on) collapse state_collapse
-          (match identical with
-          | Some true -> "yes"
-          | Some false -> "NO <-- MISMATCH"
-          | None -> "-");
+        check (identical <> Some false)
+          (Printf.sprintf "assoc bench: quotient changed the learned machine for %s-%d"
+             name assoc);
+        print_row cols
+          ([ name; string_of_int assoc ] @ cells off @ cells (Some on)
+          @ [ collapse; state_collapse; same ]);
         (name, assoc, off, on, identical))
       plans
   in
   (* The headline budget check: quotient-on PLRU-12 vs direct PLRU-8. *)
-  let find_complete name assoc pick =
+  let complete name assoc pick =
     List.find_map
       (fun (n, a, off, on, _) ->
-        if n = name && a = assoc then
-          match pick off on with
-          | Some (Cq_core.Learn.Complete r) -> Some r
-          | _ -> None
-        else None)
+        match pick (off, on) with
+        | Some (Learn.Complete r) when n = name && a = assoc -> Some r
+        | _ -> None)
       rows
   in
   let budget =
-    match
-      ( find_complete "PLRU" 12 (fun _off on -> Some on),
-        find_complete "PLRU" 8 (fun off _on -> off) )
-    with
+    match (complete "PLRU" 12 (fun (_, on) -> Some on), complete "PLRU" 8 fst) with
     | Some p12, Some p8 ->
-        let within =
-          p12.Cq_core.Learn.member_queries <= p8.Cq_core.Learn.member_queries
-        in
+        let within = p12.Learn.member_queries <= p8.Learn.member_queries in
         Printf.printf
           "\nPLRU-12 (quotient) vs PLRU-8 (direct): %d vs %d membership \
            queries -> %s\n%!"
-          p12.Cq_core.Learn.member_queries p8.Cq_core.Learn.member_queries
+          p12.Learn.member_queries p8.Learn.member_queries
           (if within then "within the assoc-8 budget"
            else "OVER BUDGET <-- the quotient is not paying for itself");
-        Some (p12.Cq_core.Learn.member_queries, p8.Cq_core.Learn.member_queries, within)
+        check within "assoc bench: PLRU-12 quotient run exceeded the PLRU-8 budget";
+        Some (p12.Learn.member_queries, p8.Learn.member_queries, within)
     | _ -> None
   in
   (* The other half of the tentpole: hypothesis evaluation during
@@ -1629,32 +1450,23 @@ let assoc_bench ~full ~smoke () =
       Array.map (fun (w, exp) -> Cq_automata.Mealy.encode_trace c w exp) words
     in
     let repeats = 50 in
-    let run_verdicts = Array.map (fun (w, exp) -> Cq_automata.Mealy.run m w = exp) words in
-    let agree_verdicts = Array.map (fun tr -> Cq_automata.Mealy.agrees_trace c tr) traces in
-    let list_verdicts =
-      Array.map (fun (w, exp) -> Cq_automata.Mealy.agrees c w exp) words
+    (* Each evaluator's verdicts, and the seconds [repeats] passes take. *)
+    let evaluate inputs f =
+      let verdicts = Array.map f inputs in
+      let (), dt =
+        Clock.time (fun () ->
+            for _ = 1 to repeats do
+              Array.iter (fun x -> ignore (f x)) inputs
+            done)
+      in
+      (verdicts, dt)
+    in
+    let run_verdicts, run_s = evaluate words (fun (w, exp) -> Cq_automata.Mealy.run m w = exp) in
+    let agree_verdicts, agrees_s = evaluate traces (Cq_automata.Mealy.agrees_trace c) in
+    let list_verdicts, list_s =
+      evaluate words (fun (w, exp) -> Cq_automata.Mealy.agrees c w exp)
     in
     let identical = run_verdicts = agree_verdicts && run_verdicts = list_verdicts in
-    let (), run_s =
-      Cq_util.Clock.time (fun () ->
-          for _ = 1 to repeats do
-            Array.iter (fun (w, exp) -> ignore (Cq_automata.Mealy.run m w = exp)) words
-          done)
-    in
-    let (), agrees_s =
-      Cq_util.Clock.time (fun () ->
-          for _ = 1 to repeats do
-            Array.iter (fun tr -> ignore (Cq_automata.Mealy.agrees_trace c tr)) traces
-          done)
-    in
-    let (), list_s =
-      Cq_util.Clock.time (fun () ->
-          for _ = 1 to repeats do
-            Array.iter
-              (fun (w, exp) -> ignore (Cq_automata.Mealy.agrees c w exp))
-              words
-          done)
-    in
     let speedup = run_s /. Float.max 1e-9 agrees_s in
     let list_speedup = run_s /. Float.max 1e-9 list_s in
     Printf.printf
@@ -1663,19 +1475,24 @@ let assoc_bench ~full ~smoke () =
        verdicts identical: %b\n  Mealy.agrees (conformance path, \
        ungated) %.4f s -> %.1fx\n%!"
       repeats run_s agrees_s speedup identical list_s list_speedup;
-    if not identical then
-      failwith "assoc bench: compiled evaluator verdicts differ from Mealy.run";
-    if (not smoke) && speedup < 5.0 then
-      failwith
-        (Printf.sprintf
-           "assoc bench: compiled evaluator speedup %.1fx below the 5x bar"
-           speedup);
-    (run_s, agrees_s, speedup, identical, list_s, list_speedup)
+    check identical "assoc bench: compiled evaluator verdicts differ from Mealy.run";
+    check (smoke || speedup >= 5.0)
+      (Printf.sprintf
+         "assoc bench: compiled evaluator speedup %.1fx below the 5x bar" speedup);
+    Json.Obj
+      [
+        ("run_seconds", num 6 run_s);
+        ("agrees_seconds", num 6 agrees_s);
+        ("speedup", num 2 speedup);
+        ("identical_verdicts", Json.Bool identical);
+        ("agrees_list_seconds", num 6 list_s);
+        ("agrees_list_speedup", num 2 list_speedup);
+      ]
   in
   let run_json = function
-    | Cq_core.Learn.Complete (r : Cq_core.Learn.report) ->
+    | Learn.Complete (r : Learn.report) ->
         let quotient =
-          match r.Cq_core.Learn.quotient with
+          match r.Learn.quotient with
           | Some q ->
               [
                 ("quotient_reps", Json.Int q.Cq_learner.Quotient.reps);
@@ -1687,45 +1504,26 @@ let assoc_bench ~full ~smoke () =
           | None -> []
         in
         Json.Obj
-          ([
-             ("learned", Json.Bool true);
-             ("states", Json.Int r.Cq_core.Learn.states);
-             ("member_queries", Json.Int r.Cq_core.Learn.member_queries);
-             ("member_symbols", Json.Int r.Cq_core.Learn.member_symbols);
-             ("cache_queries", Json.Int r.Cq_core.Learn.cache_queries);
-             ("cache_accesses", Json.Int r.Cq_core.Learn.cache_accesses);
-             ("seconds", num 6 r.Cq_core.Learn.seconds);
-           ]
+          ((("learned", Json.Bool true)
+           :: report_fields r
+                [ "states"; "member_queries"; "member_symbols"; "cache_queries";
+                  "cache_accesses"; "seconds" ])
           @ quotient)
-    | Cq_core.Learn.Partial p ->
+    | Learn.Partial p ->
         Json.Obj
           [
             ("learned", Json.Bool false);
-            ( "reason",
-              Json.String
-                (Fmt.str "%a" Cq_core.Learn.pp_failure p.Cq_core.Learn.failure)
-            );
+            ("reason", Json.String (Fmt.str "%a" Learn.pp_failure p.Learn.failure));
           ]
   in
-  let run_s, agrees_s, speedup, identical, list_s, list_speedup =
-    compiled_eval
-  in
+  let opt f = Option.fold ~none:Json.Null ~some:f in
   write_artifact ~smoke "BENCH_assoc.json"
     (Json.Obj
        ([
           ( "mode",
             Json.String
               (if smoke then "smoke" else if full then "full" else "default") );
-          ( "compiled_eval",
-            Json.Obj
-              [
-                ("run_seconds", num 6 run_s);
-                ("agrees_seconds", num 6 agrees_s);
-                ("speedup", num 2 speedup);
-                ("identical_verdicts", Json.Bool identical);
-                ("agrees_list_seconds", num 6 list_s);
-                ("agrees_list_speedup", num 2 list_speedup);
-              ] );
+          ("compiled_eval", compiled_eval);
         ]
        @ (match budget with
          | Some (q12, q8, within) ->
@@ -1749,31 +1547,11 @@ let assoc_bench ~full ~smoke () =
                         ("policy", Json.String name);
                         ("assoc", Json.Int assoc);
                         ("quotient", run_json on);
-                        ( "direct",
-                          match off with Some o -> run_json o | None -> Json.Null );
-                        ( "identical",
-                          match identical with
-                          | Some b -> Json.Bool b
-                          | None -> Json.Null );
+                        ("direct", opt run_json off);
+                        ("identical", opt (fun b -> Json.Bool b) identical);
                       ])
                   rows) );
-         ]));
-  let mismatches =
-    List.filter_map
-      (fun (name, assoc, _, _, identical) ->
-        if identical = Some false then Some (Printf.sprintf "%s-%d" name assoc)
-        else None)
-      rows
-  in
-  if mismatches <> [] then
-    failwith
-      ("assoc bench: quotient changed the learned machine for "
-      ^ String.concat ", " mismatches);
-  if smoke then
-    match budget with
-    | Some (_, _, false) ->
-        failwith "assoc bench: PLRU-12 quotient run exceeded the PLRU-8 budget"
-    | _ -> ()
+         ]))
 
 (* ----------------------------------------------------------------------- *)
 (* Bechamel micro-benchmarks: one per experiment family                      *)
@@ -1787,10 +1565,7 @@ let micro () =
   let word = [ 4; 0; 4; 2; 4; 1; 0; 4; 3; 4 ] in
   let sim_oracle = Cq_cache.Oracle.of_policy new1 in
   let polca = Cq_core.Polca.create ~check_hits:true sim_oracle in
-  let machine =
-    Cq_hwsim.Machine.create ~noise:Cq_hwsim.Machine.quiet_noise
-      Cq_hwsim.Cpu_model.skylake
-  in
+  let machine = quiet CM.skylake in
   let prog_new1 =
     {
       Cq_synth.Rules.init = [| 3; 3; 3; 0 |];
@@ -1820,8 +1595,7 @@ let micro () =
       Test.make ~name:"t4-mbl-expand"
         (Staged.stage (fun () -> Cq_mbl.Expand.expand_string ~assoc:8 "@ X _?"));
       Test.make ~name:"t5-synth-check"
-        (Staged.stage (fun () ->
-             Cq_synth.Search.check_exact new1_mealy prog_new1));
+        (Staged.stage (fun () -> Search.check_exact new1_mealy prog_new1));
     ]
   in
   let ols =
@@ -1858,9 +1632,6 @@ let workload () =
     "Workload engine: hit rates vs Belady-OPT, compiled replay throughput";
   let module W = Cq_workload in
   let assoc = 8 in
-  let policy_names =
-    [ "LRU"; "FIFO"; "PLRU"; "MRU"; "LIP"; "BIP"; "SRRIP-HP" ]
-  in
   let specs =
     [
       "zipf:n=64,alpha=1.2,len=200000,seed=1";
@@ -1874,7 +1645,7 @@ let workload () =
   let subjects =
     List.map
       (fun name -> (name, Cq_policy.Zoo.make_exn ~name ~assoc))
-      policy_names
+      [ "LRU"; "FIFO"; "PLRU"; "MRU"; "LIP"; "BIP"; "SRRIP-HP" ]
   in
   (* --- phase 1: hit-rate table vs Belady-OPT --- *)
   let rows = W.Eval.policies subjects traces in
@@ -1882,11 +1653,10 @@ let workload () =
   (* --- phase 2: a machine actually produced by the learner --- *)
   Printf.printf "\nlearning PLRU at assoc %d...\n%!" assoc;
   let plru = Cq_policy.Zoo.make_exn ~name:"PLRU" ~assoc in
-  let report = Cq_core.Learn.learn_simulated ~identify:false plru in
-  let compiled = Cq_automata.Mealy.compile report.Cq_core.Learn.machine in
+  let report = Learn.learn_simulated ~identify:false plru in
+  let compiled = Cq_automata.Mealy.compile report.Learn.machine in
   let states = Cq_automata.Mealy.compiled_n_states compiled in
-  Printf.printf "learned %d states in %.2f s\n%!" states
-    report.Cq_core.Learn.seconds;
+  Printf.printf "learned %d states in %.2f s\n%!" states report.Learn.seconds;
   let streams_identical =
     List.for_all
       (fun (tr : W.Trace.t) ->
@@ -1898,23 +1668,17 @@ let workload () =
   Printf.printf
     "learned-machine streams identical to policy instances: %b\n%!"
     streams_identical;
-  if not streams_identical then
-    failwith
-      "workload bench: learned PLRU-8 replay diverged from the policy \
-       instance";
+  check streams_identical
+    "workload bench: learned PLRU-8 replay diverged from the policy instance";
   (* --- phase 3: compiled throughput (floor: 1M accesses/sec) --- *)
   let big_spec = "zipf:n=64,alpha=1.2,len=2000000,seed=9" in
-  let big = W.Trace.of_spec_exn ~assoc big_spec in
-  let blocks = big.W.Trace.blocks in
+  let blocks = (W.Trace.of_spec_exn ~assoc big_spec).W.Trace.blocks in
   ignore (W.Replay.compiled compiled blocks) (* warm-up *);
-  let t0 = Cq_util.Clock.mono () in
-  let o_fast = W.Replay.compiled compiled blocks in
-  let dt = Cq_util.Clock.mono () -. t0 in
-  let t1 = Cq_util.Clock.mono () in
-  let o_inst = W.Replay.policy plru blocks in
-  let dt_inst = Cq_util.Clock.mono () -. t1 in
-  if not (Bytes.equal o_fast.W.Replay.stream o_inst.W.Replay.stream) then
-    failwith "workload bench: throughput-run streams diverged";
+  let o_fast, dt = Clock.time (fun () -> W.Replay.compiled compiled blocks) in
+  let o_inst, dt_inst = Clock.time (fun () -> W.Replay.policy plru blocks) in
+  check
+    (Bytes.equal o_fast.W.Replay.stream o_inst.W.Replay.stream)
+    "workload bench: throughput-run streams diverged";
   let len_f = float_of_int (Array.length blocks) in
   let compiled_aps = len_f /. dt and policy_aps = len_f /. dt_inst in
   Printf.printf
@@ -1922,12 +1686,11 @@ let workload () =
      speedup %.1fx (%d accesses, %d-state machine)\n%!"
     (compiled_aps /. 1e6) (policy_aps /. 1e6) (compiled_aps /. policy_aps)
     (Array.length blocks) states;
-  if compiled_aps < 1_000_000.0 then
-    failwith
-      (Printf.sprintf
-         "workload bench: compiled replay at %.0f accesses/s is below the \
-          1M/s floor"
-         compiled_aps);
+  check (compiled_aps >= 1_000_000.0)
+    (Printf.sprintf
+       "workload bench: compiled replay at %.0f accesses/s is below the 1M/s \
+        floor"
+       compiled_aps);
   (* --- phase 4: miss attribution on the learned machine --- *)
   let attr = W.Replay.attribution compiled in
   let attr_trace = List.hd traces in
@@ -1936,20 +1699,9 @@ let workload () =
     attr_trace.W.Trace.label;
   W.Eval.pp_attribution ~top:5 Format.std_formatter attr;
   (* --- phase 5: the daemon as a load source --- *)
-  let module Server = Cq_service.Server in
-  let module Client = Cq_service.Client in
-  let state_dir = "bench-workload-state" in
-  (try Unix.mkdir state_dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let socket = Filename.concat state_dir "bench.sock" in
-  let server = Server.create (Server.config ~workers:1 ~state_dir socket) in
-  Server.start server;
   let daemon_match =
-    Fun.protect ~finally:(fun () ->
-        Server.stop server;
-        rm_scratch_dir state_dir)
-    @@ fun () ->
-    let c = Client.connect_unix socket in
-    Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+    with_daemon ~workers:1 "bench-workload-state" @@ fun _server socket ->
+    with_client socket @@ fun c ->
     let d_assoc = 4 in
     let d_spec = "zipf:n=32,alpha=1.2,len=50000,seed=5" in
     let local =
@@ -1972,27 +1724,20 @@ let workload () =
       "\ndaemon replay (PLRU-%d, %s): policy %d hits, learned %d hits, \
        local %d hits -> match: %b\n%!"
       d_assoc d_spec (hits_of before) (hits_of after) local.W.Replay.hits ok;
+    check ok "workload bench: daemon replay diverged from local replay";
     ok
   in
-  if not daemon_match then
-    failwith "workload bench: daemon replay diverged from local replay";
-  (* --- prior-run trend (tolerant of missing/partial files) --- *)
-  (match prior_int "BENCH_workload.json" [ "compiled_accesses_per_sec" ] with
-  | `Missing -> ()
-  | `Prior p ->
+  print_trend "BENCH_workload.json" [ "compiled_accesses_per_sec" ] (fun p ->
       Printf.printf
         "\nprior compiled throughput: %d accesses/s -> this run: %.0f\n%!" p
-        compiled_aps
-  | `Unreadable ->
-      Printf.printf
-        "(prior BENCH_workload.json unreadable or partial -- ignored)\n%!");
+        compiled_aps);
   write_artifact "BENCH_workload.json"
     (Json.Obj
        [
          ("assoc", Json.Int assoc);
          ("learned_policy", Json.String "PLRU");
          ("learned_states", Json.Int states);
-         ("learn_seconds", num 3 report.Cq_core.Learn.seconds);
+         ("learn_seconds", num 3 report.Learn.seconds);
          ("streams_identical", Json.Bool streams_identical);
          ("throughput_trace", Json.String big_spec);
          ("compiled_accesses_per_sec", Json.Int (int_of_float compiled_aps));
@@ -2043,7 +1788,6 @@ let attack ~smoke () =
     "Security analysis: eviction sets, stealthy sequences, leakage \
      (cq-attack)";
   let module A = Cq_analysis.Attack in
-  let module Learn = Cq_core.Learn in
   let zoo assoc =
     List.filter_map
       (fun e ->
@@ -2067,9 +1811,18 @@ let attack ~smoke () =
       @ [ ("PLRU-12(learned)", `Learned (lr.Learn.machine, plru12)) ]
     end
   in
-  Printf.printf "%-18s %5s %7s | %5s %5s | %8s | %5s %8s %8s | %8s %s\n%!"
-    "policy" "assoc" "states" "evset" "evlen" "stealth" "leak" "absorbed"
-    "residual" "ms" "verified";
+  let cols =
+    [ `Col (-18, "policy"); `Col (5, "assoc"); `Col (7, "states"); `Bar;
+      `Col (5, "evset"); `Col (5, "evlen"); `Bar; `Col (8, "stealth"); `Bar;
+      `Col (5, "leak"); `Col (8, "absorbed"); `Col (8, "residual"); `Bar;
+      `Col (8, "ms"); `Col (0, "verified") ]
+  in
+  print_header cols;
+  let stealth r =
+    match r.A.stealthy with
+    | None -> (0, false)
+    | Some st -> (List.length st.A.setup + List.length st.A.body, st.A.repeatable)
+  in
   let rows =
     List.map
       (fun (name, src) ->
@@ -2078,31 +1831,27 @@ let attack ~smoke () =
           | `Policy p -> (p, Cq_policy.Policy.to_mealy p)
           | `Learned (m, p) -> (p, m)
         in
-        let r, dt = Cq_util.Clock.time (fun () -> A.analyze ~name m) in
-        if r.A.assoc <= 4 && A.analyze ~name m <> r then
-          failwith (name ^ ": analysis is not deterministic");
-        (match A.verify p r with
-        | Ok () -> ()
-        | Error e -> failwith (name ^ ": replay verification failed: " ^ e));
-        (match A.verify_hwsim p r with
-        | Ok () -> ()
-        | Error e -> failwith (name ^ ": hwsim verification failed: " ^ e));
-        let stealth_len, stealth_rep =
-          match r.A.stealthy with
-          | None -> (0, false)
-          | Some st ->
-              (List.length st.A.setup + List.length st.A.body,
-               st.A.repeatable)
+        let r, dt = Clock.time (fun () -> A.analyze ~name m) in
+        check
+          (r.A.assoc > 4 || A.analyze ~name m = r)
+          (name ^ ": analysis is not deterministic");
+        let verified =
+          match Result.bind (A.verify p r) (fun () -> A.verify_hwsim p r) with
+          | Ok () -> true
+          | Error e ->
+              check false (name ^ ": verification failed: " ^ e);
+              false
         in
-        let l = r.A.leakage in
-        Printf.printf
-          "%-18s %5d %7d | %5d %5d | %7d%s | %5.2f %8d %8.2f | %8.1f ok\n%!"
-          name r.A.assoc r.A.states r.A.eviction_set_size r.A.eviction_length
-          stealth_len
-          (if stealth_rep then "R" else "!")
-          l.A.evicted_information l.A.absorbed_noise l.A.residual_information
-          (dt *. 1000.0);
-        (r, dt, stealth_len, stealth_rep))
+        let stealth_len, stealth_rep = stealth r and l = r.A.leakage in
+        let i = string_of_int and f = Printf.sprintf "%.*f" in
+        print_row cols
+          [ name; i r.A.assoc; i r.A.states; i r.A.eviction_set_size;
+            i r.A.eviction_length;
+            i stealth_len ^ if stealth_rep then "R" else "!";
+            f 2 l.A.evicted_information; i l.A.absorbed_noise;
+            f 2 l.A.residual_information; f 1 (dt *. 1000.0);
+            (if verified then "ok" else "FAILED") ];
+        (r, dt, verified))
       subjects
   in
   (* Ordering gate: BIP's deterministic LIP-biased insertion collapses
@@ -2111,42 +1860,35 @@ let attack ~smoke () =
     List.iter
       (fun assoc ->
         let bits name =
-          let r, _, _, _ =
-            List.find (fun (r, _, _, _) -> r.A.name = name && r.A.assoc = assoc) rows
+          let r, _, _ =
+            List.find (fun (r, _, _) -> r.A.name = name && r.A.assoc = assoc) rows
           in
           r.A.leakage.A.evicted_information
         in
-        if not (bits "BIP" < bits "LRU") then
-          failwith
-            (Printf.sprintf
-               "attack bench: BIP-%d does not leak less than LRU-%d" assoc
-               assoc))
+        check
+          (bits "BIP" < bits "LRU")
+          (Printf.sprintf "attack bench: BIP-%d does not leak less than LRU-%d"
+             assoc assoc))
       [ 4; 8 ];
   let worst_ms =
-    List.fold_left (fun acc (_, dt, _, _) -> max acc (dt *. 1000.0)) 0.0 rows
+    List.fold_left (fun acc (_, dt, _) -> max acc (dt *. 1000.0)) 0.0 rows
   in
-  (* Prior-run trend (tolerant of missing/partial files — first runs have
-     no BENCH_attack.json at all). *)
-  (match prior_int ~smoke "BENCH_attack.json" [ "max_analysis_ms" ] with
-  | `Missing -> ()
-  | `Prior p ->
+  print_trend ~smoke "BENCH_attack.json" [ "max_analysis_ms" ] (fun p ->
       Printf.printf "\nprior worst analysis: %d ms -> this run: %.0f ms\n%!" p
-        worst_ms
-  | `Unreadable ->
-      Printf.printf
-        "(prior BENCH_attack.json unreadable or partial -- ignored)\n%!");
+        worst_ms);
   write_artifact ~smoke "BENCH_attack.json"
     (Json.Obj
        [
          ("smoke", Json.Bool smoke);
-         ("verified_all", Json.Bool true);
+         ( "verified_all",
+           Json.Bool (List.for_all (fun (_, _, v) -> v) rows) );
          ("row_count", Json.Int (List.length rows));
          ("max_analysis_ms", Json.Int (int_of_float (Float.round worst_ms)));
          ( "rows",
            Json.List
              (List.map
-                (fun (r, dt, stealth_len, stealth_rep) ->
-                  let l = r.A.leakage in
+                (fun (r, dt, verified) ->
+                  let stealth_len, stealth_rep = stealth r and l = r.A.leakage in
                   Json.Obj
                     [
                       ("policy", Json.String r.A.name);
@@ -2161,7 +1903,7 @@ let attack ~smoke () =
                       ("absorbed_noise", Json.Int l.A.absorbed_noise);
                       ("residual_information", num 6 l.A.residual_information);
                       ("analysis_ms", num 3 (dt *. 1000.0));
-                      ("verified", Json.Bool true);
+                      ("verified", Json.Bool verified);
                     ])
                 rows) );
        ])
@@ -2211,10 +1953,15 @@ let () =
       exit 2);
   (* One failing experiment must not take the rest of the run (or its
      already-written BENCH_*.json files) down with it; every failure is
-     named at the end and turns the exit status to 1. *)
+     named at the end and turns the exit status to 1.  An experiment
+     fails when it raises or when any of its checks failed. *)
   let failures = ref [] in
   let attempt (name, f) =
-    try f ()
+    failed_checks := [];
+    try
+      f ();
+      if !failed_checks <> [] then
+        failwith (String.concat "; " (List.rev !failed_checks))
     with exn ->
       let msg = Printexc.to_string exn in
       Printf.printf "\n(%s failed: %s -- continuing)\n%!" name msg;

@@ -64,6 +64,27 @@ let expand_reset ~assoc reset =
   | Flush_refill -> single Cq_mbl.Ast.At
   | Sequence ast | Flush_then ast -> single ast
 
+(* The frontend writes five of the [Oracle.stats] series, and only those
+   are registered in [metrics]: Polca accounts its sessions and retries
+   in the learn-side stats, so the frontend's copies of those series
+   would always export 0.  They live in a private registry instead.  The
+   prefix is distinct so the frontend can share a registry with the
+   learn-level oracle wrappers. *)
+let frontend_stats ?metrics backend =
+  let unwritten = Cq_cache.Oracle.fresh_stats ~prefix:"frontend" () in
+  let r = match metrics with Some r -> r | None -> Cq_util.Metrics.create () in
+  let c name = Cq_util.Metrics.counter r ("frontend." ^ name) in
+  {
+    unwritten with
+    Cq_cache.Oracle.queries = c "queries";
+    block_accesses = c "block_accesses";
+    memo_hits = c "memo_hits";
+    timed_loads = Backend.load_counter backend;
+    vote_runs = c "vote_runs";
+    vote_escalations =
+      Cq_util.Metrics.histogram ~buckets:8 r "frontend.vote_escalations";
+  }
+
 let create ?(reset = Flush_refill) ?(voting = Fixed 1) ?metrics backend =
   validate_voting voting;
   let machine = Backend.machine backend in
@@ -77,11 +98,7 @@ let create ?(reset = Flush_refill) ?(voting = Fixed 1) ?metrics backend =
     voting;
     memo_enabled = true;
     memo = Hashtbl.create 8192;
-    (* The frontend is the pipeline's *device* layer; distinct prefix so
-       it can share a registry with the learn-level oracle wrappers. *)
-    stats =
-      Cq_cache.Oracle.fresh_stats ?registry:metrics ~prefix:"frontend"
-        ~timed_loads:(Backend.load_counter backend) ();
+    stats = frontend_stats ?metrics backend;
     metrics;
   }
 

@@ -190,6 +190,31 @@ let test_toy_full_pipeline () =
       Alcotest.fail (Fmt.str "%a" Cq_core.Learn.pp_failure failure)
   | Cq_core.Hardware.Failed { reason; _ } -> Alcotest.fail reason
 
+let test_frontend_series () =
+  (* One registry across the stack: the frontend registers only the
+     series it writes, so an export carries none that always reads 0. *)
+  let metrics = Cq_util.Metrics.create () in
+  let run =
+    Cq_core.Hardware.learn_set ~metrics (M.create ~noise:M.quiet_noise CM.toy)
+      CM.L1 ~set:3
+  in
+  (match run.Cq_core.Hardware.outcome with
+  | Cq_core.Hardware.Learned _ -> ()
+  | o -> Alcotest.fail (Fmt.str "%a" Cq_core.Hardware.pp_outcome o));
+  let frontend =
+    List.filter_map
+      (fun (name, _) ->
+        if String.starts_with ~prefix:"frontend." name then Some name else None)
+      (Cq_util.Metrics.snapshot metrics)
+  in
+  Alcotest.(check (list string))
+    "frontend series"
+    [
+      "frontend.block_accesses"; "frontend.memo_hits"; "frontend.queries";
+      "frontend.vote_escalations"; "frontend.vote_runs";
+    ]
+    frontend
+
 let test_toy_l2_new1 () =
   (* The toy L2 runs New1 at associativity 2 and needs a non-F+R reset
      (fill does not touch the policy). *)
@@ -288,6 +313,8 @@ let suite =
       Alcotest.test_case "REPL survives a non-integer argument" `Quick
         test_repl_survives_non_integer;
       Alcotest.test_case "toy pipeline: L1" `Quick test_toy_full_pipeline;
+      Alcotest.test_case "frontend registers the series it writes" `Quick
+        test_frontend_series;
       Alcotest.test_case "toy pipeline: L2 New1" `Quick test_toy_l2_new1;
       Alcotest.test_case "toy pipeline: L3 leader New2" `Quick test_toy_l3_leader;
     ] )
